@@ -8,6 +8,7 @@ the signs of the symmetric elimination pivots.
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import kernels
 from .errors import Disconnected, NewtonsingError, NoCompactFace, NotNegativeDefinite
 from .lattice import dot, pair_data, vec_add
 from .newton import NewtonPolyhedron, Support, newton_polyhedron
@@ -162,7 +163,8 @@ def intersection_data(g: PlumbingGraph) -> IntersectionData:
                 for j in range(n):
                     a[i][j] -= f * a[k][j]
                     inv[i][j] -= f * inv[k][j]
-    assert det.denominator == 1
+    if det.denominator != 1:
+        raise AssertionError(f"intersection determinant {det} is not an integer")
     det = int(det)
     duals = tuple(tuple(-inv[v][w] for w in range(n)) for v in range(n))
     for v in range(n):
@@ -316,16 +318,8 @@ def _interior_points(poly, face):
     others = [g for g in poly.all_faces() if g.normal != face.normal]
     lo = [min(v[c] for v in face.vertices) for c in range(3)]
     hi = [max(v[c] for v in face.vertices) for c in range(3)]
-    count = 0
-    for p0 in range(lo[0], hi[0] + 1):
-        for p1 in range(lo[1], hi[1] + 1):
-            for p2 in range(lo[2], hi[2] + 1):
-                p = (p0, p1, p2)
-                if dot(face.normal, p) != face.value:
-                    continue
-                if all(dot(g.normal, p) > g.value for g in others):
-                    count += 1
-    return count
+    points = kernels.plane_points(face.normal, face.value, lo, hi)
+    return sum(1 for p in points if all(dot(g.normal, p) > g.value for g in others))
 
 
 def _check_neighbor_sums(og: OkaGraph):

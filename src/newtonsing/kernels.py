@@ -1,61 +1,93 @@
-"""Backend selection for the hot kernels.
+"""Lattice box scans and the Laufer completion loop.
 
-The compiled extension (Cython, int64 arithmetic) is used when it imported
-successfully, the input provably fits in int64, and NEWTONSING_PURE is not
-set.  Anything else runs the pure-Python big-integer reference path, so
-results are exact in every configuration.
+The scans walk the columns (p0, p1) of the box.  When every row has a
+nonnegative last entry, the p2 with rows[i].p < bounds[i] for some i form a
+prefix of each column, so a scan costs box^2 * rows plus its output rather
+than box^3 * rows.  Arithmetic is on Python integers, hence exact.
 """
 
-import os
 
-from . import _kernels_py
-
-_speedups = None
-if os.environ.get("NEWTONSING_PURE") != "1":
-    try:
-        from . import _speedups
-    except ImportError:
-        _speedups = None
-
-backend_name = "compiled" if _speedups is not None else "pure"
-
-_I64_SAFE = 2**62
-
-
-def _box_fits_i64(rows, bounds, lo, hi):
-    big = max((abs(lo[j]) + abs(hi[j]) for j in range(3)), default=0) + 1
-    for row, m in zip(rows, bounds):
-        if abs(m) >= _I64_SAFE:
-            return False
-        if sum(abs(a) for a in row) * big >= _I64_SAFE:
-            return False
-    return True
+def _column_tops(rows, bounds, lo, hi):
+    """(p0, p1, top) per column of the box; the violating p2 are lo[2]..top."""
+    if any(a2 < 0 for _, _, a2 in rows):
+        raise ValueError("box scans need rows with a nonnegative last entry")
+    l2, h2 = lo[2], hi[2]
+    tilted = [(a0, a1, a2, m - 1) for (a0, a1, a2), m in zip(rows, bounds) if a2]
+    flat = [(a0, a1, m) for (a0, a1, a2), m in zip(rows, bounds) if not a2]
+    for p0 in range(lo[0], hi[0] + 1):
+        for p1 in range(lo[1], hi[1] + 1):
+            if any(a0 * p0 + a1 * p1 < m for a0, a1, m in flat):
+                top = h2
+            else:
+                # a0 p0 + a1 p1 + a2 p2 < m  <=>  p2 <= (m - 1 - a0 p0 - a1 p1) // a2
+                tops = ((m1 - a0 * p0 - a1 * p1) // a2 for a0, a1, a2, m1 in tilted)
+                top = min(max(tops, default=l2 - 1), h2)
+            if top >= l2:
+                yield p0, p1, top
 
 
 def count_violating(rows, bounds, lo, hi):
-    """Count p in [lo, hi]^3 with rows[i].p < bounds[i] for some i."""
+    """Count p in [lo, hi]^3 with rows[i].p < bounds[i] for some i.
+
+    `rows` is a list of integer 3-vectors whose last entries are nonnegative,
+    `bounds` a parallel list of ints.
+    """
     if any(h < l for l, h in zip(lo, hi)):
         return 0
-    if _speedups is not None and rows and _box_fits_i64(rows, bounds, lo, hi):
-        return _speedups.count_violating(rows, bounds, lo, hi)
-    return _kernels_py.count_violating(rows, bounds, lo, hi)
+    return sum(top - lo[2] + 1 for _, _, top in _column_tops(rows, bounds, lo, hi))
 
 
 def collect_violating(rows, bounds, lo, hi):
     """The points counted by count_violating, in lexicographic order."""
     if any(h < l for l, h in zip(lo, hi)):
         return []
-    if _speedups is not None and rows and _box_fits_i64(rows, bounds, lo, hi):
-        return _speedups.collect_violating(rows, bounds, lo, hi)
-    return _kernels_py.collect_violating(rows, bounds, lo, hi)
+    columns = _column_tops(rows, bounds, lo, hi)
+    return [(p0, p1, p2) for p0, p1, top in columns for p2 in range(lo[2], top + 1)]
+
+
+def plane_points(normal, value, lo, hi):
+    """Lattice points p in [lo, hi]^3 with normal.p == value, in lexicographic order.
+
+    Solves for p2 in each column (p0, p1); `normal` must have a nonzero last entry.
+    """
+    a0, a1, a2 = normal
+    points = []
+    for p0 in range(lo[0], hi[0] + 1):
+        for p1 in range(lo[1], hi[1] + 1):
+            p2, rest = divmod(value - a0 * p0 - a1 * p1, a2)
+            if not rest and lo[2] <= p2 <= hi[2]:
+                points.append((p0, p1, p2))
+    return points
 
 
 def laufer_complete(b, neighbors, is_node, m):
-    """Complete the cycle `m` (a list, modified in place) to its Laufer fixpoint."""
-    if _speedups is not None:
-        cap = _I64_SAFE // (max(b, default=1) + max((len(n) for n in neighbors), default=0) + 2)
-        if all(abs(x) < cap for x in m):
-            steps = _speedups.laufer_complete(b, neighbors, is_node, m, cap)
-            if steps >= 0:
-                return steps
-    return _kernels_py.laufer_complete(b, neighbors, is_node, m)
+    """Run the generalized Laufer sequence from the cycle `m` in place.
+
+    While some non-node vertex v has (Z, E_v) = -b_v m_v + sum of neighbour
+    coefficients > 0, increment m_v.  Terminates on negative definite graphs;
+    returns the number of increments.  `neighbors` lists neighbour ids with
+    multiplicity.
+    """
+    nv = len(b)
+    s = [0] * nv
+    for v in range(nv):
+        t = -b[v] * m[v]
+        for u in neighbors[v]:
+            t += m[u]
+        s[v] = t
+    active = [v for v in range(nv) if not is_node[v] and s[v] > 0]
+    steps = 0
+    while active:
+        v = active.pop()
+        if s[v] <= 0:
+            continue
+        m[v] += 1
+        steps += 1
+        s[v] -= b[v]
+        if not is_node[v] and s[v] > 0:
+            active.append(v)
+        for u in neighbors[v]:
+            s[u] += 1
+            if not is_node[u] and s[u] > 0:
+                active.append(u)
+    return steps

@@ -280,16 +280,11 @@ def _positive_diagram_points(poly: NewtonPolyhedron):
     found = set()
     faces = poly.all_faces()
     for face in poly.compact_faces:
-        lo = [min(v[c] for v in face.vertices) for c in range(3)]
+        lo = [max(min(v[c] for v in face.vertices), 1) for c in range(3)]
         hi = [max(v[c] for v in face.vertices) for c in range(3)]
-        for p0 in range(max(lo[0], 1), hi[0] + 1):
-            for p1 in range(max(lo[1], 1), hi[1] + 1):
-                for p2 in range(max(lo[2], 1), hi[2] + 1):
-                    p = (p0, p1, p2)
-                    if dot(face.normal, p) != face.value:
-                        continue
-                    if all(dot(g.normal, p) >= g.value for g in faces):
-                        found.add(p)
+        for p in kernels.plane_points(face.normal, face.value, lo, hi):
+            if all(dot(g.normal, p) >= g.value for g in faces):
+                found.add(p)
     return sorted(found)
 
 

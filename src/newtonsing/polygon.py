@@ -145,7 +145,8 @@ def _complement_basis(d: IntVec2) -> IntVec2:
     # Bezout: dx * y - dy * x = 1
     dx, dy = d
     g, x, y = _xgcd(dx, dy)
-    assert g == 1
+    if g != 1:
+        raise AssertionError(f"direction {d} is not primitive")
     # dx*x + dy*y = 1  ->  u = (-y, x) gives dx*x - dy*(-y) = 1
     return (-y, x)
 

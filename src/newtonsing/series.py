@@ -31,7 +31,8 @@ def _scaled_duals(data):
         scaled = []
         for x in row:
             v = x * d
-            assert v.denominator == 1
+            if v.denominator != 1:
+                raise AssertionError(f"scaled dual cycle entry {v} is not an integer")
             scaled.append(int(v))
         out.append(tuple(scaled))
     return out, d

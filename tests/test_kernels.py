@@ -1,76 +1,79 @@
 import random
 
-from newtonsing import _kernels_py, kernels
-from newtonsing.newton import brieskorn
-from tests.conftest import model_for
+import pytest
+
+from newtonsing import kernels
 
 
-def test_backend_reported():
-    assert kernels.backend_name in ("compiled", "pure")
+def _brute_collect(rows, bounds, lo, hi):
+    """Reference oracle: test every point of the box against every row."""
+    points = []
+    for p0 in range(lo[0], hi[0] + 1):
+        for p1 in range(lo[1], hi[1] + 1):
+            for p2 in range(lo[2], hi[2] + 1):
+                for (a0, a1, a2), m in zip(rows, bounds):
+                    if a0 * p0 + a1 * p1 + a2 * p2 < m:
+                        points.append((p0, p1, p2))
+                        break
+    return points
+
+
+def _brute_plane(normal, value, lo, hi):
+    return [
+        (p0, p1, p2)
+        for p0 in range(lo[0], hi[0] + 1)
+        for p1 in range(lo[1], hi[1] + 1)
+        for p2 in range(lo[2], hi[2] + 1)
+        if normal[0] * p0 + normal[1] * p1 + normal[2] * p2 == value
+    ]
 
 
 def _random_case(rng):
-    rows = [tuple(rng.randint(1, 9) for _ in range(3)) for _ in range(rng.randint(1, 4))]
-    bounds = [rng.randint(-3, 25) for _ in rows]
-    lo = [rng.randint(0, 2) for _ in range(3)]
-    hi = [l + rng.randint(0, 7) for l in lo]
+    # entries from 0 so that rows with a zero last entry (whole columns) occur
+    rows = [tuple(rng.randint(0, 9) for _ in range(3)) for _ in range(rng.randint(1, 4))]
+    bounds = [rng.randint(-10, 25) for _ in rows]
+    lo = [rng.randint(-2, 3) for _ in range(3)]
+    hi = [l + rng.randint(-1, 7) for l in lo]
     return rows, bounds, lo, hi
 
 
 def test_scan_backends_agree():
     rng = random.Random(31)
-    for _ in range(60):
+    for _ in range(300):
         rows, bounds, lo, hi = _random_case(rng)
-        assert kernels.count_violating(rows, bounds, lo, hi) == _kernels_py.count_violating(
-            rows, bounds, lo, hi
-        )
-        assert kernels.collect_violating(rows, bounds, lo, hi) == _kernels_py.collect_violating(
-            rows, bounds, lo, hi
-        )
+        expected = _brute_collect(rows, bounds, lo, hi)
+        assert kernels.collect_violating(rows, bounds, lo, hi) == expected
+        assert kernels.count_violating(rows, bounds, lo, hi) == len(expected)
 
 
 def test_scan_falls_back_on_huge_values():
     rows = [(2**70, 1, 1)]
     bounds = [2**71]
     assert kernels.count_violating(rows, bounds, [0, 0, 0], [1, 1, 1]) == 8
-    assert len(kernels.collect_violating(rows, bounds, [0, 0, 0], [1, 1, 1])) == 8
+    assert kernels.collect_violating(rows, bounds, [0, 0, 0], [1, 1, 1]) == _brute_collect(
+        rows, bounds, [0, 0, 0], [1, 1, 1]
+    )
+    # 2**70 p0 + p1 + p2 < 2**70 + 1 holds for p0 = 0 and for p0 = 1, p1 = p2 = 0
+    assert kernels.count_violating(rows, [2**70 + 1], [0, 0, 0], [1, 1, 1]) == 5
 
 
 def test_empty_box_and_no_rows():
     assert kernels.count_violating([(1, 1, 1)], [5], [0, 0, 0], [-1, 3, 3]) == 0
+    assert kernels.collect_violating([(1, 1, 1)], [5], [0, 0, 0], [3, 3, -1]) == []
     assert kernels.collect_violating([], [], [0, 0, 0], [1, 1, 1]) == []
     assert kernels.count_violating([], [], [0, 0, 0], [1, 1, 1]) == 0
 
 
-def test_laufer_backends_agree():
-    rng = random.Random(47)
-    m = model_for(brieskorn(3, 5, 7))
-    g = m.oka.graph
-    is_node = [g.degree[v] >= 3 for v in range(g.nv)]
-    for _ in range(25):
-        start = [0] * g.nv
-        for n in g.nodes:
-            start[n] = rng.randint(0, 12)
-        a = list(start)
-        b = list(start)
-        sa = kernels.laufer_complete(list(g.b), g.neighbors, is_node, a)
-        sb = _kernels_py.laufer_complete(list(g.b), g.neighbors, is_node, b)
-        assert a == b
-        assert sa == sb
+def test_scan_rejects_negative_last_entry():
+    with pytest.raises(ValueError):
+        kernels.count_violating([(1, 1, -1)], [5], [0, 0, 0], [1, 1, 1])
 
 
-def test_laufer_cap_triggers_fallback(monkeypatch):
-    # shrink the safety bound so the compiled loop reports -1 and the
-    # wrapper reruns the pure path; the result must be unchanged
-    m = model_for(brieskorn(2, 3, 7))
-    g = m.oka.graph
-    start = [0] * g.nv
-    for n in g.nodes:
-        start[n] = 40
-    reference = list(start)
-    is_node = [g.degree[v] >= 3 for v in range(g.nv)]
-    kernels.laufer_complete(list(g.b), g.neighbors, is_node, reference)
-    monkeypatch.setattr(kernels, "_I64_SAFE", 64)
-    capped = list(start)
-    kernels.laufer_complete(list(g.b), g.neighbors, is_node, capped)
-    assert capped == reference
+def test_plane_points_match_brute_force():
+    rng = random.Random(53)
+    for _ in range(200):
+        normal = (rng.randint(-4, 6), rng.randint(-4, 6), rng.choice([-3, -1, 1, 2, 5]))
+        value = rng.randint(-10, 30)
+        lo = [rng.randint(-2, 3) for _ in range(3)]
+        hi = [l + rng.randint(-1, 7) for l in lo]
+        assert kernels.plane_points(normal, value, lo, hi) == _brute_plane(normal, value, lo, hi)
