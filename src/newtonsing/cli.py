@@ -49,6 +49,8 @@ def read_document(path):
     monomials = doc["monomials"]
     if not isinstance(monomials, list) or not monomials:
         raise InputError('"monomials" must be a nonempty list')
+    if any(isinstance(x, bool) for m in monomials if isinstance(m, list) for x in m):
+        raise InputError("exponents must be integers, not booleans")
     try:
         support = Support(monomials)
     except (TypeError, ValueError) as exc:

@@ -7,11 +7,12 @@ function, the spectrum part in (-1, 0], the Poincare series of the induced
 filtration, and the central-face/arm anatomy of the diagram.
 """
 
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import floor
+from math import floor, lcm
 
 from . import kernels
 from .errors import ClassificationFailed, NoCompactFace, NotIsolated, NotRationalHomologySphere
@@ -27,7 +28,10 @@ class Support:
     def __init__(self, points):
         pts = set()
         for p in points:
-            p = tuple(int(x) for x in p)
+            try:
+                p = tuple(operator.index(x) for x in p)
+            except TypeError:
+                raise TypeError(f"support point {p!r} is not a 3-vector of integers") from None
             if len(p) != 3 or any(x < 0 for x in p):
                 raise ValueError(f"support point {p} is not a nonnegative 3-vector")
             if p == (0, 0, 0):
@@ -307,29 +311,35 @@ def _weight_box(poly, bound):
     return hi
 
 
-def _points_with_weight_at_most(poly, bound, positive):
-    """(point, weight) pairs over the region weight <= bound, exact."""
+def _weight_histogram(poly, bound, positive):
+    """Counter of L * weight(p) over the region weight(p) <= bound, and L.
+
+    L is the lcm of the compact face values w_n, so weight(p) is k / L with
+    the integer k = min_n (L // w_n) * l_n(p): one integer min per point.
+    """
     _require_compact(poly)
     bound = Fraction(bound)
+    faces = poly.compact_faces
+    denominator = lcm(*(f.value for f in faces))
     hi = _weight_box(poly, bound)
     lo = [1, 1, 1] if positive else [0, 0, 0]
     rows, cuts = [], []
-    for f in poly.compact_faces:
+    for f in faces:
         # Q * l_n(p) <= P * w_n  <=>  row . p < cut  over integers
         rows.append(tuple(bound.denominator * a for a in f.normal))
         cuts.append(bound.numerator * f.value + 1)
-    out = []
-    for p in kernels.collect_violating(rows, cuts, lo, hi):
-        out.append((p, newton_weight(poly, p)))
-    return out
+    scaled = [tuple(denominator // f.value * a for a in f.normal) for f in faces]
+    histogram = Counter(
+        min(a0 * p0 + a1 * p1 + a2 * p2 for a0, a1, a2 in scaled)
+        for p0, p1, p2 in kernels.collect_violating(rows, cuts, lo, hi)
+    )
+    return histogram, denominator
 
 
 def saito_spectrum(poly: NewtonPolyhedron) -> Counter:
     """Multiset of weight(p) - 1 over positive lattice points p with weight <= 1."""
-    spectrum = Counter()
-    for _, w in _points_with_weight_at_most(poly, 1, positive=True):
-        spectrum[w - 1] += 1
-    return spectrum
+    histogram, denominator = _weight_histogram(poly, 1, positive=True)
+    return Counter({Fraction(k - denominator, denominator): n for k, n in histogram.items()})
 
 
 class PuiseuxPoly:
@@ -366,28 +376,25 @@ class PuiseuxPoly:
 def poincare_newton(poly: NewtonPolyhedron, max_exponent) -> PuiseuxPoly:
     """Terms of (1 - t) * sum_p t^weight(p) with exponent <= max_exponent.
 
-    Both factors are enumerated out to max_exponent + 1 before multiplying,
-    so the reported coefficients are exact.
+    With N(e) the number of p >= 0 of weight e, the coefficient at e is
+    N(e) - N(e - 1), and both counts lie at weight <= max_exponent, so the
+    scan stops there.  Iterating over the weights found misses no term: if
+    N(e - 1) > 0, take p of weight e - 1 and a vertex v of a face where p
+    attains its minimum; p + v has weight e, so N(e) > 0 as well.
     """
     bound = Fraction(max_exponent)
     if bound <= 0:
         raise ValueError("max_exponent must be positive")
-    histogram = Counter()
-    for _, w in _points_with_weight_at_most(poly, bound + 1, positive=False):
-        histogram[w] += 1
-    terms = {}
-    for e, n in histogram.items():
-        if e <= bound:
-            terms[e] = n - histogram.get(e - 1, 0)
-    return PuiseuxPoly(terms)
+    histogram, denominator = _weight_histogram(poly, bound, positive=False)
+    return PuiseuxPoly(
+        {Fraction(k, denominator): n - histogram.get(k - denominator, 0) for k, n in histogram.items()}
+    )
 
 
 def poincare_pol_part(poly: NewtonPolyhedron) -> PuiseuxPoly:
     """sum of t^(1 - weight(p)) over positive lattice points under the diagram."""
-    terms = Counter()
-    for _, w in _points_with_weight_at_most(poly, 1, positive=True):
-        terms[1 - w] += 1
-    return PuiseuxPoly(terms)
+    histogram, denominator = _weight_histogram(poly, 1, positive=True)
+    return PuiseuxPoly({Fraction(denominator - k, denominator): n for k, n in histogram.items()})
 
 
 @dataclass

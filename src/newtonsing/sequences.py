@@ -197,8 +197,9 @@ def run_sequence(ctx: SequenceContext, max_ratio=None, tie_break="min") -> Seque
         guard += 1
         if guard > 10**7:
             raise NewtonsingError("computation sequence failed to terminate")
-        best = min(_ratio(ctx, z, n) for n in eligible)
-        pool = [n for n in eligible if _ratio(ctx, z, n) == best]
+        ratios = {n: _ratio(ctx, z, n) for n in eligible}
+        best = min(ratios.values())
+        pool = [n for n in eligible if ratios[n] == best]
         top = max(graph.dot_E(z, n) for n in pool)
         pool = [n for n in pool if graph.dot_E(z, n) == top]
         n = min(pool) if tie_break == "min" else max(pool)

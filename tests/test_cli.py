@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from newtonsing.cli import main
 from newtonsing.graph import PlumbingGraph
 from tests.conftest import FRONT_PAGE
@@ -111,6 +113,17 @@ def test_usage_errors(tmp_path, capsys):
     empty.write_text(json.dumps({"monomials": []}))
     code, _ = run_cli(capsys, str(empty), "pg")
     assert code == 2
+
+
+@pytest.mark.parametrize("exponent", ["1e400", "2.7", '"2"', "true"])
+def test_non_integer_exponent_is_input_error(tmp_path, capsys, exponent):
+    path = tmp_path / "input.json"
+    path.write_text('{"monomials": [[%s, 0, 0], [0, 3, 0], [0, 0, 7]]}' % exponent)
+    code = main([str(path), "pg"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out)["error"] == "InputError"
+    assert "Traceback" not in captured.err
 
 
 def test_stdin_input(capsys, monkeypatch):

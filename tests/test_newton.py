@@ -1,8 +1,12 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
+from math import floor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newtonsing.errors import NoCompactFace, NotIsolated
 from newtonsing.newton import (
@@ -159,6 +163,50 @@ def test_poincare_newton_examples():
     series = poincare_newton(poly, 1)
     assert series.coefficient(0) == 1
     assert series.coefficient(Fraction(41, 42)) == 1
+
+
+def _brute_force_weight_invariants(poly, bound):
+    """Poincare terms, spectrum and pol part from newton_weight on every box point.
+
+    The box reaches weight bound + 1, past the truncation, so the Poincare
+    terms do not lean on the N(e - 1) > 0 => N(e) > 0 argument; the spectrum
+    and pol part read the positive points of weight <= 1.
+    """
+    top = bound + 1
+    hi = [max(floor(top * f.value / f.normal[c]) for f in poly.compact_faces) for c in range(3)]
+    histogram, under_diagram = Counter(), Counter()
+    for p in product(*(range(h + 1) for h in hi)):
+        w = newton_weight(poly, p)
+        if w <= top:
+            histogram[w] += 1
+        if min(p) >= 1 and w <= 1:
+            under_diagram[w] += 1
+    poincare = PuiseuxPoly({e: n - histogram.get(e - 1, 0) for e, n in histogram.items() if e <= bound})
+    spectrum = Counter({w - 1: n for w, n in under_diagram.items()})
+    pol = PuiseuxPoly({1 - w: n for w, n in under_diagram.items()})
+    return poincare, spectrum, pol
+
+
+@st.composite
+def convenient_supports(draw):
+    axes = [draw(st.integers(2, 5)) for _ in range(3)]
+    points = [tuple(a if k == c else 0 for k in range(3)) for c, a in enumerate(axes)]
+    extra = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+    points += draw(st.lists(extra.filter(any), max_size=4))
+    return Support(points)
+
+
+@given(
+    convenient_supports(),
+    st.fractions(min_value=Fraction(1, 4), max_value=3, max_denominator=4),
+)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_weight_histogram_matches_brute_force(support, bound):
+    poly = newton_polyhedron(support)
+    poincare, spectrum, pol = _brute_force_weight_invariants(poly, bound)
+    assert poincare_newton(poly, bound) == poincare
+    assert saito_spectrum(poly) == spectrum
+    assert poincare_pol_part(poly) == pol
 
 
 def test_poincare_pol_part_examples():
