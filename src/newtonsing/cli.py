@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 domain error, 2 usage or input error.
 """
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -119,22 +120,12 @@ def _cmd_graph(model, args):
 def _cmd_pg(model, args):
     res = model.pg()
     count = model.pg_lattice_count()
-    q = counting_q(model_data(model), model.minimal, model.zk_minimal)
+    q = counting_q(model.minimal.data, model.minimal, model.zk_minimal)
     oracles = {
         "lattice_count_agrees": count == res.value,
         "counting_function_agrees": q == res.value,
     }
     return {"pg": res.value, "via_minimal": res.via_minimal, "via_diagram": res.via_diagram}, oracles
-
-
-def model_data(model):
-    from .graph import intersection_data
-
-    cache = model.__dict__.setdefault("_min_data", None)
-    if cache is None:
-        cache = intersection_data(model.minimal)
-        model.__dict__["_min_data"] = cache
-    return cache
 
 
 def _cmd_spectrum(model, args):
@@ -155,7 +146,7 @@ def _cmd_poincare(model, args):
 
 def _cmd_sw(model, args):
     res = model.sw()
-    q = counting_q(model_data(model), model.minimal, model.zk_minimal)
+    q = counting_q(model.minimal.data, model.minimal, model.zk_minimal)
     return (
         {
             "value": res.value,
@@ -196,14 +187,12 @@ def _verify_sequences(model, checks):
         checks[f"sequences/kind{kind}_ratios_monotone"] = all(
             a <= b for a, b in zip(ratios, ratios[1:])
         )
-    checks["sequences/tie_break_invariance"] = (
-        model.pg().value == SingularityModel(model.support).pg(tie_break="reversed").value
-    )
+    checks["sequences/tie_break_invariance"] = model.pg().value == model.pg(tie_break="reversed").value
 
 
 def _verify_series(model, checks):
-    data = model_data(model)
     g = model.minimal
+    data = g.data
     zk = model.zk_minimal
     checks["series/q_zero"] = counting_q(data, g, (0,) * g.nv) == 0
     checks["series/q_zk_equals_pg"] = counting_q(data, g, zk) == model.pg().value
@@ -243,6 +232,7 @@ def _positive_fraction(text):
     return value
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="newtonsing",

@@ -1,12 +1,15 @@
 """Plumbing graphs: Oka's algorithm, exact intersection data and cycles.
 
-Cycles are plain tuples indexed by vertex id.  All linear algebra is done
-with Fractions, and negative definiteness is certified (never assumed) by
-the signs of the symmetric elimination pivots.
+Cycles are plain tuples indexed by vertex id.  The intersection form of a
+graph is eliminated once, in integers (fraction-free Bareiss), and cached on
+the graph; negative definiteness is certified (never assumed) by the signs
+of that elimination's pivots, and det, the dual cycles and Z_K all read its
+adjugate.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import kernels
 from .errors import Disconnected, NewtonsingError, NoCompactFace, NotNegativeDefinite
@@ -41,7 +44,12 @@ class PlumbingGraph:
         self.ends = tuple(v for v in range(self.nv) if self.degree[v] == 1)
         if check:
             self._check_connected()
-            self._check_negative_definite()
+            self.data  # the elimination raises NotNegativeDefinite
+
+    @cached_property
+    def data(self) -> "IntersectionData":
+        """The graph's exact intersection data, eliminated once."""
+        return intersection_data(self)
 
     def _check_connected(self):
         if self.nv == 0:
@@ -64,20 +72,6 @@ class PlumbingGraph:
             m[u][v] += 1
             m[v][u] += 1
         return m
-
-    def _check_negative_definite(self):
-        # pivots of symmetric elimination of a definite matrix are the
-        # ratios of leading principal minors; all must be negative
-        a = [[Fraction(x) for x in row] for row in self.intersection_matrix()]
-        n = self.nv
-        for k in range(n):
-            if a[k][k] >= 0:
-                raise NotNegativeDefinite(f"pivot {k} is {a[k][k]}")
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    factor = a[i][k] / a[k][k]
-                    for j in range(k, n):
-                        a[i][j] -= factor * a[k][j]
 
     def dot_E(self, z, v) -> int:
         """(Z, E_v)."""
@@ -131,56 +125,88 @@ class PlumbingGraph:
 
 @dataclass
 class IntersectionData:
-    graph: PlumbingGraph
+    """Result of a graph's one elimination; the other views derive from it."""
+
     matrix: tuple
-    inverse: tuple  # Fractions
     determinant: int
-    group_order: int
-    dual_cycles: tuple  # dual_cycles[v][w] = m_w(E_v^*), positive Fractions
+    adjugate: tuple  # integers; the inverse is adjugate / determinant
+
+    @property
+    def group_order(self) -> int:
+        return abs(self.determinant)
+
+    @cached_property
+    def scaled_duals(self) -> tuple:
+        """scaled_duals[v][w] = |det| m_w(E_v^*) = (-1)^(nv+1) adjugate[v][w]."""
+        sign = 1 if self.determinant < 0 else -1
+        return tuple(tuple(sign * x for x in row) for row in self.adjugate)
+
+    @cached_property
+    def dual_cycles(self) -> tuple:
+        """dual_cycles[v][w] = m_w(E_v^*), positive Fractions."""
+        d = self.group_order
+        return tuple(tuple(Fraction(x, d) for x in row) for row in self.scaled_duals)
+
+    @cached_property
+    def inverse(self) -> tuple:
+        d = self.determinant
+        return tuple(tuple(Fraction(x, d) for x in row) for row in self.adjugate)
+
+    @cached_property
+    def ratio_table(self) -> tuple:
+        """ratio_table[w][w'] = (num, den), num/den the largest ratio
+        m_w(E_v^*) / m_w'(E_v^*) over v, found by cross-multiplying."""
+        rows = self.scaled_duals
+        n = len(rows)
+        table = []
+        for w in range(n):
+            out = []
+            for wp in range(n):
+                num, den = rows[0][w], rows[0][wp]
+                for row in rows[1:]:
+                    if row[w] * den > num * row[wp]:
+                        num, den = row[w], row[wp]
+                out.append((num, den))
+            table.append(tuple(out))
+        return tuple(table)
 
 
 def intersection_data(g: PlumbingGraph) -> IntersectionData:
-    """Exact inverse, determinant and dual cycles of the intersection form."""
+    """Determinant and adjugate of the intersection form by one fraction-free
+    Gauss-Jordan pass over [A | I] (Bareiss 1968).
+
+    Pivot k is the leading principal minor of order k + 1, so the symmetric
+    elimination pivot is minor_{k+1} / minor_k; all of these must be
+    negative.  Every row other than k is updated at step k, every division
+    is exact, and the pass ends at [det I | adj A].
+    """
     n = g.nv
     m = g.intersection_matrix()
-    a = [[Fraction(x) for x in row] for row in m]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    det = Fraction(1)
+    rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    prev = 1
     for k in range(n):
-        if a[k][k] == 0:
-            # symmetric definite matrices never need pivoting; bail out
-            raise NotNegativeDefinite("zero pivot in intersection matrix")
-        if a[k][k] >= 0:
-            raise NotNegativeDefinite(f"pivot {k} is {a[k][k]}")
-        det *= a[k][k]
-        piv = a[k][k]
-        for j in range(n):
-            a[k][j] /= piv
-            inv[k][j] /= piv
+        pivot_row = rows[k]
+        p = pivot_row[k]
+        if p * prev >= 0:
+            raise NotNegativeDefinite(f"pivot {k} is {Fraction(p, prev)}")
         for i in range(n):
-            if i != k and a[i][k]:
-                f = a[i][k]
-                for j in range(n):
-                    a[i][j] -= f * a[k][j]
-                    inv[i][j] -= f * inv[k][j]
-    if det.denominator != 1:
-        raise AssertionError(f"intersection determinant {det} is not an integer")
-    det = int(det)
-    duals = tuple(tuple(-inv[v][w] for w in range(n)) for v in range(n))
-    for v in range(n):
-        for w in range(n):
-            if duals[v][w] <= 0:
-                raise AssertionError("dual cycle entries must be positive")
-    return IntersectionData(g, tuple(tuple(row) for row in m), tuple(tuple(r) for r in inv), det, abs(det), duals)
+            if i != k:
+                f = rows[i][k]
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], pivot_row)]
+        prev = p
+    data = IntersectionData(tuple(tuple(row) for row in m), prev, tuple(tuple(row[n:]) for row in rows))
+    if any(x <= 0 for row in data.scaled_duals for x in row):
+        raise AssertionError("dual cycle entries must be positive")
+    return data
 
 
 def canonical_cycle(g: PlumbingGraph):
     """Anticanonical cycle solving the adjunction equalities; (cycle, integral?)."""
-    data = intersection_data(g)
+    data = g.data
     rhs = [2 - g.b[v] - 2 * g.genus[v] for v in range(g.nv)]
-    zk = tuple(sum(data.inverse[v][w] * rhs[w] for w in range(g.nv)) for v in range(g.nv))
-    integral = all(x.denominator == 1 for x in zk)
-    return zk, integral
+    numerators = [sum(a * r for a, r in zip(row, rhs)) for row in data.adjugate]
+    zk = tuple(Fraction(x, data.determinant) for x in numerators)
+    return zk, all(x % data.determinant == 0 for x in numerators)
 
 
 def zk_integer(g: PlumbingGraph) -> tuple:
@@ -414,7 +440,7 @@ def tree_code(g: PlumbingGraph) -> str:
         return "()"
     if not g.is_tree():
         decorations = sorted(zip(g.b, g.genus, g.degree))
-        det = intersection_data(g).determinant
+        det = g.data.determinant
         return f"nontree{decorations}|{len(g.edges)}|{det}"
 
     def enc(v, parent):

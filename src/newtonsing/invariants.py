@@ -61,6 +61,7 @@ class SingularityModel:
 
     def __init__(self, support: Support):
         self.support = support
+        self._sequences = {}
 
     @cached_property
     def polyhedron(self) -> NewtonPolyhedron:
@@ -118,8 +119,7 @@ class SingularityModel:
     def sequence(self, kind: str, max_ratio=None, tie_break="min") -> SequenceResult:
         self.require_rhs()
         key = (kind, Fraction(max_ratio) if max_ratio is not None else None, tie_break)
-        cache = self.__dict__.setdefault("_sequences", {})
-        if key not in cache:
+        if key not in self._sequences:
             if kind == "I":
                 ctx = kind1_context(self.minimal)
             elif kind == "II":
@@ -128,8 +128,8 @@ class SingularityModel:
                 ctx = kind3_context(self.oka)
             else:
                 raise ValueError(kind)
-            cache[key] = run_sequence(ctx, max_ratio=max_ratio, tie_break=tie_break)
-        return cache[key]
+            self._sequences[key] = run_sequence(ctx, max_ratio=max_ratio, tie_break=tie_break)
+        return self._sequences[key]
 
     def pg(self, tie_break="min") -> PgResult:
         one = self.sequence("I", tie_break=tie_break).total

@@ -23,21 +23,6 @@ def _require_tree(g: PlumbingGraph):
         raise NotTree("zeta expansion needs a genus-0 tree graph")
 
 
-def _scaled_duals(data):
-    """Dual cycles scaled by |det I| so all entries are integers."""
-    d = data.group_order
-    out = []
-    for row in data.dual_cycles:
-        scaled = []
-        for x in row:
-            v = x * d
-            if v.denominator != 1:
-                raise AssertionError(f"scaled dual cycle entry {v} is not an integer")
-            scaled.append(int(v))
-        out.append(tuple(scaled))
-    return out, d
-
-
 def _vertex_factor(degree, exponent):
     """Coefficient of t^(exponent * E_v^*) contributed by vertex v."""
     k = degree - 2
@@ -60,7 +45,7 @@ def _max_exponent(degree, remaining, dual):
 def zeta_coefficient(data, g: PlumbingGraph, lp) -> int:
     """Coefficient of t^lp in Z_0(t), by exponent-assignment enumeration."""
     _require_tree(g)
-    duals, scale = _scaled_duals(data)
+    duals, scale = data.scaled_duals, data.group_order
     target = [x * scale for x in lp]
     if any(x < 0 for x in target):
         return 0
@@ -92,7 +77,7 @@ def zeta_coefficient(data, g: PlumbingGraph, lp) -> int:
 def zeta_coefficient_convolution(data, g: PlumbingGraph, lp) -> int:
     """Same coefficient by truncated polynomial multiplication (second path)."""
     _require_tree(g)
-    duals, scale = _scaled_duals(data)
+    duals, scale = data.scaled_duals, data.group_order
     target = tuple(x * scale for x in lp)
     if any(x < 0 for x in target):
         return 0
@@ -117,65 +102,17 @@ def zeta_coefficient_convolution(data, g: PlumbingGraph, lp) -> int:
     return acc.get(target, 0)
 
 
-def counting_q_assignments(data, g: PlumbingGraph, lp) -> int:
-    """q_lp by raw exponent-assignment enumeration (slow reference path).
-
-    Enumerates assignments whose cycle stays below lp in some coordinate;
-    positivity of the dual-cycle entries makes the search finite.  Only
-    usable on small graphs; `counting_q` is the production path.
-    """
-    _require_tree(g)
-    duals, scale = _scaled_duals(data)
-    target = [x * scale for x in lp]
-    order = list(range(g.nv))
-    total = 0
-
-    def viable(partial):
-        return any(p < t for p, t in zip(partial, target))
-
-    def walk(idx, partial, sign_weight):
-        nonlocal total
-        if not viable(partial):
-            return
-        if idx == len(order):
-            if all(p % scale == 0 for p in partial):
-                total += sign_weight
-            return
-        v = order[idx]
-        dual = duals[v]
-        a = 0
-        while True:
-            shifted = [p + a * e for p, e in zip(partial, dual)]
-            if not viable(shifted):
-                break
-            factor = _vertex_factor(g.degree[v], a)
-            if factor:
-                walk(idx + 1, shifted, sign_weight * factor)
-            k_v = g.degree[v] - 2
-            if k_v >= 0 and a >= k_v:
-                break
-            a += 1
-
-    walk(0, [0] * g.nv, 1)
-    return total
-
-
 def _coordinate_bounds(data, lp):
     """Box certainly containing every cycle of the Lipman cone that stays
     below lp in some coordinate: entries of the dual cycles are positive,
     so l_w <= (m_w(E*)/m_w'(E*)) * l_w' termwise."""
-    nv = len(lp)
-    ub = [0] * nv
-    witnesses = [w for w in range(nv) if lp[w] > 0]
+    witnesses = [w for w in range(len(lp)) if lp[w] > 0]
     if not witnesses:
         return None
-    for w in range(nv):
-        best = 0
-        for wp in witnesses:
-            ratio = max(row[w] / row[wp] for row in data.dual_cycles)
-            best = max(best, int(ratio * (lp[wp] - 1)))
-        ub[w] = best
-    return ub
+    return [
+        max(row[wp][0] * (lp[wp] - 1) // row[wp][1] for wp in witnesses)
+        for row in data.ratio_table
+    ]
 
 
 def counting_q(data, g: PlumbingGraph, lp, max_states=10_000_000) -> int:

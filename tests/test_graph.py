@@ -1,8 +1,11 @@
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from newtonsing import cli
+from newtonsing import graph as graph_module
 from newtonsing.errors import NotNegativeDefinite
 from newtonsing.graph import (
     PlumbingGraph,
@@ -16,6 +19,7 @@ from newtonsing.graph import (
     x1x2x3_cycle,
     zk_integer,
 )
+from newtonsing.invariants import SingularityModel
 from newtonsing.newton import Support, brieskorn, make_convenient
 from tests.conftest import FRONT_PAGE, tree_code
 
@@ -76,6 +80,103 @@ def test_duals_positive_on_corpus(corpus):
                 )
                 prod = sum(data.matrix[v][u] * data.inverse[u][w] for u in range(g.nv))
                 assert prod == (v == w)
+
+
+def fraction_gauss_jordan(matrix):
+    """Gauss-Jordan inverse over Fractions, the oracle for the integer
+    elimination: (det, inverse), or NotNegativeDefinite at the first
+    symmetric pivot that is not negative."""
+    n = len(matrix)
+    a = [[Fraction(x) for x in row] for row in matrix]
+    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    det = Fraction(1)
+    for k in range(n):
+        piv = a[k][k]
+        if piv >= 0:
+            raise NotNegativeDefinite(f"pivot {k} is {piv}")
+        det *= piv
+        for j in range(n):
+            a[k][j] /= piv
+            inv[k][j] /= piv
+        for i in range(n):
+            if i != k and a[i][k]:
+                f = a[i][k]
+                for j in range(n):
+                    a[i][j] -= f * a[k][j]
+                    inv[i][j] -= f * inv[k][j]
+    return det, inv
+
+
+def assert_elimination_matches_oracle(g):
+    """True when g is negative definite; both paths must agree either way."""
+    try:
+        det, inv = fraction_gauss_jordan(g.intersection_matrix())
+    except NotNegativeDefinite as expected:
+        with pytest.raises(NotNegativeDefinite) as caught:
+            intersection_data(g)
+        assert str(caught.value) == str(expected)
+        with pytest.raises(NotNegativeDefinite) as caught:
+            PlumbingGraph(g.b, g.genus, g.edges)
+        assert str(caught.value) == str(expected)
+        return False
+    data = intersection_data(g)
+    assert data.determinant == det and data.group_order == abs(det)
+    assert data.adjugate == tuple(tuple(det * x for x in row) for row in inv)
+    assert data.inverse == tuple(map(tuple, inv))
+    duals = [[-x for x in row] for row in inv]
+    assert data.dual_cycles == tuple(map(tuple, duals))
+    assert data.scaled_duals == tuple(tuple(abs(det) * x for x in row) for row in duals)
+    for w in range(g.nv):
+        for wp in range(g.nv):
+            num, den = data.ratio_table[w][wp]
+            assert Fraction(num, den) == max(row[w] / row[wp] for row in duals)
+    return True
+
+
+def test_elimination_matches_fraction_oracle_on_corpus(corpus):
+    graphs = [e8_graph()]
+    for m in corpus:
+        graphs += [m.oka.graph, m.minimal]
+    for g in graphs:
+        assert assert_elimination_matches_oracle(g)
+
+
+def _random_graph(rng, nv, extra_edges):
+    """Connected graph: a random tree plus extra (possibly parallel) edges."""
+    edges = [(rng.randrange(v), v) for v in range(1, nv)]
+    for _ in range(extra_edges):
+        u, v = rng.sample(range(nv), 2)
+        edges.append((u, v))
+    b = [rng.randint(1, 4) for _ in range(nv)]
+    return PlumbingGraph(b, [0] * nv, edges, check=False)
+
+
+def test_elimination_matches_fraction_oracle_on_random_graphs():
+    rng = random.Random(6)
+    outcomes = []
+    for _ in range(300):
+        nv = rng.randint(1, 9)
+        extra = 0 if rng.random() < 0.5 or nv < 2 else rng.randint(1, 3)
+        outcomes.append((extra > 0, assert_elimination_matches_oracle(_random_graph(rng, nv, extra))))
+    # trees and graphs with cycles, each both definite and not
+    assert set(outcomes) == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_one_elimination_per_graph(monkeypatch):
+    eliminated = []
+    original = graph_module.intersection_data
+
+    def counting(g):
+        eliminated.append(g)
+        return original(g)
+
+    monkeypatch.setattr(graph_module, "intersection_data", counting)
+    model = SingularityModel(Support(FRONT_PAGE))
+    for command in ("pg", "sw", "verify"):
+        args = cli.build_parser().parse_args(["-", command])
+        cli._HANDLERS[command](model, args)
+    assert any(g is model.minimal for g in eliminated)
+    assert len({id(g) for g in eliminated}) == len(eliminated)
 
 
 def test_positive_diagram_point_forces_genus_or_cycle():
