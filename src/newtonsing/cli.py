@@ -5,7 +5,9 @@ a file or standard input, dispatches one subcommand and prints a JSON
 report on stdout.  Reports are byte-identical across runs: keys are sorted,
 rationals render as "p/q", and timing goes to stderr.
 
-Exit codes: 0 success, 1 domain error, 2 usage or input error.
+Exit codes: 0 success, 1 domain or internal error, 2 usage or input error.
+An internal failure (a broken invariant check or exhausted recursion) is
+reported as an InternalError, never as a traceback.
 """
 
 import argparse
@@ -15,7 +17,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .errors import InputError, NewtonsingError
+from .errors import InputError, InternalError, NewtonsingError
 from .invariants import SingularityModel
 from .newton import Support, classify_diagram, is_convenient
 from .sequences import kind1_context, run_sequence
@@ -194,13 +196,14 @@ def _verify_series(model, checks):
     g = model.minimal
     data = g.data
     zk = model.zk_minimal
-    checks["series/q_zero"] = counting_q(data, g, (0,) * g.nv) == 0
-    checks["series/q_zk_equals_pg"] = counting_q(data, g, zk) == model.pg().value
+    q = functools.cache(lambda cycle: counting_q(data, g, cycle))  # cycles are tuples
+    checks["series/q_zero"] = q((0,) * g.nv) == 0
+    checks["series/q_zk_equals_pg"] = q(zk) == model.pg().value
     seq = model.sequence("I")
     ok = True
     for i, step in enumerate(seq.steps):
         nxt = seq.steps[i + 1].Z if i + 1 < len(seq.steps) else seq.reached
-        if counting_q(data, g, nxt) - counting_q(data, g, step.Z) != step.a:
+        if q(nxt) - q(step.Z) != step.a:
             ok = False
             break
     checks["series/q_stepwise"] = ok
@@ -289,7 +292,9 @@ def main(argv=None) -> int:
     }
     try:
         out = _HANDLERS[args.command](model, args)
-    except NewtonsingError as exc:
+    except (NewtonsingError, AssertionError, RecursionError) as exc:
+        if not isinstance(exc, NewtonsingError):
+            exc = InternalError(f"{type(exc).__name__}: {exc}")
         report["error"] = type(exc).__name__
         report["message"] = str(exc)
         print(json.dumps(report, sort_keys=True))

@@ -63,3 +63,7 @@ class ClassificationFailed(NewtonsingError):
 
 class InputError(NewtonsingError):
     """Malformed input document (CLI layer, exit code 2)."""
+
+
+class InternalError(NewtonsingError):
+    """A broken internal invariant or exhausted recursion (CLI exit code 1)."""

@@ -247,9 +247,13 @@ class OkaGraph:
         return self.ell[v]
 
 
-def oka_graph(support: Support) -> OkaGraph:
-    """Resolution graph from the Newton diagram by Oka's algorithm."""
-    poly = newton_polyhedron(support)
+def oka_graph(support: Support, poly: NewtonPolyhedron | None = None) -> OkaGraph:
+    """Resolution graph from the Newton diagram by Oka's algorithm.
+
+    `poly`, when given, is the support's polyhedron and is not built again.
+    """
+    if poly is None:
+        poly = newton_polyhedron(support)
     if not poly.compact_faces:
         raise NoCompactFace(f"{support} has no compact face")
 
@@ -379,7 +383,11 @@ def merle_teissier_ZK(og: OkaGraph) -> tuple:
 
 
 def minimal_model(g: PlumbingGraph) -> PlumbingGraph:
-    """Blow down genus-0 (-1)-vertices of degree <= 2 until none remain."""
+    """Blow down genus-0 (-1)-vertices of degree <= 2 until none remain.
+
+    When nothing blows down, g itself is returned, after the checks its
+    constructor runs (g may have been built with check=False).
+    """
     b = list(g.b)
     genus = list(g.genus)
     edges = [list(e) for e in g.edges]
@@ -406,6 +414,10 @@ def minimal_model(g: PlumbingGraph) -> PlumbingGraph:
             edges.append([others[0], others[1]])
         alive.remove(v)
 
+    if len(alive) == g.nv:
+        g._check_connected()
+        g.data  # the elimination raises NotNegativeDefinite
+        return g
     order = sorted(alive)
     renum = {old: new for new, old in enumerate(order)}
     return PlumbingGraph(

@@ -81,7 +81,7 @@ class SingularityModel:
 
     @cached_property
     def convenient_support(self) -> Support:
-        return ensure_convenient(self.support)
+        return ensure_convenient(self.support, self.polyhedron)
 
     @cached_property
     def convenient_polyhedron(self) -> NewtonPolyhedron:
@@ -92,14 +92,14 @@ class SingularityModel:
     @cached_property
     def oka(self):
         """Oka graph of the convenient diagram."""
-        return oka_graph(self.convenient_support)
+        return oka_graph(self.convenient_support, self.convenient_polyhedron)
 
     @cached_property
     def oka_raw(self):
         """Oka graph of the support as given."""
         if self.convenient_support is self.support:
             return self.oka
-        return oka_graph(self.support)
+        return oka_graph(self.support, self.polyhedron)
 
     @cached_property
     def minimal(self) -> PlumbingGraph:

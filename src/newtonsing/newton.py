@@ -1,10 +1,13 @@
 """Newton polyhedra of monomial supports in Z^3 and derived invariants.
 
-The polyhedron is built by exhaustive candidate-normal generation, which is
-exact and complete for the tiny supports that arise here.  On top of it:
-isolatedness/convenience/rational-homology-sphere predicates, the weight
-function, the spectrum part in (-1, 0], the Poincare series of the induced
-filtration, and the central-face/arm anatomy of the diagram.
+The polyhedron Gamma_+ = conv(support) + R^3_{>=0} is built in exact integer
+arithmetic from its minimal support points: every plane through three of
+them, or through two of them and a coordinate ray, or through one of them
+and two rays, gives a candidate normal, and a candidate is kept when its
+minimal set spans a face.  On top of it: isolatedness/convenience/
+rational-homology-sphere predicates, the weight function, the spectrum part
+in (-1, 0], the Poincare series of the induced filtration, and the
+central-face/arm anatomy of the diagram.
 """
 
 import operator
@@ -136,23 +139,38 @@ def is_convenient(support: Support) -> bool:
     return True
 
 
+def _minimal_points(pts):
+    """The points p of pts with no other point q of pts below them (q <= p)."""
+    return [
+        p
+        for p in pts
+        if not any(q != p and q[0] <= p[0] and q[1] <= p[1] and q[2] <= p[2] for q in pts)
+    ]
+
+
 def _candidate_normals(pts):
-    diffs = [vec_sub(p, q) for p, q in combinations(pts, 2)]
-    raw = list(_UNITS)
-    gens = diffs + list(_UNITS)
-    for d1, d2 in combinations(gens, 2):
-        raw.append(cross(d1, d2))
+    """Primitive nonnegative normals of the planes spanned by points and rays.
+
+    The planes are those through three points (normal cross(q - p, r - p)),
+    through two points and a coordinate ray e_k (cross(q - p, e_k)) and
+    through one point and two rays (a unit vector).
+    """
+    raw = set(_UNITS)
+    for i, p in enumerate(pts):
+        diffs = [vec_sub(q, p) for q in pts[i + 1 :]]
+        for j, d in enumerate(diffs):
+            raw.update(cross(d, e) for e in _UNITS)
+            raw.update(cross(d, d2) for d2 in diffs[j + 1 :])
     normals = set()
     for v in raw:
+        if min(v) < 0 < max(v):
+            continue  # no multiple of v is nonnegative
         c = content(v)
         if c == 0:
             continue
-        v = tuple(x // c for x in v)
-        if all(x <= 0 for x in v):
-            v = tuple(-x for x in v)
-        if any(x < 0 for x in v):
-            continue
-        normals.add(v)
+        if min(v) < 0:
+            c = -c
+        normals.add(tuple(x // c for x in v))
     return normals
 
 
@@ -178,18 +196,31 @@ def _hull_in_plane(points, normal):
 def newton_polyhedron(support: Support) -> NewtonPolyhedron:
     """All two dimensional faces of the Newton polyhedron of the support.
 
-    Candidate normals are cross products of support-point differences with
-    each other and with the coordinate unit vectors, plus the unit vectors;
-    a candidate survives when its minimal set, together with the coordinate
-    rays it leaves invariant, spans an affine plane.
+    Points p >= q for another support point q are dropped first; the rest
+    build the same polyhedron.  Such a p lies on no compact face (there the
+    normal n > 0 gives n.p > n.q), and on a noncompact face p - q >= 0 is
+    orthogonal to n >= 0, so it lies in the span of the face's rays: no
+    face, value, vertex or adjacency changes, and `poly.support` stays the
+    support passed in.
+
+    Candidate normals come from `_candidate_normals` over the kept points.
+    They cover every face: a compact face holds three affinely independent
+    kept points, a noncompact face with one ray holds two kept points whose
+    difference is not along that ray, and a face with two rays has a unit
+    normal.  A candidate survives when its minimal set, together with the
+    coordinate rays it leaves invariant, spans an affine plane.  With m
+    points kept the cost is O(m^4): C(m, 3) + 3 C(m, 2) + 3 candidates,
+    each checked against every kept point.
     """
     if not is_isolated(support):
         raise NotIsolated(f"{support} does not define an isolated singularity")
-    pts = support.points
+    pts = _minimal_points(support.points)
     compact, noncompact = [], []
     for normal in sorted(_candidate_normals(pts)):
-        value = min(dot(normal, p) for p in pts)
-        minimal = [p for p in pts if dot(normal, p) == value]
+        a, b, c = normal
+        levels = [a * x + b * y + c * z for x, y, z in pts]
+        value = min(levels)
+        minimal = [p for p, level in zip(pts, levels) if level == value]
         anchor = minimal[0]
         spanning = [vec_sub(p, anchor) for p in minimal]
         rays = [e for k, e in enumerate(_UNITS) if normal[k] == 0]
@@ -222,7 +253,7 @@ def newton_polyhedron(support: Support) -> NewtonPolyhedron:
     return poly
 
 
-def make_convenient(support: Support) -> Support:
+def make_convenient(support: Support, poly: NewtonPolyhedron | None = None) -> Support:
     """Add x_c^d monomials, d as small as equisingularity allows.
 
     Keeping every old compact face a face is necessary but not sufficient:
@@ -230,13 +261,13 @@ def make_convenient(support: Support) -> Support:
     topology (the padded polynomial then has a different link).  So d grows
     until the padded diagram blows down to the same minimal plumbing graph
     as the original and leaves the Saito spectrum part unchanged, which is
-    what "d large" buys in the equisingular completion.
+    what "d large" buys in the equisingular completion.  `poly`, when
+    given, is the support's polyhedron and is not built again.
     """
     from .graph import minimal_model, oka_graph, tree_code
 
-    if not is_isolated(support):
-        raise NotIsolated(f"{support} does not define an isolated singularity")
-    poly = newton_polyhedron(support)
+    if poly is None:
+        poly = newton_polyhedron(support)
     old = {(f.normal, f.value, frozenset(f.vertices)) for f in poly.compact_faces}
     d = 1 + max(max(p) for p in support.points)
     reference = reference_spectrum = None
@@ -247,7 +278,7 @@ def make_convenient(support: Support) -> Support:
             for c in range(3)
             if face.normal[c] > 0
         )
-        reference = tree_code(minimal_model(oka_graph(support).graph))
+        reference = tree_code(minimal_model(oka_graph(support, poly).graph))
         reference_spectrum = saito_spectrum(poly)
     limit = d + 400
     while d <= limit:
@@ -260,7 +291,7 @@ def make_convenient(support: Support) -> Support:
         if old <= new and (
             reference is None
             or (
-                tree_code(minimal_model(oka_graph(enlarged).graph)) == reference
+                tree_code(minimal_model(oka_graph(enlarged, new_poly).graph)) == reference
                 and saito_spectrum(new_poly) == reference_spectrum
             )
         ):
@@ -269,8 +300,8 @@ def make_convenient(support: Support) -> Support:
     raise AssertionError(f"no equisingular convenient completion found for {support}")
 
 
-def ensure_convenient(support: Support) -> Support:
-    return support if is_convenient(support) else make_convenient(support)
+def ensure_convenient(support: Support, poly: NewtonPolyhedron | None = None) -> Support:
+    return support if is_convenient(support) else make_convenient(support, poly)
 
 
 def is_rhs_link(support: Support) -> bool:

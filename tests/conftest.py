@@ -1,7 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from newtonsing import Support, brieskorn
 from newtonsing.invariants import SingularityModel
+
+# every property test draws the same cases on every run and keeps no example
+# database, so a failure reproduces and the tree stays clean
+settings.register_profile("newtonsing", derandomize=True, deadline=None, database=None)
+settings.load_profile("newtonsing")
 
 # Brieskorn exponents (a, b, c <= 11) whose links are rational homology spheres
 BRIESKORN_RHS = [

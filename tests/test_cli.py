@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from newtonsing import cli
 from newtonsing.cli import main
 from newtonsing.graph import PlumbingGraph
+from newtonsing.series import counting_q
 from tests.conftest import FRONT_PAGE
 
 
@@ -143,3 +145,35 @@ def test_verify_all(tmp_path, capsys):
     assert code == 0
     assert report["result"]["passed"]
     assert all(report["result"]["checks"].values())
+
+
+@pytest.mark.parametrize("error", [AssertionError("broken invariant"), RecursionError("too deep")])
+def test_internal_errors_are_json_reports(tmp_path, capsys, monkeypatch, error):
+    def broken(model, args):
+        raise error
+
+    monkeypatch.setitem(cli._HANDLERS, "pg", broken)
+    path = write_doc(tmp_path, [(2, 0, 0), (0, 3, 0), (0, 0, 7)])
+    code = main([path, "pg"])
+    captured = capsys.readouterr()
+    assert code == 1
+    report = json.loads(captured.out)
+    assert report["error"] == "InternalError"
+    assert report["message"] == f"{type(error).__name__}: {error}"
+    assert report["command"] == "pg"
+    assert "Traceback" not in captured.err
+
+
+def test_verify_series_computes_each_q_value_once(tmp_path, capsys, monkeypatch):
+    cycles = []
+
+    def counted(data, g, lp):
+        cycles.append(tuple(lp))
+        return counting_q(data, g, lp)
+
+    monkeypatch.setattr(cli, "counting_q", counted)
+    path = write_doc(tmp_path, FRONT_PAGE)
+    code, out = run_cli(capsys, path, "verify", "--suite", "series")
+    assert code == 0
+    assert json.loads(out)["result"]["passed"]
+    assert len(cycles) == len(set(cycles)) > 2

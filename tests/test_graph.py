@@ -6,7 +6,7 @@ import pytest
 
 from newtonsing import cli
 from newtonsing import graph as graph_module
-from newtonsing.errors import NotNegativeDefinite
+from newtonsing.errors import Disconnected, NotNegativeDefinite
 from newtonsing.graph import (
     PlumbingGraph,
     canonical_cycle,
@@ -235,6 +235,18 @@ def test_minimal_model_blowdowns():
     mm = minimal_model(g)
     assert (mm.b, mm.edges) == ((2, 2), ((0, 1),))
     assert intersection_data(g).group_order == intersection_data(mm).group_order == 3
+
+
+def test_minimal_model_returns_its_input_when_nothing_blows_down(front_og):
+    g = front_og.graph
+    assert minimal_model(g) is g
+    chain = PlumbingGraph([3, 1, 3], [0, 0, 0], [(0, 1), (1, 2)])
+    assert minimal_model(chain) is not chain
+    # an unchecked input still gets the constructor's checks
+    with pytest.raises(Disconnected):
+        minimal_model(PlumbingGraph([2, 2], [0, 0], [], check=False))
+    with pytest.raises(NotNegativeDefinite):
+        minimal_model(PlumbingGraph([2, 2], [0, 0], [(0, 1), (0, 1)], check=False))
 
 
 def test_minimal_model_preserves_det(corpus):

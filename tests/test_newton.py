@@ -1,14 +1,18 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import floor
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from newtonsing import cli, graph, invariants, newton
 from newtonsing.errors import NoCompactFace, NotIsolated
+from newtonsing.invariants import SingularityModel
+from newtonsing.lattice import content, cross, vec_sub
 from newtonsing.newton import (
     PuiseuxPoly,
     Support,
@@ -250,3 +254,162 @@ def test_classify_central_edge():
     report = classify_diagram(newton_polyhedron(s))
     assert report.kind == "central_edges"
     assert report.central_edge_count == 1
+
+
+def _all_pairs_candidate_normals(pts):
+    """Cross products of every two support-point differences or unit vectors.
+
+    The exhaustive candidate set, kept as the oracle: with n points,
+    C(C(n, 2) + 3, 2) products.
+    """
+    units = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    gens = [vec_sub(p, q) for p, q in combinations(pts, 2)] + units
+    normals = set()
+    for v in units + [cross(d1, d2) for d1, d2 in combinations(gens, 2)]:
+        c = content(v)
+        if c == 0:
+            continue
+        v = tuple(x // c for x in v)
+        if all(x <= 0 for x in v):
+            v = tuple(-x for x in v)
+        if any(x < 0 for x in v):
+            continue
+        normals.add(v)
+    return normals
+
+
+def _oracle_polyhedron(support):
+    """The polyhedron from all-pairs candidates over every support point."""
+    with patch.object(newton, "_minimal_points", list), patch.object(
+        newton, "_candidate_normals", _all_pairs_candidate_normals
+    ):
+        return newton_polyhedron(support)
+
+
+def _outcome(build, support):
+    try:
+        poly = build(support)
+    except Exception as exc:  # the oracle must fail the same way
+        return type(exc), str(exc)
+    return poly.support, poly.compact_faces, poly.noncompact_faces, poly.adjacency
+
+
+def assert_polyhedron_matches_oracle(support):
+    got = _outcome(newton_polyhedron, support)
+    assert got == _outcome(_oracle_polyhedron, support)
+    return got
+
+
+@st.composite
+def supports(draw):
+    """Up to 15 points with exponents <= 12: per axis an axis point or a
+    point at distance one from the axis, so that convenient, non-convenient
+    and non-isolated supports all come up."""
+    exponent = st.integers(0, 12)
+    points = draw(st.lists(st.tuples(exponent, exponent, exponent).filter(any), max_size=12))
+    for c in range(3):
+        p = [0, 0, 0]
+        p[c] = draw(st.integers(1, 12))
+        if draw(st.booleans()):
+            p[draw(st.sampled_from([k for k in range(3) if k != c]))] = 1
+        points.append(tuple(p))
+    return Support(points)
+
+
+@given(supports())
+@settings(max_examples=100)
+def test_polyhedron_matches_all_pairs_oracle(support):
+    assert_polyhedron_matches_oracle(support)
+
+
+def test_oracle_examples_cover_both_kinds():
+    """The strategy above reaches convenient and non-convenient polyhedra."""
+    seen = set()
+
+    @given(supports())
+    @settings(max_examples=100)
+    def collect(support):
+        outcome = _outcome(newton_polyhedron, support)
+        if not isinstance(outcome[0], type) and outcome[1]:
+            seen.add(is_convenient(support))
+
+    collect()
+    assert seen == {True, False}
+
+
+RANDOM_40 = [
+    (0, 0, 12), (0, 3, 4), (0, 12, 0), (1, 2, 9), (1, 3, 3), (1, 6, 0), (2, 4, 2), (2, 9, 3),
+    (2, 12, 9), (3, 1, 0), (3, 2, 12), (3, 9, 12), (4, 7, 12), (5, 1, 4), (5, 2, 12), (5, 3, 11),
+    (5, 4, 11), (5, 11, 12), (6, 2, 12), (7, 0, 8), (7, 6, 8), (7, 7, 1), (7, 8, 3), (7, 9, 4),
+    (7, 9, 8), (7, 10, 5), (8, 4, 11), (8, 9, 12), (8, 10, 8), (9, 0, 1), (9, 0, 6), (9, 7, 4),
+    (10, 3, 9), (10, 10, 10), (11, 2, 0), (11, 6, 3), (11, 7, 0), (11, 7, 1), (12, 0, 0), (12, 2, 9),
+]
+
+
+def _antichain_40():
+    """(a, b, (6 - a)^2 + (6 - b)^2) over 38 grid points, plus x^20 and y^20:
+    no point lies above another, so none is dropped."""
+    rng = random.Random(41)
+    grid = [(a, b) for a in range(7) for b in range(7) if (a, b) != (0, 0)]
+    chosen = [(0, 0)] + rng.sample(grid, 37)
+    return [(a, b, (6 - a) ** 2 + (6 - b) ** 2) for a, b in chosen] + [(20, 0, 0), (0, 20, 0)]
+
+
+@pytest.mark.parametrize("points", [RANDOM_40, _antichain_40()], ids=["random", "antichain"])
+def test_polyhedron_matches_oracle_on_40_points(points):
+    support = Support(points)
+    assert len(support.points) == 40
+    _, compact, _, _ = assert_polyhedron_matches_oracle(support)
+    assert compact
+
+
+def test_antichain_keeps_every_point():
+    pts = Support(_antichain_40()).points
+    assert newton._minimal_points(pts) == list(pts)
+    assert len(newton._minimal_points(Support(RANDOM_40).points)) < 40
+
+
+@pytest.fixture()
+def polyhedron_calls(monkeypatch):
+    """Supports passed to newton_polyhedron, wherever it is called from."""
+    calls = []
+    real = newton.newton_polyhedron
+
+    def counted(support):
+        calls.append(support)
+        return real(support)
+
+    for module in (newton, graph, invariants):
+        monkeypatch.setattr(module, "newton_polyhedron", counted)
+    return calls
+
+
+def _answer_every_command(model):
+    parser = cli.build_parser()
+    for argv in (
+        ["diagram"],
+        ["graph"],
+        ["graph", "--minimal"],
+        ["pg"],
+        ["sw"],
+        ["spectrum"],
+        ["poincare"],
+        ["verify"],
+    ):
+        args = parser.parse_args(["-", *argv])
+        cli._HANDLERS[args.command](model, args)
+
+
+def test_one_polyhedron_per_convenient_model(polyhedron_calls):
+    support = Support(FRONT_PAGE)
+    assert is_convenient(support)
+    _answer_every_command(SingularityModel(support))
+    assert polyhedron_calls == [support]
+
+
+def test_make_convenient_reuses_the_polyhedron(polyhedron_calls):
+    support = Support([(2, 1, 0), (0, 3, 0), (0, 0, 2)])
+    model = SingularityModel(support)
+    model.oka_raw, model.oka, model.convenient_polyhedron
+    assert model.convenient_support != support
+    assert polyhedron_calls.count(support) == 1

@@ -4,7 +4,8 @@ import pytest
 
 from newtonsing.errors import KindMismatch, NotTree
 from newtonsing.graph import PlumbingGraph, intersection_data, wt_cycle
-from newtonsing.newton import brieskorn
+from newtonsing.invariants import SingularityModel
+from newtonsing.newton import Support, brieskorn
 from newtonsing.sequences import kind1_context, run_sequence
 from newtonsing.series import (
     counting_q,
@@ -12,7 +13,7 @@ from newtonsing.series import (
     zeta_coefficient,
     zeta_coefficient_convolution,
 )
-from tests.conftest import model_for
+from tests.conftest import FRONT_PAGE, model_for
 
 
 def test_zeta_trivial_and_single_vertex():
@@ -113,6 +114,16 @@ def test_enumerate_P_requires_matching_graph():
         enumerate_P(m2.oka, seq)
     with pytest.raises(KindMismatch):
         enumerate_P(m1.oka, m1.sequence("II", max_ratio=1))
+
+
+def test_enumerate_P_accepts_kind1_on_an_already_minimal_oka_graph():
+    m = SingularityModel(Support(FRONT_PAGE))
+    assert m.minimal is m.oka.graph
+    rep = enumerate_P(m.oka, m.sequence("I"))
+    assert sum(len(s) for s in rep.point_sets) == m.pg().value
+    other = SingularityModel(brieskorn(2, 3, 7))
+    with pytest.raises(KindMismatch):
+        enumerate_P(m.oka, other.sequence("I"))
 
 
 def test_kind1_totals_on_oka_graph(corpus):
