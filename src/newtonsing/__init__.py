@@ -51,7 +51,6 @@ from .newton import (
     Support,
     brieskorn,
     classify_diagram,
-    ensure_convenient,
     is_convenient,
     is_isolated,
     is_rhs_link,

@@ -13,8 +13,8 @@ from functools import cached_property
 
 from . import kernels
 from .errors import Disconnected, NewtonsingError, NoCompactFace, NotNegativeDefinite
-from .lattice import dot, pair_data, vec_add
-from .newton import NewtonPolyhedron, Support, newton_polyhedron
+from .lattice import denominator_beta, dot, pair_data, vec_add
+from .newton import NewtonPolyhedron, Support
 
 ONES = (1, 1, 1)
 
@@ -247,13 +247,15 @@ class OkaGraph:
         return self.ell[v]
 
 
-def oka_graph(support: Support, poly: NewtonPolyhedron | None = None) -> OkaGraph:
+def oka_graph(poly: NewtonPolyhedron) -> OkaGraph:
     """Resolution graph from the Newton diagram by Oka's algorithm.
 
-    `poly`, when given, is the support's polyhedron and is not built again.
+    The graph reads everything off `poly`, and its `.polyhedron` and
+    `.support` are `poly` and `poly.support`.  The caller owns the
+    polyhedron: `SingularityModel` passes its own, and `make_convenient`
+    each candidate's.
     """
-    if poly is None:
-        poly = newton_polyhedron(support)
+    support = poly.support
     if not poly.compact_faces:
         raise NoCompactFace(f"{support} has no compact face")
 
@@ -286,11 +288,7 @@ def oka_graph(support: Support, poly: NewtonPolyhedron | None = None) -> OkaGrap
         a_vec, b_vec = fa.normal, fb.normal
         unit_choice = 0 if fb.compact else 1
         alpha, beta, string, seq = pair_data(a_vec, b_vec, unit_choice)
-        beta_rev = None
-        if fb.compact and alpha > 1:
-            _, beta_rev, _, _ = pair_data(b_vec, a_vec, 0)
-        elif fb.compact:
-            beta_rev = beta
+        beta_rev = denominator_beta(b_vec, a_vec) if fb.compact else None
         for copy in range(t):
             vids = tuple(new_vertex(vec, s) for vec, s in zip(seq, string))
             chain = [node_ids[a_vec], *vids]

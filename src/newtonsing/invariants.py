@@ -1,8 +1,12 @@
 """Headline invariants of a support: p_g, spectrum part, Poincare series, SW.
 
-`SingularityModel` caches the derived objects (polyhedron, Oka graph,
-minimal model, sequences) so that repeated queries against one support do
-not recompute them.  The module-level functions mirror the one-shot API.
+`SingularityModel` is the one owner of a support's derived objects.  Each
+stage is a function of the stage before it, and the model builds each one
+once and caches it: the polyhedron from the support, the Oka graph from the
+polyhedron, the convenient Oka graph (the same graph for a convenient
+support, else the one `make_convenient` accepted, which carries its own
+polyhedron), then the minimal model and the sequences.  The module-level
+functions mirror the one-shot API.
 """
 
 from collections import Counter
@@ -22,7 +26,9 @@ from .newton import (
     NewtonPolyhedron,
     PuiseuxPoly,
     Support,
-    ensure_convenient,
+    is_convenient,
+    is_rhs_link,
+    make_convenient,
     newton_polyhedron,
     poincare_newton,
     poincare_pol_part,
@@ -69,9 +75,7 @@ class SingularityModel:
 
     @cached_property
     def is_rhs(self) -> bool:
-        from .newton import _positive_diagram_points
-
-        return not _positive_diagram_points(self.polyhedron)
+        return is_rhs_link(self.polyhedron)
 
     def require_rhs(self):
         if not self.polyhedron.compact_faces:
@@ -80,26 +84,16 @@ class SingularityModel:
             raise NotRationalHomologySphere(f"{self.support} has a non-RHS link")
 
     @cached_property
-    def convenient_support(self) -> Support:
-        return ensure_convenient(self.support, self.polyhedron)
-
-    @cached_property
-    def convenient_polyhedron(self) -> NewtonPolyhedron:
-        if self.convenient_support is self.support:
-            return self.polyhedron
-        return newton_polyhedron(self.convenient_support)
+    def oka_raw(self):
+        """Oka graph of the support as given."""
+        return oka_graph(self.polyhedron)
 
     @cached_property
     def oka(self):
-        """Oka graph of the convenient diagram."""
-        return oka_graph(self.convenient_support, self.convenient_polyhedron)
-
-    @cached_property
-    def oka_raw(self):
-        """Oka graph of the support as given."""
-        if self.convenient_support is self.support:
-            return self.oka
-        return oka_graph(self.support, self.polyhedron)
+        """Oka graph of the convenient diagram; its `.polyhedron` is that diagram's."""
+        if is_convenient(self.support):
+            return self.oka_raw
+        return make_convenient(self.polyhedron)
 
     @cached_property
     def minimal(self) -> PlumbingGraph:
@@ -150,7 +144,7 @@ class SingularityModel:
 
     def saito_spectrum(self) -> Counter:
         self.require_rhs()
-        return saito_spectrum(self.convenient_polyhedron)
+        return saito_spectrum(self.oka.polyhedron)
 
     def poincare_via_sequence(self, max_exponent, tie_break="min") -> PuiseuxPoly:
         bound = Fraction(max_exponent)
@@ -164,11 +158,11 @@ class SingularityModel:
 
     def poincare_newton(self, max_exponent) -> PuiseuxPoly:
         self.require_rhs()
-        return poincare_newton(self.convenient_polyhedron, max_exponent)
+        return poincare_newton(self.oka.polyhedron, max_exponent)
 
     def poincare_pol_part(self) -> PuiseuxPoly:
         self.require_rhs()
-        return poincare_pol_part(self.convenient_polyhedron)
+        return poincare_pol_part(self.oka.polyhedron)
 
     def sw(self, tie_break="min") -> SwResult:
         seq = self.sequence("I", tie_break=tie_break)
@@ -181,12 +175,9 @@ class SingularityModel:
         from . import kernels
 
         self.require_rhs()
-        og = self.oka
-        zk_e = tuple(x - 1 for x in self.zk_oka)
-        hi = []
-        for c in range(3):
-            hi.append(max((m - 1) // f[c] if m > 0 else -1 for f, m in zip(og.ell, zk_e)))
-        return kernels.count_violating(list(og.ell), list(zk_e), [0, 0, 0], hi)
+        ell = list(self.oka.ell)
+        zk_e = [x - 1 for x in self.zk_oka]
+        return kernels.count_violating(ell, zk_e, [0, 0, 0], kernels.violating_top(ell, zk_e))
 
 
 def geometric_genus(support: Support) -> PgResult:

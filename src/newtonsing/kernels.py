@@ -26,6 +26,15 @@ def _column_tops(rows, bounds, lo, hi):
                 yield p0, p1, top
 
 
+def violating_top(rows, bounds):
+    """Top corner of a box [0, top]^3 holding every p >= 0 that violates a row.
+
+    A p >= 0 with rows[i].p < bounds[i] has rows[i][c] * p[c] <= bounds[i] - 1,
+    so the rows must be positive; a row with bounds[i] <= 0 holds no such p.
+    """
+    return [max((m - 1) // a[c] if m > 0 else -1 for a, m in zip(rows, bounds)) for c in range(3)]
+
+
 def count_violating(rows, bounds, lo, hi):
     """Count p in [lo, hi]^3 with rows[i].p < bounds[i] for some i.
 

@@ -81,6 +81,10 @@ def denominator_beta(a: IntVec3, b: IntVec3, unit_choice: int = 0) -> int:
     alpha = determinant_alpha(a, b)
     if alpha == 1:
         return unit_choice
+    return _beta_scan(a, b, alpha)
+
+
+def _beta_scan(a: IntVec3, b: IntVec3, alpha: int) -> int:
     for beta in range(alpha):
         if content(vec_add(vec_scale(beta, a), b)) == alpha:
             return beta
@@ -123,12 +127,23 @@ def canonical_primitive_sequence(a: IntVec3, b: IntVec3, unit_choice: int = 0):
     alpha = 1 the sequence is empty (unit_choice = 0) or the single vector
     a + b (unit_choice = 1).
     """
+    return pair_data(a, b, unit_choice)[3]
+
+
+def pair_data(a: IntVec3, b: IntVec3, unit_choice: int = 0):
+    """(alpha, beta, selfintersection string, canonical primitive sequence).
+
+    The string is empty exactly when the sequence is; for alpha = 1 with
+    unit_choice = 1 it is the single term [1].  alpha, the beta scan and
+    the continued fraction are each computed once.
+    """
     alpha = determinant_alpha(a, b)
     if alpha == 1:
+        beta = unit_choice
         if unit_choice == 0:
-            return []
-        return [vec_add(a, b)]
-    beta = denominator_beta(a, b)
+            return alpha, beta, [], []
+        return alpha, beta, [1], [vec_add(a, b)]
+    beta = _beta_scan(a, b, alpha)
     terms = negative_cf(alpha, beta)
     first = vec_add(vec_scale(beta, a), b)
     if any(x % alpha for x in first):
@@ -146,20 +161,4 @@ def canonical_primitive_sequence(a: IntVec3, b: IntVec3, unit_choice: int = 0):
     for v in seq:
         if not is_primitive(v):
             raise AssertionError(f"non-primitive member {v} in canonical sequence")
-    return seq
-
-
-def pair_data(a: IntVec3, b: IntVec3, unit_choice: int = 0):
-    """(alpha, beta, selfintersection string, canonical primitive sequence).
-
-    The string is empty exactly when the sequence is; for alpha = 1 with
-    unit_choice = 1 it is the single term [1].
-    """
-    alpha = determinant_alpha(a, b)
-    if alpha == 1:
-        beta = unit_choice
-        if unit_choice == 0:
-            return alpha, beta, [], []
-        return alpha, beta, [1], [vec_add(a, b)]
-    beta = denominator_beta(a, b)
-    return alpha, beta, negative_cf(alpha, beta), canonical_primitive_sequence(a, b)
+    return alpha, beta, terms, seq

@@ -253,21 +253,23 @@ def newton_polyhedron(support: Support) -> NewtonPolyhedron:
     return poly
 
 
-def make_convenient(support: Support, poly: NewtonPolyhedron | None = None) -> Support:
-    """Add x_c^d monomials, d as small as equisingularity allows.
+def make_convenient(poly: NewtonPolyhedron):
+    """Oka graph of the equisingular convenient completion of `poly`'s support.
 
-    Keeping every old compact face a face is necessary but not sufficient:
-    the boundary faces created by too-small axis points can carry extra
-    topology (the padded polynomial then has a different link).  So d grows
-    until the padded diagram blows down to the same minimal plumbing graph
-    as the original and leaves the Saito spectrum part unchanged, which is
-    what "d large" buys in the equisingular completion.  `poly`, when
-    given, is the support's polyhedron and is not built again.
+    The completion adds x_c^d monomials, d as small as equisingularity
+    allows.  Keeping every old compact face a face is necessary but not
+    sufficient: the boundary faces created by too-small axis points can
+    carry extra topology (the padded polynomial then has a different link).
+    So d grows until the padded diagram blows down to the same minimal
+    plumbing graph as the original and leaves the Saito spectrum part
+    unchanged, which is what "d large" buys in the equisingular completion.
+    Each candidate's polyhedron is built once, and its Oka graph only when
+    the face test passes; the accepted candidate's graph is returned, so its
+    `.polyhedron` and `.support` are the convenient ones.
     """
     from .graph import minimal_model, oka_graph, tree_code
 
-    if poly is None:
-        poly = newton_polyhedron(support)
+    support = poly.support
     old = {(f.normal, f.value, frozenset(f.vertices)) for f in poly.compact_faces}
     d = 1 + max(max(p) for p in support.points)
     reference = reference_spectrum = None
@@ -278,35 +280,28 @@ def make_convenient(support: Support, poly: NewtonPolyhedron | None = None) -> S
             for c in range(3)
             if face.normal[c] > 0
         )
-        reference = tree_code(minimal_model(oka_graph(support, poly).graph))
+        reference = tree_code(minimal_model(oka_graph(poly).graph))
         reference_spectrum = saito_spectrum(poly)
     limit = d + 400
     while d <= limit:
         new_points = set(support.points)
         for e in _UNITS:
             new_points.add(tuple(d * x for x in e))
-        enlarged = Support(new_points)
-        new_poly = newton_polyhedron(enlarged)
+        new_poly = newton_polyhedron(Support(new_points))
         new = {(f.normal, f.value, frozenset(f.vertices)) for f in new_poly.compact_faces}
-        if old <= new and (
-            reference is None
-            or (
-                tree_code(minimal_model(oka_graph(enlarged, new_poly).graph)) == reference
+        if old <= new:
+            og = oka_graph(new_poly)
+            if reference is None or (
+                tree_code(minimal_model(og.graph)) == reference
                 and saito_spectrum(new_poly) == reference_spectrum
-            )
-        ):
-            return enlarged
+            ):
+                return og
         d += 1
     raise AssertionError(f"no equisingular convenient completion found for {support}")
 
 
-def ensure_convenient(support: Support, poly: NewtonPolyhedron | None = None) -> Support:
-    return support if is_convenient(support) else make_convenient(support, poly)
-
-
-def is_rhs_link(support: Support) -> bool:
+def is_rhs_link(poly: NewtonPolyhedron) -> bool:
     """True when no all-positive lattice point lies on a compact face."""
-    poly = newton_polyhedron(support)
     return not _positive_diagram_points(poly)
 
 

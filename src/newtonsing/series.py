@@ -390,10 +390,8 @@ def enumerate_P(og: OkaGraph, seq: SequenceResult, prefix_only=False) -> Partiti
     cycles = seq.cycles()
     final = cycles[-1]
     ell = og.ell
-    hi = []
-    for c in range(3):
-        hi.append(max((m - 1) // f[c] if m > 0 else -1 for f, m in zip(ell, final)))
-    outside = kernels.collect_violating(list(ell), list(final), [0, 0, 0], hi)
+    rows, bounds = list(ell), list(final)
+    outside = kernels.collect_violating(rows, bounds, [0, 0, 0], kernels.violating_top(rows, bounds))
     sets = [set() for _ in range(len(cycles) - 1)]
     for p in outside:
         # last index i with p inside polyhedron(Z_i); memberships are

@@ -50,7 +50,7 @@ def test_criterion_1_worked_example():
     assert (alpha, beta, seq) == (4, 3, [(24, 9, 16), (16, 6, 11), (8, 3, 6)])
     assert string == [2, 2, 2]
 
-    og = oka_graph(Support(FRONT_PAGE))
+    og = oka_graph(newton_polyhedron(Support(FRONT_PAGE)))
     bam = next(b for b in og.bamboos if (b.face_a, b.face_b) == ((32, 12, 21), (0, 0, 1)))
     assert [og.graph.b[v] for v in bam.vertex_ids] == [2, 2, 2]
     leg = next(v for v in range(og.graph.nv) if og.ell[v] == (2, 1, 1))

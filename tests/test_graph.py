@@ -20,18 +20,18 @@ from newtonsing.graph import (
     zk_integer,
 )
 from newtonsing.invariants import SingularityModel
-from newtonsing.newton import Support, brieskorn, make_convenient
+from newtonsing.newton import Support, brieskorn, make_convenient, newton_polyhedron
 from tests.conftest import FRONT_PAGE, tree_code
 
 
 @pytest.fixture(scope="module")
 def front_og():
-    return oka_graph(Support(FRONT_PAGE))
+    return oka_graph(newton_polyhedron(Support(FRONT_PAGE)))
 
 
 def e8_graph():
     """Oka graph of x^2 + y^3 + z^5: star with legs of length 4, 2, 1, all -2."""
-    return oka_graph(brieskorn(2, 3, 5)).graph
+    return oka_graph(newton_polyhedron(brieskorn(2, 3, 5))).graph
 
 
 def test_front_page_graph(front_og):
@@ -182,7 +182,7 @@ def test_one_elimination_per_graph(monkeypatch):
 def test_positive_diagram_point_forces_genus_or_cycle():
     # (1,1,1) lies on the face of x^3+y^3+z^3; its graph cannot be a
     # genus-0 tree
-    og = oka_graph(brieskorn(3, 3, 3))
+    og = oka_graph(newton_polyhedron(brieskorn(3, 3, 3)))
     g = og.graph
     assert not (g.is_tree() and set(g.genus) <= {0})
 
@@ -200,7 +200,7 @@ def test_canonical_cycle_ade():
 
 
 def test_canonical_cycle_237():
-    og = oka_graph(brieskorn(2, 3, 7))
+    og = oka_graph(newton_polyhedron(brieskorn(2, 3, 7)))
     zk = zk_integer(og.graph)
     n = og.node_ids[(21, 14, 6)]
     assert zk[n] - 1 == 1  # 42 - 41
@@ -261,8 +261,9 @@ def test_minimal_model_preserves_det(corpus):
 def test_convenient_padding_blows_down_to_same_model():
     for abc in [(2, 3, 5), (2, 3, 7), (3, 4, 5), (2, 5, 7)]:
         s = brieskorn(*abc)
-        g1 = minimal_model(oka_graph(s).graph)
-        g2 = minimal_model(oka_graph(make_convenient(s)).graph)
+        g1 = minimal_model(oka_graph(newton_polyhedron(s)).graph)
+        padded = make_convenient(newton_polyhedron(s)).support
+        g2 = minimal_model(oka_graph(newton_polyhedron(padded)).graph)
         assert tree_code(g1) == tree_code(g2)
 
 
@@ -333,6 +334,6 @@ def test_graph_payload_round_trip(front_og):
 
 def test_oka_neighbor_sum_with_stars(front_og):
     # eq-of-neighbour-sums is asserted at construction; rebuild to exercise it
-    og2 = oka_graph(Support(FRONT_PAGE))
+    og2 = oka_graph(newton_polyhedron(Support(FRONT_PAGE)))
     assert og2.graph == front_og.graph
     assert og2.ell == front_og.ell

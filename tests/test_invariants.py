@@ -72,5 +72,5 @@ def test_non_convenient_pipeline():
         assert m.pg().value == expected_pg == m.pg_lattice_count()
         assert m.spectrum() == m.saito_spectrum()
         # the convenient completion is equisingular: same Saito multiset
-        assert saito_spectrum(m.polyhedron) == saito_spectrum(m.convenient_polyhedron)
+        assert saito_spectrum(m.polyhedron) == saito_spectrum(m.oka.polyhedron)
         assert m.poincare_via_sequence(2) == m.poincare_newton(2)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from newtonsing import cli, graph, invariants, newton
+from newtonsing import cli, invariants, newton
 from newtonsing.errors import NoCompactFace, NotIsolated
 from newtonsing.invariants import SingularityModel
 from newtonsing.lattice import content, cross, vec_sub
@@ -18,7 +18,6 @@ from newtonsing.newton import (
     Support,
     brieskorn,
     classify_diagram,
-    ensure_convenient,
     is_convenient,
     is_isolated,
     is_rhs_link,
@@ -94,7 +93,7 @@ def test_make_convenient():
     # isolated non-convenient support
     s = Support([(2, 1, 0), (0, 3, 0), (0, 0, 2)])
     assert is_isolated(s) and not is_convenient(s)
-    out = make_convenient(s)
+    out = make_convenient(newton_polyhedron(s)).support
     assert is_convenient(out)
     assert any(p[1] == p[2] == 0 for p in out.points)  # axis point added on x1
     old = {(f.normal, f.value) for f in newton_polyhedron(s).compact_faces}
@@ -102,17 +101,18 @@ def test_make_convenient():
     assert old <= new
     # already-convenient input: faces unchanged entirely
     fp = Support(FRONT_PAGE)
-    enlarged = make_convenient(fp)
+    enlarged = make_convenient(newton_polyhedron(fp)).support
     assert {(f.normal, f.value) for f in newton_polyhedron(fp).compact_faces} == {
         (f.normal, f.value) for f in newton_polyhedron(enlarged).compact_faces
     }
-    assert ensure_convenient(fp) is fp
+    model = SingularityModel(fp)
+    assert model.oka is model.oka_raw
 
 
 def test_is_rhs_examples():
-    assert is_rhs_link(brieskorn(2, 3, 7))
-    assert not is_rhs_link(brieskorn(3, 3, 3))  # (1,1,1) lies on the face
-    assert is_rhs_link(Support(FRONT_PAGE))
+    assert is_rhs_link(newton_polyhedron(brieskorn(2, 3, 7)))
+    assert not is_rhs_link(newton_polyhedron(brieskorn(3, 3, 3)))  # (1,1,1) lies on the face
+    assert is_rhs_link(newton_polyhedron(Support(FRONT_PAGE)))
 
 
 def test_newton_weight_examples(front_poly):
@@ -250,7 +250,7 @@ def test_classify_central_edge():
     # x^3 + x y + y^3 + z^2: two faces share the ridge [(1,1,0),(0,0,2)]
     # which meets all three coordinate hyperplanes
     s = Support([(3, 0, 0), (1, 1, 0), (0, 3, 0), (0, 0, 2)])
-    assert is_isolated(s) and is_rhs_link(s)
+    assert is_isolated(s) and is_rhs_link(newton_polyhedron(s))
     report = classify_diagram(newton_polyhedron(s))
     assert report.kind == "central_edges"
     assert report.central_edge_count == 1
@@ -379,7 +379,7 @@ def polyhedron_calls(monkeypatch):
         calls.append(support)
         return real(support)
 
-    for module in (newton, graph, invariants):
+    for module in (newton, invariants):
         monkeypatch.setattr(module, "newton_polyhedron", counted)
     return calls
 
@@ -410,6 +410,32 @@ def test_one_polyhedron_per_convenient_model(polyhedron_calls):
 def test_make_convenient_reuses_the_polyhedron(polyhedron_calls):
     support = Support([(2, 1, 0), (0, 3, 0), (0, 0, 2)])
     model = SingularityModel(support)
-    model.oka_raw, model.oka, model.convenient_polyhedron
-    assert model.convenient_support != support
+    model.oka_raw, model.oka, model.oka.polyhedron
+    assert model.oka.support != support
     assert polyhedron_calls.count(support) == 1
+
+
+def test_every_polyhedron_once_per_nonconvenient_model(polyhedron_calls):
+    support = Support([(2, 1, 0), (0, 3, 0), (0, 0, 2)])
+    model = SingularityModel(support)
+    _answer_every_command(model)
+    assert model.oka.support != support
+    assert len(polyhedron_calls) == len(set(polyhedron_calls))
+
+
+def test_raw_graph_runs_no_completion(monkeypatch):
+    calls = []
+    real = newton.make_convenient
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (newton, invariants):
+        monkeypatch.setattr(module, "make_convenient", counted, raising=False)
+    support = Support([(2, 1, 0), (0, 3, 0), (0, 0, 2)])
+    assert is_isolated(support) and not is_convenient(support)
+    args = cli.build_parser().parse_args(["-", "graph"])
+    payload, _ = cli._HANDLERS["graph"](SingularityModel(support), args)
+    assert payload["vertices"]
+    assert calls == []
