@@ -122,7 +122,7 @@ def _cmd_graph(model, args):
 def _cmd_pg(model, args):
     res = model.pg()
     count = model.pg_lattice_count()
-    q = counting_q(model.minimal.data, model.minimal, model.zk_minimal)
+    q = counting_q(model.minimal, model.zk_minimal)
     oracles = {
         "lattice_count_agrees": count == res.value,
         "counting_function_agrees": q == res.value,
@@ -148,7 +148,7 @@ def _cmd_poincare(model, args):
 
 def _cmd_sw(model, args):
     res = model.sw()
-    q = counting_q(model.minimal.data, model.minimal, model.zk_minimal)
+    q = counting_q(model.minimal, model.zk_minimal)
     return (
         {
             "value": res.value,
@@ -168,8 +168,7 @@ def _verify_points(model, checks):
     checks["points/kind3_partition"] = (
         set().union(*rep3.point_sets) == rep3.outside_points if rep3.point_sets else not rep3.outside_points
     )
-    seq2 = model.sequence("II", max_ratio=1)
-    rep2 = enumerate_P(og, seq2, prefix_only=True)
+    rep2 = enumerate_P(og, model.sequence("II"))
     checks["points/kind2_prefix_sizes"] = all(rep2.sizes_match)
     ctx1 = kind1_context(og.graph, og)
     seq1 = run_sequence(ctx1)
@@ -194,9 +193,8 @@ def _verify_sequences(model, checks):
 
 def _verify_series(model, checks):
     g = model.minimal
-    data = g.data
     zk = model.zk_minimal
-    q = functools.cache(lambda cycle: counting_q(data, g, cycle))  # cycles are tuples
+    q = functools.cache(lambda cycle: counting_q(g, cycle))  # cycles are tuples
     checks["series/q_zero"] = q((0,) * g.nv) == 0
     checks["series/q_zk_equals_pg"] = q(zk) == model.pg().value
     seq = model.sequence("I")
@@ -208,7 +206,7 @@ def _verify_series(model, checks):
             break
     checks["series/q_stepwise"] = ok
     zok = all(
-        zeta_coefficient(data, g, c) == zeta_coefficient_convolution(data, g, c)
+        zeta_coefficient(g, c) == zeta_coefficient_convolution(g, c)
         for c in ([0] * g.nv, zk, [x + 1 for x in zk])
     )
     checks["series/zeta_two_paths"] = zok

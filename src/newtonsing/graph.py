@@ -220,7 +220,6 @@ def zk_integer(g: PlumbingGraph) -> tuple:
 class Bamboo:
     face_a: tuple  # normal of the node the orientation starts at
     face_b: tuple  # normal of the other face (node or star)
-    copy: int
     vertex_ids: tuple  # possibly empty, ordered from face_a to face_b
     alpha: int
     beta: int
@@ -234,17 +233,8 @@ class OkaGraph:
     support: Support
     ell: tuple  # vertex id -> primitive functional
     node_ids: dict  # compact face normal -> vertex id
-    star_normals: tuple  # normals of noncompact faces
     bamboos: list
-    u_map: dict  # (node id, other face normal) -> neighbour vertex id
     star_attach: dict  # vertex id -> star normal it abuts
-
-    @property
-    def node_normals(self):
-        return tuple(sorted(self.node_ids))
-
-    def vertex_name(self, v):
-        return self.ell[v]
 
 
 def oka_graph(poly: NewtonPolyhedron) -> OkaGraph:
@@ -260,14 +250,12 @@ def oka_graph(poly: NewtonPolyhedron) -> OkaGraph:
         raise NoCompactFace(f"{support} has no compact face")
 
     compact = sorted(poly.compact_faces, key=lambda f: f.normal)
-    stars = sorted(poly.noncompact_faces, key=lambda f: f.normal)
     node_ids = {f.normal: i for i, f in enumerate(compact)}
     ell = [f.normal for f in compact]
     b_values = [None] * len(compact)
     genus = [None] * len(compact)
     edges = []
     bamboos = []
-    u_map = {}
     star_attach = {}
 
     def new_vertex(functional, selfint):
@@ -289,7 +277,7 @@ def oka_graph(poly: NewtonPolyhedron) -> OkaGraph:
         unit_choice = 0 if fb.compact else 1
         alpha, beta, string, seq = pair_data(a_vec, b_vec, unit_choice)
         beta_rev = denominator_beta(b_vec, a_vec) if fb.compact else None
-        for copy in range(t):
+        for _ in range(t):
             vids = tuple(new_vertex(vec, s) for vec, s in zip(seq, string))
             chain = [node_ids[a_vec], *vids]
             if fb.compact:
@@ -298,11 +286,7 @@ def oka_graph(poly: NewtonPolyhedron) -> OkaGraph:
                 edges.append((u, v))
             if not fb.compact and vids:
                 star_attach[vids[-1]] = b_vec
-            bamboos.append(Bamboo(a_vec, b_vec, copy, vids, alpha, beta, beta_rev))
-            if copy == 0:
-                u_map[(node_ids[a_vec], b_vec)] = vids[0] if vids else node_ids[b_vec]
-                if fb.compact:
-                    u_map[(node_ids[b_vec], a_vec)] = vids[-1] if vids else node_ids[a_vec]
+            bamboos.append(Bamboo(a_vec, b_vec, vids, alpha, beta, beta_rev))
 
     # node selfintersections from the neighbour sum; node genera from
     # interior lattice points of the face
@@ -327,17 +311,7 @@ def oka_graph(poly: NewtonPolyhedron) -> OkaGraph:
         genus[nid] = _interior_points(poly, face)
 
     graph = PlumbingGraph(b_values, genus, edges)
-    og = OkaGraph(
-        graph,
-        poly,
-        support,
-        tuple(ell),
-        node_ids,
-        tuple(f.normal for f in stars),
-        bamboos,
-        u_map,
-        star_attach,
-    )
+    og = OkaGraph(graph, poly, support, tuple(ell), node_ids, bamboos, star_attach)
     _check_neighbor_sums(og)
     return og
 
@@ -426,18 +400,13 @@ def minimal_model(g: PlumbingGraph) -> PlumbingGraph:
 
 
 def minimal_cycle(g: PlumbingGraph) -> tuple:
-    """Artin's minimal cycle by the Laufer procedure."""
+    """Artin's minimal cycle: the Laufer sequence from E_0 with no vertex
+    held fixed.  Its fixed point does not depend on the order of increments."""
     if g.nv == 0:
         return ()
-    z = [0] * g.nv
-    z[0] = 1
-    while True:
-        for v in range(g.nv):
-            if g.dot_E(z, v) > 0:
-                z[v] += 1
-                break
-        else:
-            return tuple(z)
+    z = [1] + [0] * (g.nv - 1)
+    kernels.laufer_complete(g.b, g.neighbors, [False] * g.nv, z)
+    return tuple(z)
 
 
 def tree_code(g: PlumbingGraph) -> str:

@@ -13,6 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import floor
 
 from .errors import NewtonsingError, NoCompactFace, NotRationalHomologySphere
 from .graph import (
@@ -110,9 +111,9 @@ class SingularityModel:
     def zk_minimal(self) -> tuple:
         return zk_integer(self.minimal)
 
-    def sequence(self, kind: str, max_ratio=None, tie_break="min") -> SequenceResult:
+    def sequence(self, kind: str, tie_break="min") -> SequenceResult:
         self.require_rhs()
-        key = (kind, Fraction(max_ratio) if max_ratio is not None else None, tie_break)
+        key = (kind, tie_break)
         if key not in self._sequences:
             if kind == "I":
                 ctx = kind1_context(self.minimal)
@@ -122,7 +123,7 @@ class SingularityModel:
                 ctx = kind3_context(self.oka)
             else:
                 raise ValueError(kind)
-            self._sequences[key] = run_sequence(ctx, max_ratio=max_ratio, tie_break=tie_break)
+            self._sequences[key] = run_sequence(ctx, tie_break=tie_break)
         return self._sequences[key]
 
     def pg(self, tie_break="min") -> PgResult:
@@ -147,13 +148,23 @@ class SingularityModel:
         return saito_spectrum(self.oka.polyhedron)
 
     def poincare_via_sequence(self, max_exponent, tie_break="min") -> PuiseuxPoly:
+        """Sum of a at t^r over the kind-II steps with r <= max_exponent.
+
+        Step i of the first period recurs in period j with ratio r_i + j and
+        a = max(0, c_i - j*d_i), c_i = 1 - (Z_i, E_v), d_i = (wt(f), E_v)
+        (see `kind2_context`).
+        """
         bound = Fraction(max_exponent)
         if bound <= 0:
             raise ValueError("max_exponent must be positive")
+        seq = self.sequence("II", tie_break=tie_break)
+        g = seq.graph
         terms = Counter()
-        for step in self.sequence("II", max_ratio=bound, tie_break=tie_break).steps:
-            if step.a and step.r <= bound:
-                terms[step.r] += step.a
+        for step in seq.steps:
+            c = 1 - g.dot_E(step.Z, step.v)
+            d = g.dot_E(seq.target, step.v)
+            for j in range(floor(bound - step.r) + 1):
+                terms[step.r + j] += max(0, c - j * d)
         return PuiseuxPoly(terms)
 
     def poincare_newton(self, max_exponent) -> PuiseuxPoly:

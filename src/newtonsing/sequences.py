@@ -108,7 +108,6 @@ class SequenceResult:
     steps: list
     target: tuple
     reached: tuple
-    k: int  # node steps to the target (the period, for kind II)
     graph: PlumbingGraph
 
     @property
@@ -116,10 +115,8 @@ class SequenceResult:
         return sum(s.a for s in self.steps)
 
     def cycles(self):
-        """Z_0 = 0, ..., Z_k (node steps of the first pass only)."""
-        out = [s.Z for s in self.steps[: self.k]]
-        out.append(self.steps[self.k].Z if len(self.steps) > self.k else self.reached)
-        return out
+        """Z_0 = 0, ..., Z_k: the cycle before each step, then the end."""
+        return [s.Z for s in self.steps] + [self.reached]
 
 
 @dataclass
@@ -141,11 +138,28 @@ def kind1_context(graph: PlumbingGraph, og: OkaGraph | None = None) -> SequenceC
 
 
 def kind2_context(og: OkaGraph) -> SequenceContext:
+    """Targets wt(f): one period of the Newton-filtration sequence.
+
+    The infinite sequence repeats this period shifted by wt(f).  The support
+    function l -> min over the diagram of l is linear on each bamboo's cone,
+    and 0 at every star normal when the diagram is convenient.  Applied to the
+    neighbour relation l_{v-1} - b_v l_v + l_{v+1} (+ star) = 0 it gives
+    (wt(f), E_v) = 0 at every non-node vertex v.  The cycles admissible for
+    x(Z + wt(f)) are then those for x(Z) translated by wt(f), so
+    x(Z + wt(f)) = x(Z) + wt(f).  With Z_k = wt(f), step i + j*k is
+    (Z_i + j*wt(f), v_i, max(0, c_i - j*d_i), r_i + j), where
+    c_i = 1 - (Z_i, E_{v_i}) and d_i = (wt(f), E_{v_i}).  The pairing is
+    checked here and `run_sequence` checks that the period ends at wt(f).
+    """
     wtf = wt_cycle(og, og.support.points)
-    nodes = og.graph.nodes
-    return SequenceContext(
-        "II", og.graph, wtf, {n: 0 for n in nodes}, {n: wtf[n] for n in nodes}, og
-    )
+    graph = og.graph
+    bad = [v for v in range(graph.nv) if graph.degree[v] < 3 and graph.dot_E(wtf, v)]
+    if bad:
+        raise NewtonsingError(
+            f"(wt(f), E_v) != 0 at non-node vertices {bad}; kind II needs a convenient diagram"
+        )
+    nodes = graph.nodes
+    return SequenceContext("II", graph, wtf, {n: 0 for n in nodes}, {n: wtf[n] for n in nodes}, og)
 
 
 def kind3_context(og: OkaGraph) -> SequenceContext:
@@ -174,18 +188,16 @@ def _ratio(ctx: SequenceContext, z, n) -> Fraction:
     raise NewtonsingError(f"ratio test undefined at node {n}: {num}/{den}")
 
 
-def run_sequence(ctx: SequenceContext, max_ratio=None, tie_break="min") -> SequenceResult:
+def run_sequence(ctx: SequenceContext, tie_break="min") -> SequenceResult:
     """Node steps of the computation sequence for the context's target.
 
     Ties in the ratio go to the node maximising (Z, E_n); remaining ties to
     the smallest node id (largest under tie_break="reversed", which the
-    invariance tests use).  Kind II continues past its target periodically
-    while the ratio stays at most max_ratio.
+    invariance tests use).  Every sequence is finite: kind II stops at
+    wt(f), the end of its first period (see `kind2_context` for the rest).
     """
     if tie_break not in ("min", "reversed"):
         raise ValueError(tie_break)
-    if ctx.kind == "II" and max_ratio is None:
-        raise ValueError("kind II needs a ratio bound")
     graph = ctx.graph
     z = tuple([0] * graph.nv)
     steps = []
@@ -210,29 +222,9 @@ def run_sequence(ctx: SequenceContext, max_ratio=None, tie_break="min") -> Seque
         z = laufer_x(graph, bumped, ctx.og)
         if any(z[v] > max(ctx.target[v], 0) for v in graph.nodes):
             raise NewtonsingError("sequence overshot its target on a node")
-    k = len(steps)
-    reached = z
-    if ctx.kind in ("I", "III") and ctx.og is None and reached != ctx.target:
+    if z != ctx.target and (ctx.kind == "II" or ctx.og is None):
         raise NewtonsingError("sequence did not reach its target cycle")
-
-    if ctx.kind == "II":
-        # continuation to infinity: replay the period's node pattern
-        pattern = [s.v for s in steps]
-        i = k
-        while pattern:
-            n = pattern[(i - k) % k]
-            r = _ratio(ctx, z, n)
-            if r > max_ratio:
-                break
-            a = max(0, -graph.dot_E(z, n) + 1)
-            steps.append(SeqStep(z, n, a, r))
-            bumped = list(z)
-            bumped[n] += 1
-            z = laufer_x(graph, bumped, ctx.og)
-            i += 1
-        reached = z
-
-    result = SequenceResult(ctx.kind, steps, ctx.target, reached, k, graph)
+    result = SequenceResult(ctx.kind, steps, ctx.target, z, graph)
     ratios = [s.r for s in result.steps]
     if any(b < a for a, b in zip(ratios, ratios[1:])):
         raise AssertionError("sequence ratios must be nondecreasing")

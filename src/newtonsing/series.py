@@ -42,10 +42,10 @@ def _max_exponent(degree, remaining, dual):
     return cap
 
 
-def zeta_coefficient(data, g: PlumbingGraph, lp) -> int:
+def zeta_coefficient(g: PlumbingGraph, lp) -> int:
     """Coefficient of t^lp in Z_0(t), by exponent-assignment enumeration."""
     _require_tree(g)
-    duals, scale = data.scaled_duals, data.group_order
+    duals, scale = g.data.scaled_duals, g.data.group_order
     target = [x * scale for x in lp]
     if any(x < 0 for x in target):
         return 0
@@ -74,10 +74,10 @@ def zeta_coefficient(data, g: PlumbingGraph, lp) -> int:
     return total
 
 
-def zeta_coefficient_convolution(data, g: PlumbingGraph, lp) -> int:
+def zeta_coefficient_convolution(g: PlumbingGraph, lp) -> int:
     """Same coefficient by truncated polynomial multiplication (second path)."""
     _require_tree(g)
-    duals, scale = data.scaled_duals, data.group_order
+    duals, scale = g.data.scaled_duals, g.data.group_order
     target = tuple(x * scale for x in lp)
     if any(x < 0 for x in target):
         return 0
@@ -115,7 +115,7 @@ def _coordinate_bounds(data, lp):
     ]
 
 
-def counting_q(data, g: PlumbingGraph, lp, max_states=10_000_000) -> int:
+def counting_q(g: PlumbingGraph, lp, max_states=10_000_000) -> int:
     """q_lp = sum of z_l over l in lp + L with l - lp not effective.
 
     Since the dual cycles are a basis, every zeta term is indexed by its
@@ -130,7 +130,7 @@ def counting_q(data, g: PlumbingGraph, lp, max_states=10_000_000) -> int:
     if g.nv == 0:
         return 0
     target = list(lp)
-    ub = _coordinate_bounds(data, target)
+    ub = _coordinate_bounds(g.data, target)
     if ub is None:
         return 0
     if not g.nodes:
@@ -377,16 +377,15 @@ def _in_polyhedron(ell, cycle, p):
     return all(dot(f, p) >= m for f, m in zip(ell, cycle))
 
 
-def enumerate_P(og: OkaGraph, seq: SequenceResult, prefix_only=False) -> PartitionReport:
+def enumerate_P(og: OkaGraph, seq: SequenceResult) -> PartitionReport:
     """Per-step sets P_i = (polyhedron(Z_i) minus polyhedron(Z_{i+1})) in Z^3.
 
     The sequence must live on the Oka graph (functional data is needed).
-    For kind II pass prefix_only=True to take the first period only.
+    A kind-II sequence is its first period, so its sets partition the
+    points outside the polyhedron of wt(f).
     """
     if seq.graph is not og.graph:
         raise KindMismatch("sequence was not computed on this Oka graph")
-    if seq.kind == "II" and not prefix_only:
-        raise KindMismatch("kind II is infinite; use prefix_only=True")
     cycles = seq.cycles()
     final = cycles[-1]
     ell = og.ell
@@ -404,6 +403,5 @@ def enumerate_P(og: OkaGraph, seq: SequenceResult, prefix_only=False) -> Partiti
             else:
                 hi_i = mid - 1
         sets[lo_i].add(tuple(p))
-    steps = seq.steps[: len(sets)]
-    sizes = [len(s) == st.a for s, st in zip(sets, steps)]
+    sizes = [len(s) == st.a for s, st in zip(sets, seq.steps)]
     return PartitionReport(sets, set(map(tuple, outside)), sizes)

@@ -167,9 +167,9 @@ def test_internal_errors_are_json_reports(tmp_path, capsys, monkeypatch, error):
 def test_verify_series_computes_each_q_value_once(tmp_path, capsys, monkeypatch):
     cycles = []
 
-    def counted(data, g, lp):
+    def counted(g, lp):
         cycles.append(tuple(lp))
-        return counting_q(data, g, lp)
+        return counting_q(g, lp)
 
     monkeypatch.setattr(cli, "counting_q", counted)
     path = write_doc(tmp_path, FRONT_PAGE)

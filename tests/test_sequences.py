@@ -1,17 +1,27 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from newtonsing.errors import NewtonsingError
 from newtonsing.graph import wt_cycle, zk_integer
-from newtonsing.newton import Support, brieskorn
+from newtonsing.invariants import SingularityModel
+from newtonsing.newton import PuiseuxPoly, Support, brieskorn
 from newtonsing.sequences import (
+    SeqStep,
     chi,
     kind1_context,
+    kind2_context,
     laufer_x,
     leg_vertices,
     run_sequence,
     z_legs_cycle,
 )
 from tests.conftest import FRONT_PAGE, model_for
+from tests.test_newton import convenient_supports
 
 
 def test_x_fixed_points_on_corpus(corpus):
@@ -73,14 +83,67 @@ def test_sequence_counts_and_ratios(corpus):
                 assert seq.reached == seq.target
 
 
-def test_kind2_periodicity(front_page_model):
-    m = front_page_model
-    seq = m.sequence("II", max_ratio=2)
-    k = seq.k
-    assert k == sum(seq.target[n] for n in seq.graph.nodes)
-    for i in range(k, len(seq.steps)):
-        assert seq.steps[i].v == seq.steps[i - k].v
-        assert seq.steps[i].r == seq.steps[i - k].r + 1
+def replay_kind2(m, bound, tie_break):
+    """Kind II continued past its first period by replaying the period's node
+    pattern, one Laufer completion per step, while the ratio stays at most
+    bound: the continuation the closed form replaces, kept as its oracle."""
+    seq = m.sequence("II", tie_break=tie_break)
+    g, wtf = seq.graph, seq.target
+    steps = list(seq.steps)
+    pattern = [s.v for s in steps]
+    k = len(pattern)
+    z = seq.reached
+    i = k
+    while pattern:
+        n = pattern[(i - k) % k]
+        r = Fraction(z[n], wtf[n])
+        if r > bound:
+            break
+        steps.append(SeqStep(z, n, max(0, -g.dot_E(z, n) + 1), r))
+        bumped = list(z)
+        bumped[n] += 1
+        z = laufer_x(g, bumped, m.oka)
+        i += 1
+    return steps
+
+
+@given(
+    convenient_supports(),
+    st.fractions(min_value=Fraction(1, 4), max_value=7, max_denominator=4),
+    st.sampled_from(["min", "reversed"]),
+)
+@example(Support(FRONT_PAGE), Fraction(2), "min")
+@settings(max_examples=100)
+def test_kind2_periodicity(support, bound, tie_break):
+    m = SingularityModel(support)
+    assume(m.polyhedron.compact_faces and m.is_rhs)
+    seq = m.sequence("II", tie_break=tie_break)
+    wtf = seq.target
+    k = len(seq.steps)
+    assert k == sum(wtf[n] for n in seq.graph.nodes)
+    assert seq.reached == wtf
+    steps = replay_kind2(m, bound, tie_break)
+    for i in range(k, len(steps)):
+        assert steps[i].v == steps[i - k].v
+        assert steps[i].r == steps[i - k].r + 1
+        assert steps[i].Z == tuple(a + b for a, b in zip(steps[i - k].Z, wtf))
+    replayed = Counter()
+    for step in steps:
+        if step.a and step.r <= bound:
+            replayed[step.r] += step.a
+    via_sequence = m.poincare_via_sequence(bound, tie_break=tie_break)
+    assert via_sequence == PuiseuxPoly(replayed)
+    assert via_sequence == m.poincare_newton(bound)
+
+
+def test_kind2_needs_a_convenient_diagram():
+    # the raw Oka graph of a non-convenient support has a non-node vertex
+    # with (wt(f), E_v) != 0, so its kind-II period does not shift by wt(f)
+    m = SingularityModel(Support([(2, 1, 0), (0, 3, 0), (0, 0, 2)]))
+    with pytest.raises(NewtonsingError, match="non-node"):
+        kind2_context(m.oka_raw)
+    # the model runs kind II on the convenient completion's Oka graph
+    assert m.sequence("II").reached == m.sequence("II").target
 
 
 def test_kind3_first_ratio_is_newton_weight():

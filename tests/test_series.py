@@ -1,13 +1,15 @@
+import itertools
 import random
 
 import pytest
 
 from newtonsing.errors import KindMismatch, NotTree
-from newtonsing.graph import PlumbingGraph, intersection_data, wt_cycle
+from newtonsing.graph import PlumbingGraph, wt_cycle
 from newtonsing.invariants import SingularityModel
 from newtonsing.newton import Support, brieskorn
 from newtonsing.sequences import kind1_context, run_sequence
 from newtonsing.series import (
+    _coordinate_bounds,
     counting_q,
     enumerate_P,
     zeta_coefficient,
@@ -18,22 +20,20 @@ from tests.conftest import FRONT_PAGE, model_for
 
 def test_zeta_trivial_and_single_vertex():
     g = PlumbingGraph([1], [0], [])
-    data = intersection_data(g)
     # dual cycle is E itself, so the geometric factor gives k+1 at k*E
     for k in range(6):
-        assert zeta_coefficient(data, g, (k,)) == k + 1
-    assert zeta_coefficient(data, g, (0,)) == 1
+        assert zeta_coefficient(g, (k,)) == k + 1
+    assert zeta_coefficient(g, (0,)) == 1
 
 
 def test_zeta_zero_coefficient_outside_cone(corpus):
     # single E_v is never in the Lipman cone of a multi-vertex graph
     m = model_for(brieskorn(2, 3, 7))
     g = m.minimal
-    data = intersection_data(g)
     for v in range(g.nv):
         lp = tuple(int(u == v) for u in range(g.nv))
         if any(g.dot_E(lp, w) > 0 for w in range(g.nv)):
-            assert zeta_coefficient(data, g, lp) == 0
+            assert zeta_coefficient(g, lp) == 0
 
 
 def test_zeta_two_paths_agree(corpus):
@@ -42,41 +42,37 @@ def test_zeta_two_paths_agree(corpus):
         g = m.minimal
         if g.nv == 0 or g.nv > 14:
             continue
-        data = intersection_data(g)
         zk = m.zk_minimal
         cycles = [tuple([0] * g.nv), zk, tuple(x + 1 for x in zk)]
         for _ in range(3):
             cycles.append(tuple(rng.randint(0, max(x, 1)) for x in zk))
         for lp in cycles:
-            assert zeta_coefficient(data, g, lp) == zeta_coefficient_convolution(data, g, lp)
+            assert zeta_coefficient(g, lp) == zeta_coefficient_convolution(g, lp)
 
 
 def test_not_tree_rejected():
     g = PlumbingGraph([3, 3], [0, 0], [(0, 1), (0, 1)])  # double edge: a cycle
-    data = intersection_data(g)
     with pytest.raises(NotTree):
-        zeta_coefficient(data, g, (0, 0))
+        zeta_coefficient(g, (0, 0))
     genus = PlumbingGraph([3], [1], [])
     with pytest.raises(NotTree):
-        counting_q(intersection_data(genus), genus, (0,))
+        counting_q(genus, (0,))
 
 
 def test_q_basics():
     m = model_for(brieskorn(2, 3, 7))
     g = m.minimal
-    data = intersection_data(g)
-    assert counting_q(data, g, (0,) * g.nv) == 0
-    assert counting_q(data, g, m.zk_minimal) == 1  # p_g
+    assert counting_q(g, (0,) * g.nv) == 0
+    assert counting_q(g, m.zk_minimal) == 1  # p_g
 
 
 def test_q_stepwise_smoke():
     m = model_for(brieskorn(3, 5, 7))
     g = m.minimal
-    data = intersection_data(g)
     seq = m.sequence("I")
     cycles = [s.Z for s in seq.steps] + [seq.reached]
     for i, step in enumerate(seq.steps):
-        assert counting_q(data, g, cycles[i + 1]) - counting_q(data, g, cycles[i]) == step.a
+        assert counting_q(g, cycles[i + 1]) - counting_q(g, cycles[i]) == step.a
 
 
 def test_enumerate_P_237():
@@ -96,8 +92,8 @@ def test_enumerate_P_237():
 def test_enumerate_P_kind2_prefix(corpus):
     for m in corpus[:5]:
         og = m.oka
-        seq = m.sequence("II", max_ratio=1)
-        rep = enumerate_P(og, seq, prefix_only=True)
+        seq = m.sequence("II")
+        rep = enumerate_P(og, seq)
         assert all(rep.sizes_match)
         union = set().union(*rep.point_sets) if rep.point_sets else set()
         assert union == rep.outside_points
@@ -112,8 +108,6 @@ def test_enumerate_P_requires_matching_graph():
     seq = m1.sequence("III")
     with pytest.raises(KindMismatch):
         enumerate_P(m2.oka, seq)
-    with pytest.raises(KindMismatch):
-        enumerate_P(m1.oka, m1.sequence("II", max_ratio=1))
 
 
 def test_enumerate_P_accepts_kind1_on_an_already_minimal_oka_graph():
@@ -147,8 +141,7 @@ def test_q_on_many_legged_star():
     from newtonsing.newton import Support
 
     m = SingularityModel(Support([(0, 0, 9), (0, 8, 0), (1, 3, 5), (5, 0, 4), (5, 1, 6), (5, 5, 5), (8, 0, 0)]))
-    data = intersection_data(m.minimal)
-    q = counting_q(data, m.minimal, m.zk_minimal)
+    q = counting_q(m.minimal, m.zk_minimal)
     assert q == m.pg().value == 56
 
 
@@ -158,6 +151,31 @@ def test_q_budget_error():
     from newtonsing.newton import Support
 
     m = SingularityModel(Support([(0, 0, 9), (0, 9, 0), (5, 3, 0), (9, 0, 0)]))
-    data = intersection_data(m.minimal)
     with pytest.raises(NewtonsingError):
-        counting_q(data, m.minimal, m.zk_minimal, max_states=10_000)
+        counting_q(m.minimal, m.zk_minimal, max_states=10_000)
+
+
+@pytest.mark.parametrize("b", [[2], [3], [2, 2], [2, 2, 2], [3, 2, 3], [2, 3, 2, 4], [5, 2]])
+def test_counting_q_on_chains_matches_zeta_sum(b):
+    # node-free graphs take the chain enumeration; compare it with the sum
+    # of zeta coefficients over the integral cycles of the bounding box that
+    # lie below the target in some coordinate
+    g = PlumbingGraph(b, [0] * len(b), [(i, i + 1) for i in range(len(b) - 1)])
+    bounds = {t: _coordinate_bounds(g.data, t) for t in itertools.product(range(4), repeat=g.nv)}
+    top = [max(ub[v] for ub in bounds.values() if ub) for v in range(g.nv)]
+    # zeta terms lie in the Lipman cone: a_v = -(l, E_v) >= 0 at every vertex
+    cone = (
+        lp
+        for lp in itertools.product(*(range(u + 1) for u in top))
+        if all(g.dot_E(lp, v) <= 0 for v in range(g.nv))
+    )
+    terms = [(lp, z) for lp in cone if (z := zeta_coefficient(g, lp))]
+    for target, ub in bounds.items():
+        expected = sum(
+            z
+            for lp, z in terms
+            if ub is not None
+            and all(x <= u for x, u in zip(lp, ub))
+            and any(x < t for x, t in zip(lp, target))
+        )
+        assert counting_q(g, target) == expected
