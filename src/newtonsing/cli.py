@@ -16,6 +16,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from math import gcd
 
 from .errors import InputError, InternalError, NewtonsingError
 from .invariants import SingularityModel
@@ -30,7 +31,13 @@ def _rat(x) -> str:
 
 
 def _poly_pairs(poly):
-    return [[_rat(e), c] for e, c in poly.terms()]
+    """[[_rat(e), c] for e, c in poly.terms()], read off the integer numerators."""
+    den = poly.denominator
+    pairs = []
+    for k, c in sorted(poly.numerators.items()):
+        g = gcd(k, den)
+        pairs.append([f"{k // g}/{den // g}", c])
+    return pairs
 
 
 def _spectrum_pairs(counter):

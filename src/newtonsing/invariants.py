@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import floor
+from math import floor, lcm
 
 from .errors import NewtonsingError, NoCompactFace, NotRationalHomologySphere
 from .graph import (
@@ -152,20 +152,25 @@ class SingularityModel:
 
         Step i of the first period recurs in period j with ratio r_i + j and
         a = max(0, c_i - j*d_i), c_i = 1 - (Z_i, E_v), d_i = (wt(f), E_v)
-        (see `kind2_context`).
+        (see `kind2_context`).  Every ratio z_n / wt(f)_n is k_i / den with
+        den the lcm of the ratio denominators, so the series is kept in the
+        integer numerators k_i + j*den <= floor(max_exponent * den).
         """
         bound = Fraction(max_exponent)
         if bound <= 0:
             raise ValueError("max_exponent must be positive")
         seq = self.sequence("II", tie_break=tie_break)
         g = seq.graph
+        den = lcm(*(step.r.denominator for step in seq.steps))
+        cap = floor(bound * den)
         terms = Counter()
         for step in seq.steps:
+            k = step.r.numerator * (den // step.r.denominator)
             c = 1 - g.dot_E(step.Z, step.v)
             d = g.dot_E(seq.target, step.v)
-            for j in range(floor(bound - step.r) + 1):
-                terms[step.r + j] += max(0, c - j * d)
-        return PuiseuxPoly(terms)
+            for j in range((cap - k) // den + 1):
+                terms[k + j * den] += max(0, c - j * d)
+        return PuiseuxPoly(terms, den)
 
     def poincare_newton(self, max_exponent) -> PuiseuxPoly:
         self.require_rhs()

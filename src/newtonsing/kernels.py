@@ -3,8 +3,13 @@
 The scans walk the columns (p0, p1) of the box.  When every row has a
 nonnegative last entry, the p2 with rows[i].p < bounds[i] for some i form a
 prefix of each column, so a scan costs box^2 * rows plus its output rather
-than box^3 * rows.  Arithmetic is on Python integers, hence exact.
+than box^3 * rows.  `min_histogram` walks the pieces of min_i rows[i].p
+along each column instead of its points, and counts each piece as one
+arithmetic progression.  Arithmetic is on Python integers, hence exact.
 """
+
+from collections import Counter
+from itertools import chain
 
 
 def _column_tops(rows, bounds, lo, hi):
@@ -52,6 +57,50 @@ def collect_violating(rows, bounds, lo, hi):
         return []
     columns = _column_tops(rows, bounds, lo, hi)
     return [(p0, p1, p2) for p0, p1, top in columns for p2 in range(lo[2], top + 1)]
+
+
+def min_histogram(rows, cap, lo, hi):
+    """Counter of min_i rows[i].p over the p in [lo, hi]^3 where that min is <= cap.
+
+    `rows` is a nonempty list of integer 3-vectors with positive last
+    entries.  Along a column (p0, p1) the min is then an increasing concave
+    piecewise-linear function of p2.  Each piece starts on the line of least
+    value, ties to the least slope; it ends where a line of smaller slope
+    reaches it, at cap or at hi[2].  So a column has at most one piece per
+    row and costs O(rows) per piece.  Past cap the column is done, and when
+    no row decreases in p1, a column that starts past cap ends its p0 too.
+    Each piece is one `range` of values, and one `Counter` pass in C counts
+    them all.
+    """
+    if not rows or any(a2 <= 0 for _, _, a2 in rows):
+        raise ValueError("min_histogram needs rows with a positive last entry")
+    pieces = []
+    l2, h2 = lo[2], hi[2]
+    rising = all(a1 >= 0 for _, a1, _ in rows)
+    for p0 in range(lo[0], hi[0] + 1):
+        for p1 in range(lo[1], hi[1] + 1):
+            # (value at p2 = l2, slope) per row
+            lines = [(a0 * p0 + a1 * p1 + a2 * l2, a2) for a0, a1, a2 in rows]
+            v, s = min(lines)
+            if v > cap:
+                if rising:
+                    break
+                continue
+            p2 = l2
+            while True:
+                # a line of slope r < s is at most v + s*d once d >= ceil(gap / (s - r))
+                n = min(h2 - p2 + 1, (cap - v) // s + 1)
+                for u, r in lines:
+                    if r < s:
+                        n = min(n, -(-(u + r * (p2 - l2) - v) // (s - r)))
+                pieces.append(range(v, v + s * n, s))
+                p2 += n
+                if p2 > h2:
+                    break
+                v, s = min([(u + r * (p2 - l2), r) for u, r in lines])
+                if v > cap:
+                    break
+    return Counter(chain.from_iterable(pieces))
 
 
 def plane_points(normal, value, lo, hi):

@@ -8,6 +8,11 @@ minimal set spans a face.  On top of it: isolatedness/convenience/
 rational-homology-sphere predicates, the weight function, the spectrum part
 in (-1, 0], the Poincare series of the induced filtration, and the
 central-face/arm anatomy of the diagram.
+
+The spectrum and the Poincare series count lattice points by weight.  With
+L the lcm of the compact face values, L * weight(p) is an integer, so one
+integer histogram (`kernels.min_histogram`) serves both, and a series is a
+`PuiseuxPoly` of integer numerators over one denominator.
 """
 
 import operator
@@ -15,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import floor, lcm
+from math import floor, gcd, lcm
 
 from . import kernels
 from .errors import ClassificationFailed, NoCompactFace, NotIsolated, NotRationalHomologySphere
@@ -341,25 +346,18 @@ def _weight_histogram(poly, bound, positive):
     """Counter of L * weight(p) over the region weight(p) <= bound, and L.
 
     L is the lcm of the compact face values w_n, so weight(p) is k / L with
-    the integer k = min_n (L // w_n) * l_n(p): one integer min per point.
+    the integer k = min_n (L // w_n) * l_n(p), and weight(p) <= bound is
+    k <= floor(bound * L).  `kernels.min_histogram` counts the k per column
+    piece, not per point.
     """
     _require_compact(poly)
     bound = Fraction(bound)
     faces = poly.compact_faces
     denominator = lcm(*(f.value for f in faces))
-    hi = _weight_box(poly, bound)
-    lo = [1, 1, 1] if positive else [0, 0, 0]
-    rows, cuts = [], []
-    for f in faces:
-        # Q * l_n(p) <= P * w_n  <=>  row . p < cut  over integers
-        rows.append(tuple(bound.denominator * a for a in f.normal))
-        cuts.append(bound.numerator * f.value + 1)
     scaled = [tuple(denominator // f.value * a for a in f.normal) for f in faces]
-    histogram = Counter(
-        min(a0 * p0 + a1 * p1 + a2 * p2 for a0, a1, a2 in scaled)
-        for p0, p1, p2 in kernels.collect_violating(rows, cuts, lo, hi)
-    )
-    return histogram, denominator
+    lo = [1, 1, 1] if positive else [0, 0, 0]
+    hi = _weight_box(poly, bound)
+    return kernels.min_histogram(scaled, floor(bound * denominator), lo, hi), denominator
 
 
 def saito_spectrum(poly: NewtonPolyhedron) -> Counter:
@@ -369,30 +367,50 @@ def saito_spectrum(poly: NewtonPolyhedron) -> Counter:
 
 
 class PuiseuxPoly:
-    """Finitely many terms coeff * t^exponent with rational exponents."""
+    """Finitely many terms coeff * t^exponent with rational exponents.
 
-    def __init__(self, terms=None):
-        data = {}
-        for e, c in dict(terms or {}).items():
-            if c:
-                data[Fraction(e)] = int(c)
-        self._terms = data
+    The exponents are stored as integer numerators over one denominator:
+    `numerators` maps k to the coefficient of t^(k / denominator).  The
+    denominator is reduced by the gcd of itself and every numerator, so equal
+    series hold equal data.  `PuiseuxPoly(terms)` takes rational exponents,
+    `PuiseuxPoly(terms, denominator)` integer numerators over a positive
+    denominator; zero coefficients are dropped either way.
+    """
+
+    def __init__(self, terms=None, denominator=None):
+        terms = dict(terms or {})
+        if denominator is None:
+            terms = {Fraction(e): c for e, c in terms.items()}
+            denominator = lcm(*(e.denominator for e in terms))
+            terms = {e.numerator * (denominator // e.denominator): c for e, c in terms.items()}
+        data = {k: int(c) for k, c in terms.items() if c}
+        g = gcd(denominator, *data)
+        if g > 1:
+            data = {k // g: c for k, c in data.items()}
+        self.numerators = data
+        self.denominator = denominator // g
 
     def terms(self):
-        return sorted(self._terms.items())
+        return [(Fraction(k, self.denominator), c) for k, c in sorted(self.numerators.items())]
 
     def coefficient(self, e) -> int:
-        return self._terms.get(Fraction(e), 0)
+        e = Fraction(e)
+        k, rest = divmod(e.numerator * self.denominator, e.denominator)
+        return 0 if rest else self.numerators.get(k, 0)
 
     def substitute_inverse(self):
         """t -> 1/t."""
-        return PuiseuxPoly({-e: c for e, c in self._terms.items()})
+        return PuiseuxPoly({-k: c for k, c in self.numerators.items()}, self.denominator)
 
     def __bool__(self):
-        return bool(self._terms)
+        return bool(self.numerators)
 
     def __eq__(self, other):
-        return isinstance(other, PuiseuxPoly) and self._terms == other._terms
+        return (
+            isinstance(other, PuiseuxPoly)
+            and self.denominator == other.denominator
+            and self.numerators == other.numerators
+        )
 
     def __repr__(self):
         body = " + ".join(f"{c}*t^{e}" for e, c in self.terms()) or "0"
@@ -413,14 +431,14 @@ def poincare_newton(poly: NewtonPolyhedron, max_exponent) -> PuiseuxPoly:
         raise ValueError("max_exponent must be positive")
     histogram, denominator = _weight_histogram(poly, bound, positive=False)
     return PuiseuxPoly(
-        {Fraction(k, denominator): n - histogram.get(k - denominator, 0) for k, n in histogram.items()}
+        {k: n - histogram.get(k - denominator, 0) for k, n in histogram.items()}, denominator
     )
 
 
 def poincare_pol_part(poly: NewtonPolyhedron) -> PuiseuxPoly:
     """sum of t^(1 - weight(p)) over positive lattice points under the diagram."""
     histogram, denominator = _weight_histogram(poly, 1, positive=True)
-    return PuiseuxPoly({Fraction(denominator - k, denominator): n for k, n in histogram.items()})
+    return PuiseuxPoly({denominator - k: n for k, n in histogram.items()}, denominator)
 
 
 @dataclass

@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -77,3 +79,59 @@ def test_plane_points_match_brute_force():
         lo = [rng.randint(-2, 3) for _ in range(3)]
         hi = [l + rng.randint(-1, 7) for l in lo]
         assert kernels.plane_points(normal, value, lo, hi) == _brute_plane(normal, value, lo, hi)
+
+
+def _brute_min_histogram(rows, cap, lo, hi):
+    """Reference oracle: the min over the rows at every point of the box."""
+    histogram = Counter()
+    for p in product(*(range(l, h + 1) for l, h in zip(lo, hi))):
+        m = min(sum(a * x for a, x in zip(row, p)) for row in rows)
+        if m <= cap:
+            histogram[m] += 1
+    return histogram
+
+
+def _random_min_case(rng):
+    rows = [(rng.randint(-3, 6), rng.randint(-3, 6), rng.randint(1, 5))]
+    while len(rows) < rng.randint(1, 5):
+        kind = rng.randrange(3)
+        if kind == 0:
+            rows.append(rng.choice(rows))  # equal rows
+        elif kind == 1:
+            slope = rng.choice(rows)[2]  # parallel rows: equal slope in p2
+            rows.append((rng.randint(-3, 6), rng.randint(-3, 6), slope))
+        else:
+            rows.append((rng.randint(-3, 6), rng.randint(-3, 6), rng.randint(1, 5)))
+    lo = [rng.randint(-2, 3) for _ in range(3)]
+    hi = [l + rng.randint(-1, 6) for l in lo]
+    return rows, rng.randint(-15, 60), lo, hi
+
+
+def test_min_histogram_matches_brute_force():
+    rng = random.Random(67)
+    seen = Counter()
+    for _ in range(400):
+        rows, cap, lo, hi = _random_min_case(rng)
+        expected = _brute_min_histogram(rows, cap, lo, hi)
+        assert kernels.min_histogram(rows, cap, lo, hi) == expected, (rows, cap, lo, hi)
+        seen[len(rows)] += 1
+        seen["empty box"] += any(h < l for l, h in zip(lo, hi))
+        seen["equal rows"] += len(set(rows)) < len(rows)
+        seen["parallel rows"] += len({r[2] for r in rows}) < len(set(rows))
+        seen["nothing under cap"] += not expected and all(h >= l for l, h in zip(lo, hi))
+    assert all(seen[k] for k in (1, 2, 3, 4, 5, "empty box", "equal rows", "parallel rows"))
+    assert seen["nothing under cap"]
+
+
+def test_min_histogram_cap_below_every_value():
+    rows = [(1, 2, 3), (3, 1, 1), (3, 1, 1)]
+    lo, hi = [-2, 0, 1], [2, 3, 4]
+    everything = _brute_min_histogram(rows, 10**9, lo, hi)
+    assert kernels.min_histogram(rows, 10**9, lo, hi) == everything
+    assert kernels.min_histogram(rows, min(everything) - 1, lo, hi) == Counter()
+
+
+@pytest.mark.parametrize("rows", [[(1, 1, 0)], [(1, 1, 1), (2, 0, -1)], []])
+def test_min_histogram_rejects_nonpositive_last_entry(rows):
+    with pytest.raises(ValueError):
+        kernels.min_histogram(rows, 5, [0, 0, 0], [1, 1, 1])

@@ -2,7 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
-from math import floor
+from math import floor, lcm
 from unittest.mock import patch
 
 import pytest
@@ -211,6 +211,66 @@ def test_weight_histogram_matches_brute_force(support, bound):
     assert poincare_newton(poly, bound) == poincare
     assert saito_spectrum(poly) == spectrum
     assert poincare_pol_part(poly) == pol
+
+
+LARGE_GRAPH = [(0, 0, 6), (0, 7, 0), (6, 0, 1), (7, 10, 11), (8, 0, 0), (11, 5, 7)]
+
+
+@pytest.mark.parametrize(
+    "points, bound, faces",
+    [(FRONT_PAGE, 4, 4), (LARGE_GRAPH, Fraction(7, 2), 2)],
+    ids=["front-page", "large-graph"],
+)
+def test_weight_histogram_matches_brute_force_on_several_faces(points, bound, faces):
+    poly = newton_polyhedron(Support(points))
+    assert len(poly.compact_faces) == faces
+    poincare, spectrum, pol = _brute_force_weight_invariants(poly, bound)
+    assert poincare_newton(poly, bound) == poincare
+    assert saito_spectrum(poly) == spectrum
+    assert poincare_pol_part(poly) == pol
+
+
+def test_poincare_via_sequence_matches_newton_at_bound_20(front_page_model):
+    assert lcm(*(f.value for f in front_page_model.oka.polyhedron.compact_faces)) == 10320
+    series = front_page_model.poincare_via_sequence(20)
+    assert series == front_page_model.poincare_newton(20)
+    assert series.coefficient(20) and series.terms()[-1][0] == 20
+
+
+def test_puiseux_rational_and_integer_keys_agree():
+    half = PuiseuxPoly({Fraction(1, 2): 1})
+    assert half == PuiseuxPoly({3: 1}, 6)
+    assert (half.numerators, half.denominator) == ({1: 1}, 2)
+    assert PuiseuxPoly({Fraction(2, 3): 4, 1: -1}) == PuiseuxPoly({4: 4, 6: -1}, 6)
+    assert PuiseuxPoly({0: 2}, 12) == PuiseuxPoly({0: 2}) != PuiseuxPoly({1: 2})
+    assert PuiseuxPoly({2: 1}, 4) != PuiseuxPoly({2: 1}, 3)
+
+
+def test_puiseux_drops_zero_coefficients():
+    assert PuiseuxPoly({5: 0, 10: 0}, 20) == PuiseuxPoly() == PuiseuxPoly({Fraction(1, 3): 0})
+    assert not PuiseuxPoly({5: 0}, 20)
+    series = PuiseuxPoly({Fraction(1, 4): 0, Fraction(1, 2): 3})
+    assert series.terms() == [(Fraction(1, 2), 3)] and series.denominator == 2
+
+
+def test_puiseux_coefficient_and_inverse():
+    series = PuiseuxPoly({-3: 2, 1: 5, 4: 1}, 6)
+    assert series.coefficient(Fraction(1, 6)) == 5
+    assert series.coefficient(Fraction(-1, 2)) == 2
+    assert series.coefficient(Fraction(2, 3)) == 1
+    assert series.coefficient(Fraction(1, 4)) == 0  # off the grid of sixths
+    assert series.coefficient(1) == 0
+    inverse = series.substitute_inverse()
+    assert inverse.terms() == [(-Fraction(2, 3), 1), (-Fraction(1, 6), 5), (Fraction(1, 2), 2)]
+    assert inverse.substitute_inverse() == series
+
+
+def test_poly_pairs_renders_terms(corpus):
+    for model in corpus:
+        for series in (model.poincare_via_sequence(Fraction(5, 2)), model.poincare_pol_part()):
+            assert cli._poly_pairs(series) == [[cli._rat(e), c] for e, c in series.terms()]
+    series = PuiseuxPoly({-3: 2, 0: 1, 4: 1}, 6)
+    assert cli._poly_pairs(series) == [["-1/2", 2], ["0/1", 1], ["2/3", 1]]
 
 
 def test_poincare_pol_part_examples():
