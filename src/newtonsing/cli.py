@@ -205,10 +205,10 @@ def _verify_series(model, checks):
     checks["series/q_zero"] = q((0,) * g.nv) == 0
     checks["series/q_zk_equals_pg"] = q(zk) == model.pg().value
     seq = model.sequence("I")
+    cycles = seq.cycles()
     ok = True
-    for i, step in enumerate(seq.steps):
-        nxt = seq.steps[i + 1].Z if i + 1 < len(seq.steps) else seq.reached
-        if q(nxt) - q(step.Z) != step.a:
+    for step, before, after in zip(seq.steps, cycles, cycles[1:]):
+        if q(after) - q(before) != step.a:
             ok = False
             break
     checks["series/q_stepwise"] = ok

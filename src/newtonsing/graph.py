@@ -1,10 +1,12 @@
 """Plumbing graphs: Oka's algorithm, exact intersection data and cycles.
 
-Cycles are plain tuples indexed by vertex id.  The intersection form of a
-graph is eliminated once, in integers (fraction-free Bareiss), and cached on
-the graph; negative definiteness is certified (never assumed) by the signs
-of that elimination's pivots, and det, the dual cycles and Z_K all read its
-adjugate.
+Cycles are plain tuples indexed by vertex id.  Negative definiteness is
+certified (never assumed) when a graph is built: on a tree by leaf-first
+elimination, whose subtree determinants are integers and which makes no
+fill-in, on any other graph by the dense elimination below.  That dense
+pass, in integers (fraction-free Bareiss), gives det, the dual cycles and
+Z_K through its adjugate; it runs on a tree only when one of those is read,
+and its result is cached on the graph.
 """
 
 from dataclasses import dataclass
@@ -12,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import kernels
-from .errors import Disconnected, NewtonsingError, NoCompactFace, NotNegativeDefinite
+from .errors import Disconnected, NewtonsingError, NoCompactFace, NotNegativeDefinite, NotTree
 from .lattice import denominator_beta, dot, pair_data, vec_add
 from .newton import NewtonPolyhedron, Support
 
@@ -20,7 +22,14 @@ ONES = (1, 1, 1)
 
 
 class PlumbingGraph:
-    """Vertices carry selfintersection -b_v and genus g_v; edges may repeat."""
+    """Vertices carry selfintersection -b_v and genus g_v; edges may repeat.
+
+    With check=True the graph must be connected and negative definite.  A
+    tree is certified by `_leaf_first_definite` and its `data` is computed
+    when first read; any other graph is eliminated at once.  Either way a
+    form that is not definite raises the dense elimination's
+    NotNegativeDefinite, which names the first pivot that fails.
+    """
 
     def __init__(self, b, genus, edges, check=True):
         self.b = tuple(int(x) for x in b)
@@ -43,13 +52,56 @@ class PlumbingGraph:
         self.nodes = tuple(v for v in range(self.nv) if self.degree[v] >= 3)
         self.ends = tuple(v for v in range(self.nv) if self.degree[v] == 1)
         if check:
-            self._check_connected()
-            self.data  # the elimination raises NotNegativeDefinite
+            self._check()
 
     @cached_property
     def data(self) -> "IntersectionData":
         """The graph's exact intersection data, eliminated once."""
         return intersection_data(self)
+
+    @cached_property
+    def arms(self) -> dict:
+        """arms[n][i] = (chain, far, alphas) for node n and its neighbour
+        neighbors[n][i].
+
+        `chain` holds the vertices of degree <= 2 read from n toward that
+        neighbour, `far` the node the chain ends at, or None for a leg.
+        alphas[j] is the numerator of the negative continued fraction
+        [b of chain[j], ..., b of chain[-1]], followed by 1 and 0, so the
+        fraction at chain[j] is alphas[j] / alphas[j + 1] (1/0 for an empty
+        chain).  Laufer's completion along the chain is then
+        x(chain[j]) = ceil((alphas[j + 1] x(previous) + z_far) / alphas[j]),
+        with z_far = 0 on a leg.
+        """
+        if self.nodes and not self.is_tree():
+            raise NotTree("chains between nodes need a tree graph")
+        table = {}
+        for n in self.nodes:
+            out = []
+            for u in self.neighbors[n]:
+                chain, prev = [], n
+                while self.degree[u] <= 2:
+                    chain.append(u)
+                    nxt = [x for x in self.neighbors[u] if x != prev]
+                    if not nxt:
+                        break  # a leg ends at a degree-1 vertex
+                    prev, u = u, nxt[0]
+                far = None if chain and self.degree[chain[-1]] == 1 else u
+                alphas = [0, 1]
+                for v in reversed(chain):
+                    alphas.append(self.b[v] * alphas[-1] - alphas[-2])
+                out.append((tuple(chain), far, tuple(reversed(alphas))))
+            table[n] = tuple(out)
+        return table
+
+    def _check(self):
+        """Raise unless the graph is connected and negative definite."""
+        self._check_connected()
+        if not self.is_tree():
+            self.data  # the elimination raises NotNegativeDefinite
+        elif not _leaf_first_definite(self):
+            intersection_data(self)  # raises NotNegativeDefinite, naming its pivot
+            raise AssertionError("leaf-first certificate and elimination disagree")
 
     def _check_connected(self):
         if self.nv == 0:
@@ -169,6 +221,32 @@ class IntersectionData:
                 out.append((num, den))
             table.append(tuple(out))
         return tuple(table)
+
+
+def _leaf_first_definite(g: PlumbingGraph) -> bool:
+    """Whether the form of the tree g is negative definite.
+
+    Rooted at vertex 0, let D(v) be the determinant of minus the form on
+    v's subtree and P(v) the product of D(c) over v's children c.
+    Eliminating leaves first makes no fill-in: the pivot at v is
+    b_v - sum_c P(c)/D(c) = D(v)/P(v), so
+    D(v) = b_v P(v) - sum_c P(c) P(v)/D(c), every division exact.  The form
+    is negative definite iff every pivot is positive, i.e. every D(v) > 0.
+    """
+    order = [(0, -1)]
+    for v, parent in order:
+        order.extend((u, v) for u in g.neighbors[v] if u != parent)
+    det = [0] * g.nv
+    prod = [1] * g.nv
+    for v, parent in reversed(order):
+        p = prod[v]
+        d = g.b[v] * p - sum(prod[c] * (p // det[c]) for c in g.neighbors[v] if c != parent)
+        if d <= 0:
+            return False
+        det[v] = d
+        if parent >= 0:
+            prod[parent] *= d
+    return True
 
 
 def intersection_data(g: PlumbingGraph) -> IntersectionData:
@@ -358,7 +436,9 @@ def minimal_model(g: PlumbingGraph) -> PlumbingGraph:
     """Blow down genus-0 (-1)-vertices of degree <= 2 until none remain.
 
     When nothing blows down, g itself is returned, after the checks its
-    constructor runs (g may have been built with check=False).
+    constructor runs (g may have been built with check=False): connected,
+    and negative definite by the leaf-first certificate on a tree, by the
+    dense elimination otherwise.
     """
     b = list(g.b)
     genus = list(g.genus)
@@ -387,8 +467,7 @@ def minimal_model(g: PlumbingGraph) -> PlumbingGraph:
         alive.remove(v)
 
     if len(alive) == g.nv:
-        g._check_connected()
-        g.data  # the elimination raises NotNegativeDefinite
+        g._check()
         return g
     order = sorted(alive)
     renum = {old: new for new, old in enumerate(order)}
@@ -422,8 +501,16 @@ def tree_code(g: PlumbingGraph) -> str:
         det = g.data.determinant
         return f"nontree{decorations}|{len(g.edges)}|{det}"
 
-    def enc(v, parent):
-        subs = sorted(enc(u, v) for u in g.neighbors[v] if u != parent)
-        return f"({g.b[v]},{g.genus[v]}|{''.join(subs)})"
+    return min(_rooted_code(g, v) for v in range(g.nv))
 
-    return min(enc(v, None) for v in range(g.nv))
+
+def _rooted_code(g: PlumbingGraph, root) -> str:
+    """Code of g rooted at `root`: (b,genus|children's codes, sorted)."""
+    order = [(root, -1)]
+    for v, parent in order:
+        order.extend((u, v) for u in g.neighbors[v] if u != parent)
+    codes = {}
+    for v, parent in reversed(order):
+        subs = sorted(codes.pop(u) for u in g.neighbors[v] if u != parent)
+        codes[v] = f"({g.b[v]},{g.genus[v]}|{''.join(subs)})"
+    return codes[root]

@@ -166,7 +166,7 @@ class SingularityModel:
         terms = Counter()
         for step in seq.steps:
             k = step.r.numerator * (den // step.r.denominator)
-            c = 1 - g.dot_E(step.Z, step.v)
+            c = 1 - step.pairing
             d = g.dot_E(seq.target, step.v)
             for j in range((cap - k) // den + 1):
                 terms[k + j * den] += max(0, c - j * d)

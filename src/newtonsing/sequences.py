@@ -2,8 +2,13 @@
 
 A sequence context packages the graph, the per-node ratio data and the
 target cycle; `run_sequence` then produces the node steps (Z_i, v(i), a_i,
-r_i).  The connecting Laufer steps contribute nothing to the sums and are
-performed inside the Laufer operator.
+r_i).  The connecting Laufer steps contribute nothing to the sums, and the
+sequence tracks node values only: along each chain from a node n toward o
+Laufer's completion is the interpolation ceil((beta z_n + z_o) / alpha)
+(`PlumbingGraph.arms`), so (Z_i, E_n) is read off the node values, and a
+full cycle is filled chain by chain only when a reader asks for it
+(`SequenceResult.cycles`).  `laufer_x` runs the Laufer operator itself, once
+per kind-III target.
 """
 
 from dataclasses import dataclass
@@ -18,9 +23,10 @@ def laufer_x(graph: PlumbingGraph, z, og: OkaGraph | None = None) -> tuple:
     """Minimal cycle agreeing with z on the nodes, nonpositive elsewhere.
 
     Computed by the generalized Laufer sequence, which requires z <= x(z);
-    that holds at every call site here (nonnegative node data, or cycles of
-    the form x(Z) + E_n).  When the Oka graph is supplied, the result is
-    cross-checked against the ceil interpolation formula on every bamboo.
+    that holds for the kind-III start Z_K - E and for cycles of the form
+    x(Z) + E_n.  When the Oka graph is supplied, the result is cross-checked
+    against the ceil interpolation formula on every bamboo, the formula
+    `fill_cycle` and `run_sequence` rely on.
     """
     m = list(z)
     is_node = [graph.degree[v] >= 3 for v in range(graph.nv)]
@@ -94,12 +100,30 @@ def chi(graph: PlumbingGraph, zk, l) -> Fraction:
     return Fraction(-graph.pairing(l, diff), 2)
 
 
+def fill_cycle(graph: PlumbingGraph, z_nodes) -> tuple:
+    """x(Z) for the node values z_nodes (in graph.nodes order), filled chain
+    by chain: x_j = ceil((beta_j x_{j-1} + z_o) / alpha_j) from x_0 = z_n."""
+    z = [0] * graph.nv
+    for n, value in zip(graph.nodes, z_nodes):
+        z[n] = value
+    for n, arms in graph.arms.items():
+        for chain, far, alphas in arms:
+            if far is not None and far < n:
+                continue  # filled from the other end
+            z_o = 0 if far is None else z[far]
+            prev = z[n]
+            for j, v in enumerate(chain):
+                prev = z[v] = -(-(alphas[j + 1] * prev + z_o) // alphas[j])
+    return tuple(z)
+
+
 @dataclass(frozen=True)
 class SeqStep:
-    Z: tuple  # cycle before the step
+    z_nodes: tuple  # node values of the cycle Z_i before the step, in graph.nodes order
     v: int  # node incremented
-    a: int  # max(0, (-Z, E_v) + 1)
+    a: int  # max(0, (-Z_i, E_v) + 1)
     r: Fraction  # ratio of the chosen node
+    pairing: int  # (Z_i, E_v)
 
 
 @dataclass
@@ -116,7 +140,7 @@ class SequenceResult:
 
     def cycles(self):
         """Z_0 = 0, ..., Z_k: the cycle before each step, then the end."""
-        return [s.Z for s in self.steps] + [self.reached]
+        return [fill_cycle(self.graph, s.z_nodes) for s in self.steps] + [self.reached]
 
 
 @dataclass
@@ -178,16 +202,6 @@ def kind3_context(og: OkaGraph) -> SequenceContext:
     )
 
 
-def _ratio(ctx: SequenceContext, z, n) -> Fraction:
-    num = z[n] + ctx.numerator_offset[n]
-    den = ctx.denominator[n]
-    if den > 0:
-        return Fraction(num, den)
-    if num == 0:
-        return Fraction(0)
-    raise NewtonsingError(f"ratio test undefined at node {n}: {num}/{den}")
-
-
 def run_sequence(ctx: SequenceContext, tie_break="min") -> SequenceResult:
     """Node steps of the computation sequence for the context's target.
 
@@ -195,37 +209,79 @@ def run_sequence(ctx: SequenceContext, tie_break="min") -> SequenceResult:
     the smallest node id (largest under tie_break="reversed", which the
     invariance tests use).  Every sequence is finite: kind II stops at
     wt(f), the end of its first period (see `kind2_context` for the rest).
+
+    Only node values move.  (Z, E_n) = -b_n z_n plus, per chain of n,
+    ceil((beta z_n + z_o) / alpha); a step at n changes only the pairings
+    of n and of the nodes its chains end at.  Ratios are compared by
+    cross-multiplication.
     """
     if tie_break not in ("min", "reversed"):
         raise ValueError(tie_break)
     graph = ctx.graph
-    z = tuple([0] * graph.nv)
+    nodes = graph.nodes
+    pos = {n: i for i, n in enumerate(nodes)}
+    # per node position: (b_n, [(alpha, beta, far node position or None)])
+    local = [
+        (graph.b[n], [(alphas[0], alphas[1], None if far is None else pos[far]) for _, far, alphas in graph.arms[n]])
+        for n in nodes
+    ]
+    target = [ctx.target[n] for n in nodes]
+    offset = [ctx.numerator_offset[n] for n in nodes]
+    denominator = [ctx.denominator[n] for n in nodes]
+    z = [0] * len(nodes)
+
+    def pairing(i):
+        b_n, chains = local[i]
+        z_n = z[i]
+        total = -b_n * z_n
+        for alpha, beta, o in chains:
+            total -= (-beta * z_n - (0 if o is None else z[o])) // alpha
+        return total
+
+    pairings = [pairing(i) for i in range(len(nodes))]
+    reversed_ties = tie_break == "reversed"
     steps = []
     guard = 0
+    falls = False  # some ratio below the one before it
     while True:
-        eligible = [n for n in graph.nodes if z[n] < ctx.target[n]]
-        if not eligible:
+        best = None
+        for i in range(len(nodes)):
+            if z[i] >= target[i]:
+                continue
+            num, den = z[i] + offset[i], denominator[i]
+            if den <= 0:
+                if num:
+                    raise NewtonsingError(f"ratio test undefined at node {nodes[i]}: {num}/{den}")
+                den = 1
+            if best is None:
+                best, b_num, b_den = i, num, den
+                continue
+            lhs, rhs = num * b_den, b_num * den
+            if lhs < rhs or (
+                lhs == rhs
+                and (pairings[i] > pairings[best] or (pairings[i] == pairings[best] and reversed_ties))
+            ):
+                best, b_num, b_den = i, num, den
+        if best is None:
             break
         guard += 1
         if guard > 10**7:
             raise NewtonsingError("computation sequence failed to terminate")
-        ratios = {n: _ratio(ctx, z, n) for n in eligible}
-        best = min(ratios.values())
-        pool = [n for n in eligible if ratios[n] == best]
-        top = max(graph.dot_E(z, n) for n in pool)
-        pool = [n for n in pool if graph.dot_E(z, n) == top]
-        n = min(pool) if tie_break == "min" else max(pool)
-        a = max(0, -graph.dot_E(z, n) + 1)
-        steps.append(SeqStep(z, n, a, best))
-        bumped = list(z)
-        bumped[n] += 1
-        z = laufer_x(graph, bumped, ctx.og)
-        if any(z[v] > max(ctx.target[v], 0) for v in graph.nodes):
+        if steps and b_num * last[1] < last[0] * b_den:
+            falls = True
+        last = b_num, b_den
+        pair = pairings[best]
+        steps.append(SeqStep(tuple(z), nodes[best], max(0, 1 - pair), Fraction(b_num, b_den), pair))
+        z[best] += 1
+        if z[best] > max(target[best], 0):
             raise NewtonsingError("sequence overshot its target on a node")
-    if z != ctx.target and (ctx.kind == "II" or ctx.og is None):
+        pairings[best] = pairing(best)
+        for _, _, o in local[best][1]:
+            if o is not None:
+                pairings[o] = pairing(o)
+    reached = fill_cycle(graph, z)
+    if reached != ctx.target and (ctx.kind == "II" or ctx.og is None):
         raise NewtonsingError("sequence did not reach its target cycle")
-    result = SequenceResult(ctx.kind, steps, ctx.target, z, graph)
-    ratios = [s.r for s in result.steps]
-    if any(b < a for a, b in zip(ratios, ratios[1:])):
+    if falls:
         raise AssertionError("sequence ratios must be nondecreasing")
-    return result
+    return SequenceResult(ctx.kind, steps, ctx.target, reached, graph)

@@ -49,28 +49,22 @@ def zeta_coefficient(g: PlumbingGraph, lp) -> int:
     target = [x * scale for x in lp]
     if any(x < 0 for x in target):
         return 0
-    order = list(range(g.nv))
     total = 0
-
-    def walk(idx, remaining, sign_weight):
-        nonlocal total
-        if idx == len(order):
+    # depth-first over exponent assignments, vertex by vertex: (vertex,
+    # remaining budget, signed weight), children pushed last-first so they
+    # are visited in increasing exponent
+    stack = [(0, target, 1)]
+    while stack:
+        v, remaining, sign_weight = stack.pop()
+        if v == g.nv:
             if all(x == 0 for x in remaining):
                 total += sign_weight
-            return
-        v = order[idx]
+            continue
         dual = duals[v]
-        for a in range(_max_exponent(g.degree[v], remaining, dual) + 1):
+        for a in reversed(range(_max_exponent(g.degree[v], remaining, dual) + 1)):
             factor = _vertex_factor(g.degree[v], a)
-            if factor == 0:
-                continue
-            walk(
-                idx + 1,
-                [r - a * e for r, e in zip(remaining, dual)],
-                sign_weight * factor,
-            )
-
-    walk(0, target, 1)
+            if factor:
+                stack.append((v + 1, [r - a * e for r, e in zip(remaining, dual)], sign_weight * factor))
     return total
 
 
@@ -204,61 +198,39 @@ class _ReducedCount:
         self.total = 0
         self.values = [None] * g.nv
         self.root = g.nodes[0]
-        # directed edge data per (node, first-vertex): chain, fraction, far node
-        self.edge_from = {}
-        self.edge_key = {}
-        for n in g.nodes:
-            for u in g.neighbors[n]:
-                chain = [n, u]
-                while g.degree[chain[-1]] == 2:
-                    nxt = [x for x in g.neighbors[chain[-1]] if x != chain[-2]]
-                    chain.append(nxt[0])
-                tail = chain[-1]
-                if g.degree[tail] >= 3:
-                    interior = tuple(chain[1:-1])
-                    alpha, beta = self._chain_fraction([g.b[v] for v in interior])
-                    self.edge_from[(n, u)] = (interior, alpha, beta, tail)
-                    self.edge_key[(n, u)] = (min(n, tail), max(n, tail), frozenset(interior))
-                else:
-                    string = tuple(chain[1:])
-                    alpha, beta = self._chain_fraction([g.b[v] for v in string])
-                    self.edge_from[(n, u)] = (string, alpha, beta, None)
-                    self.edge_key[(n, u)] = (n, tail, frozenset(string))
-
-    @staticmethod
-    def _chain_fraction(string):
-        """numerator/denominator of the negative continued fraction
-        [b_1, ..., b_s]; (1, 0) for the empty string."""
-        if not string:
-            return 1, 0
-        num, den = string[-1], 1
-        for b_i in reversed(string[:-1]):
-            num, den = b_i * num - den, num
-        return num, den
+        # (chain, alpha, beta, far node) per directed (node, first vertex),
+        # read from the graph's arms table
+        self.edge_from = {
+            (n, u): (chain, alphas[0], alphas[1], far)
+            for n in g.nodes
+            for u, (chain, far, alphas) in zip(g.neighbors[n], g.arms[n])
+        }
 
     def _plan(self):
-        """Task list: branch the root, then per node branch each open slot
-        (recursing into newly reached nodes), then close the node."""
+        """Task list: branch the root, then per node branch each slot but the
+        one back toward its parent, entering each newly reached node before
+        the node's next slot, then close the node."""
         tasks = [("root", self.root)]
-        claimed = set()
-
-        def expand(n):
-            slots = []
-            for u in self.g.neighbors[n]:
-                key = self.edge_key[(n, u)]
-                if key in claimed:
-                    continue  # parent-side bamboo, already branched
-                claimed.add(key)
-                slots.append(u)
-            for u in slots:
-                tasks.append(("slot", n, u))
-                far = self.edge_from[(n, u)][3]
-                if far is not None:
-                    expand(far)
-            tasks.append(("close", n))
-
-        expand(self.root)
+        stack = [(self.root, iter(self._slots(self.root, None)))]
+        while stack:
+            n, slots = stack[-1]
+            u = next(slots, None)
+            if u is None:
+                stack.pop()
+                tasks.append(("close", n))
+                continue
+            tasks.append(("slot", n, u))
+            far = self.edge_from[(n, u)][3]
+            if far is not None:
+                stack.append((far, iter(self._slots(far, n))))
         return tasks
+
+    def _slots(self, n, parent):
+        """Neighbours of n whose chains do not lead back to the parent node."""
+        return [
+            u for u in self.g.neighbors[n]
+            if parent is None or self.edge_from[(n, u)][3] != parent
+        ]
 
     def _bump(self):
         self.states += 1
@@ -332,38 +304,54 @@ class _ReducedCount:
             return 0
         return _vertex_factor(self.g.degree[n], a)
 
-    def run(self):
-        tasks = self._plan()
+    def _choices(self, task):
+        """Set each value of a branching task in turn, yielding True after
+        each; restore the values when the task is exhausted."""
+        if task[0] == "root":
+            n = task[1]
+            for value in range(self.ub[n] + 1):
+                self._bump()
+                self.values[n] = value
+                yield True
+            self.values[n] = None
+        else:
+            _, n, u = task
+            lo, hi = self._slot_interval(n, u)
+            for f in range(lo, hi + 1):
+                self._bump()
+                written = self._fill_chain(n, u, f)
+                if written is not None:
+                    yield True
+                    self._unset(written)
 
-        def walk(idx, weight):
-            if idx == len(tasks):
+    def run(self):
+        """Depth-first over the task list, with one `_choices` generator per
+        open branching task on an explicit stack; a close task multiplies
+        the weight by the node's factor."""
+        tasks = self._plan()
+        stack = []  # (choices, index of the next task, weight)
+        idx, weight = 0, 1
+        while True:
+            while idx < len(tasks):
+                task = tasks[idx]
+                if task[0] != "close":
+                    stack.append((self._choices(task), idx + 1, weight))
+                    break
+                f = self._node_factor(task[1])
+                if not f:
+                    break
+                weight *= f
+                idx += 1
+            else:
                 if any(self.values[v] < self.target[v] for v in range(self.g.nv)):
                     self.total += weight
-                return
-            kind = tasks[idx][0]
-            if kind == "root":
-                n = tasks[idx][1]
-                for value in range(self.ub[n] + 1):
-                    self._bump()
-                    self.values[n] = value
-                    walk(idx + 1, weight)
-                self.values[n] = None
-            elif kind == "close":
-                f = self._node_factor(tasks[idx][1])
-                if f:
-                    walk(idx + 1, weight * f)
+            while stack:
+                choices, idx, weight = stack[-1]
+                if next(choices, False):
+                    break
+                stack.pop()
             else:
-                _, n, u = tasks[idx]
-                lo, hi = self._slot_interval(n, u)
-                for f in range(lo, hi + 1):
-                    self._bump()
-                    written = self._fill_chain(n, u, f)
-                    if written is not None:
-                        walk(idx + 1, weight)
-                        self._unset(written)
-
-        walk(0, 1)
-        return self.total
+                return self.total
 
 
 @dataclass

@@ -89,7 +89,7 @@ def test_criterion_3_stepwise_sw_identity():
         if not (0 < g.nv <= 14):
             continue
         seq = m.sequence("I")
-        cycles = [s.Z for s in seq.steps] + [seq.reached]
+        cycles = seq.cycles()
         q_values = [counting_q(g, c) for c in cycles]
         for i, step in enumerate(seq.steps):
             assert q_values[i + 1] - q_values[i] == step.a

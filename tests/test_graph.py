@@ -21,7 +21,7 @@ from newtonsing.graph import (
 )
 from newtonsing.invariants import SingularityModel
 from newtonsing.newton import Support, brieskorn, make_convenient, newton_polyhedron
-from tests.conftest import FRONT_PAGE, tree_code
+from tests.conftest import FRONT_PAGE, corpus_supports, tree_code
 
 
 @pytest.fixture(scope="module")
@@ -162,7 +162,36 @@ def test_elimination_matches_fraction_oracle_on_random_graphs():
     assert set(outcomes) == {(False, False), (False, True), (True, False), (True, True)}
 
 
-def test_one_elimination_per_graph(monkeypatch):
+def _random_tree(rng, nv, b_values):
+    edges = [(rng.randrange(v), v) for v in range(1, nv)]
+    return PlumbingGraph([rng.choice(b_values) for _ in range(nv)], [0] * nv, edges, check=False)
+
+
+def test_leaf_first_certificate_matches_fraction_oracle_on_random_trees():
+    rng = random.Random(8)
+    verdicts = []
+    for _ in range(400):
+        nv = rng.randint(1, 16)
+        g = _random_tree(rng, nv, rng.choice([(1, 2), (1, 2, 2, 3), (2, 2, 3), (1, 2, 3, 5)]))
+        try:
+            fraction_gauss_jordan(g.intersection_matrix())
+            definite = True
+        except NotNegativeDefinite as expected:
+            definite = False
+            with pytest.raises(NotNegativeDefinite) as caught:
+                PlumbingGraph(g.b, g.genus, g.edges)
+            assert str(caught.value) == str(expected)
+            if not any(b == 1 and d <= 2 for b, d in zip(g.b, g.degree)):
+                # nothing blows down, so minimal_model checks g itself
+                with pytest.raises(NotNegativeDefinite) as caught:
+                    minimal_model(g)
+                assert str(caught.value) == str(expected)
+        assert graph_module._leaf_first_definite(g) == definite
+        verdicts.append(definite)
+    assert 100 < sum(verdicts) < 300
+
+
+def _count_eliminations(monkeypatch):
     eliminated = []
     original = graph_module.intersection_data
 
@@ -171,6 +200,26 @@ def test_one_elimination_per_graph(monkeypatch):
         return original(g)
 
     monkeypatch.setattr(graph_module, "intersection_data", counting)
+    return eliminated
+
+
+def test_commands_that_read_no_intersection_data_eliminate_nothing(monkeypatch):
+    eliminated = _count_eliminations(monkeypatch)
+    commands = (["diagram"], ["graph"], ["graph", "--minimal"], ["spectrum"], ["poincare"])
+    for support in corpus_supports():
+        for command in commands:
+            model = SingularityModel(support)
+            args = cli.build_parser().parse_args(["-", *command])
+            cli._HANDLERS[command[0]](model, args)
+    assert eliminated == []
+    # the graphs are certified all the same, and eliminated when read
+    model = SingularityModel(Support(FRONT_PAGE))
+    assert model.minimal.data.group_order > 0
+    assert eliminated == [model.minimal]
+
+
+def test_one_elimination_per_graph(monkeypatch):
+    eliminated = _count_eliminations(monkeypatch)
     model = SingularityModel(Support(FRONT_PAGE))
     for command in ("pg", "sw", "verify"):
         args = cli.build_parser().parse_args(["-", command])

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -12,9 +13,13 @@ from newtonsing.invariants import SingularityModel
 from newtonsing.newton import PuiseuxPoly, Support, brieskorn
 from newtonsing.sequences import (
     SeqStep,
+    SequenceContext,
+    SequenceResult,
     chi,
+    fill_cycle,
     kind1_context,
     kind2_context,
+    kind3_context,
     laufer_x,
     leg_vertices,
     run_sequence,
@@ -86,10 +91,12 @@ def test_sequence_counts_and_ratios(corpus):
 def replay_kind2(m, bound, tie_break):
     """Kind II continued past its first period by replaying the period's node
     pattern, one Laufer completion per step, while the ratio stays at most
-    bound: the continuation the closed form replaces, kept as its oracle."""
+    bound: the continuation the closed form replaces, kept as its oracle.
+    Returns the steps and the full cycle before each."""
     seq = m.sequence("II", tie_break=tie_break)
     g, wtf = seq.graph, seq.target
     steps = list(seq.steps)
+    cycles = seq.cycles()[:-1]
     pattern = [s.v for s in steps]
     k = len(pattern)
     z = seq.reached
@@ -99,12 +106,14 @@ def replay_kind2(m, bound, tie_break):
         r = Fraction(z[n], wtf[n])
         if r > bound:
             break
-        steps.append(SeqStep(z, n, max(0, -g.dot_E(z, n) + 1), r))
+        pairing = g.dot_E(z, n)
+        steps.append(SeqStep(tuple(z[v] for v in g.nodes), n, max(0, -pairing + 1), r, pairing))
+        cycles.append(z)
         bumped = list(z)
         bumped[n] += 1
         z = laufer_x(g, bumped, m.oka)
         i += 1
-    return steps
+    return steps, cycles
 
 
 @given(
@@ -122,11 +131,11 @@ def test_kind2_periodicity(support, bound, tie_break):
     k = len(seq.steps)
     assert k == sum(wtf[n] for n in seq.graph.nodes)
     assert seq.reached == wtf
-    steps = replay_kind2(m, bound, tie_break)
+    steps, cycles = replay_kind2(m, bound, tie_break)
     for i in range(k, len(steps)):
         assert steps[i].v == steps[i - k].v
         assert steps[i].r == steps[i - k].r + 1
-        assert steps[i].Z == tuple(a + b for a, b in zip(steps[i - k].Z, wtf))
+        assert cycles[i] == tuple(a + b for a, b in zip(cycles[i - k], wtf))
     replayed = Counter()
     for step in steps:
         if step.a and step.r <= bound:
@@ -244,3 +253,156 @@ def test_overshoot_guard():
     seq = run_sequence(kind1_context(og.graph, og))
     assert all(seq.reached[n] == seq.target[n] for n in og.graph.nodes)
     assert all(a >= b for a, b in zip(seq.reached, seq.target))
+
+
+# The Laufer-walk computation sequence, the oracle for the node-only
+# `run_sequence`: the same ratio test, with one full Laufer completion per
+# step and `LauferStep` holding each step's full cycle.
+
+
+@dataclass(frozen=True)
+class LauferStep:
+    Z: tuple  # cycle before the step
+    v: int  # node incremented
+    a: int  # max(0, (-Z, E_v) + 1)
+    r: Fraction  # ratio of the chosen node
+
+
+def _ratio(ctx: SequenceContext, z, n) -> Fraction:
+    num = z[n] + ctx.numerator_offset[n]
+    den = ctx.denominator[n]
+    if den > 0:
+        return Fraction(num, den)
+    if num == 0:
+        return Fraction(0)
+    raise NewtonsingError(f"ratio test undefined at node {n}: {num}/{den}")
+
+
+def laufer_walk_sequence(ctx: SequenceContext, tie_break="min") -> SequenceResult:
+    if tie_break not in ("min", "reversed"):
+        raise ValueError(tie_break)
+    graph = ctx.graph
+    z = tuple([0] * graph.nv)
+    steps = []
+    guard = 0
+    while True:
+        eligible = [n for n in graph.nodes if z[n] < ctx.target[n]]
+        if not eligible:
+            break
+        guard += 1
+        if guard > 10**7:
+            raise NewtonsingError("computation sequence failed to terminate")
+        ratios = {n: _ratio(ctx, z, n) for n in eligible}
+        best = min(ratios.values())
+        pool = [n for n in eligible if ratios[n] == best]
+        top = max(graph.dot_E(z, n) for n in pool)
+        pool = [n for n in pool if graph.dot_E(z, n) == top]
+        n = min(pool) if tie_break == "min" else max(pool)
+        a = max(0, -graph.dot_E(z, n) + 1)
+        steps.append(LauferStep(z, n, a, best))
+        bumped = list(z)
+        bumped[n] += 1
+        z = laufer_x(graph, bumped, ctx.og)
+        if any(z[v] > max(ctx.target[v], 0) for v in graph.nodes):
+            raise NewtonsingError("sequence overshot its target on a node")
+    if z != ctx.target and (ctx.kind == "II" or ctx.og is None):
+        raise NewtonsingError("sequence did not reach its target cycle")
+    result = SequenceResult(ctx.kind, steps, ctx.target, z, graph)
+    ratios = [s.r for s in result.steps]
+    if any(b < a for a, b in zip(ratios, ratios[1:])):
+        raise AssertionError("sequence ratios must be nondecreasing")
+    return result
+
+
+def _outcome(run, ctx, tie_break):
+    try:
+        return run(ctx, tie_break)
+    except (NewtonsingError, AssertionError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_matches_laufer_walk(ctx, tie_break):
+    """The node-only sequence equals the Laufer walk step for step: full
+    cycles, nodes, a_i, r_i and pairings, the reached cycle, or the error.
+    Returns the error, or None."""
+    new = _outcome(run_sequence, ctx, tie_break)
+    old = _outcome(laufer_walk_sequence, ctx, tie_break)
+    if isinstance(old, tuple):
+        assert new == old
+        return old
+    g = ctx.graph
+    assert new.cycles() == [s.Z for s in old.steps] + [old.reached]
+    assert [(s.v, s.a, s.r) for s in new.steps] == [(s.v, s.a, s.r) for s in old.steps]
+    assert [s.pairing for s in new.steps] == [g.dot_E(s.Z, s.v) for s in old.steps]
+    assert [s.z_nodes for s in new.steps] == [tuple(s.Z[n] for n in g.nodes) for s in old.steps]
+    assert new.reached == old.reached and new.target == old.target
+    assert (new.kind, new.graph) == (ctx.kind, g)
+    return None
+
+
+def model_contexts(m):
+    """Every context a model runs: kind I on the minimal model and on the
+    Oka graph (the oracle path), kinds II and III on the Oka graph."""
+    og = m.oka
+    makers = [
+        lambda: kind1_context(m.minimal),
+        lambda: kind1_context(og.graph, og),
+        lambda: kind2_context(og),
+        lambda: kind3_context(og),
+    ]
+    contexts = []
+    for make in makers:
+        try:
+            contexts.append(make())
+        except NewtonsingError:
+            pass  # e.g. not numerically Gorenstein: no sequence to compare
+    return contexts
+
+
+def test_node_only_sequence_matches_laufer_walk_on_corpus(corpus):
+    kinds = Counter()
+    for m in corpus:
+        for ctx in model_contexts(m):
+            for tie_break in ("min", "reversed"):
+                assert assert_matches_laufer_walk(ctx, tie_break) is None
+                kinds[ctx.kind, ctx.og is None] += 1
+    assert set(kinds) == {("I", True), ("I", False), ("II", False), ("III", False)}
+
+
+@given(convenient_supports(), st.sampled_from(["min", "reversed"]))
+@settings(max_examples=60)
+def test_node_only_sequence_matches_laufer_walk_on_generated_supports(support, tie_break):
+    m = SingularityModel(support)
+    assume(m.polyhedron.compact_faces and m.is_rhs)
+    for ctx in model_contexts(m):
+        assert_matches_laufer_walk(ctx, tie_break)
+
+
+def test_node_only_sequence_matches_laufer_walk_errors():
+    m = model_for(Support(FRONT_PAGE))
+    g = m.minimal
+    zk = zk_integer(g)
+    nodes = g.nodes
+    # a node whose ratio has no positive denominator
+    ctx = SequenceContext("I", g, zk, {n: 1 for n in nodes}, {n: 0 for n in nodes})
+    assert assert_matches_laufer_walk(ctx, "min")[1].startswith("ratio test undefined at node")
+    # node values of Z_K but a chain coefficient off by one: never reached
+    off = list(zk)
+    off[next(v for v in range(g.nv) if g.degree[v] < 3)] += 1
+    ctx = SequenceContext("I", g, tuple(off), {n: 0 for n in nodes}, {n: zk[n] - 1 for n in nodes})
+    assert assert_matches_laufer_walk(ctx, "reversed") == (
+        NewtonsingError,
+        "sequence did not reach its target cycle",
+    )
+
+
+def test_fill_cycle_is_the_laufer_completion(corpus):
+    rng = random.Random(11)
+    for m in corpus:
+        for g in (m.oka.graph, m.minimal):
+            for _ in range(10):
+                z_nodes = tuple(rng.randint(0, 6) for _ in g.nodes)
+                z = [0] * g.nv
+                for n, value in zip(g.nodes, z_nodes):
+                    z[n] = value
+                assert fill_cycle(g, z_nodes) == laufer_x(g, tuple(z))

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -70,7 +72,7 @@ def test_q_stepwise_smoke():
     m = model_for(brieskorn(3, 5, 7))
     g = m.minimal
     seq = m.sequence("I")
-    cycles = [s.Z for s in seq.steps] + [seq.reached]
+    cycles = seq.cycles()
     for i, step in enumerate(seq.steps):
         assert counting_q(g, cycles[i + 1]) - counting_q(g, cycles[i]) == step.a
 
@@ -179,3 +181,22 @@ def test_counting_q_on_chains_matches_zeta_sum(b):
             and any(x < t for x, t in zip(lp, target))
         )
         assert counting_q(g, target) == expected
+
+
+def test_counting_leaves_no_reference_cycles():
+    """Once the caller drops a graph, nothing that counting_q or
+    zeta_coefficient made keeps it alive for the cyclic collector."""
+    m = model_for(Support(FRONT_PAGE))
+    zk = m.zk_minimal
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        g = PlumbingGraph(m.minimal.b, m.minimal.genus, m.minimal.edges)
+        ref = weakref.ref(g)
+        assert g.nodes and counting_q(g, zk) == m.pg().value
+        assert zeta_coefficient(g, zk) == zeta_coefficient_convolution(g, zk)
+        del g
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
