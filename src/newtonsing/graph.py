@@ -61,38 +61,35 @@ class PlumbingGraph:
 
     @cached_property
     def arms(self) -> dict:
-        """arms[n][i] = (chain, far, alphas) for node n and its neighbour
-        neighbors[n][i].
+        """arms[n][i] = self.arm(n, neighbors[n][i]) for every node n."""
+        if self.nodes and not self.is_tree():
+            raise NotTree("chains between nodes need a tree graph")
+        return {n: tuple(self.arm(n, u) for u in self.neighbors[n]) for n in self.nodes}
 
-        `chain` holds the vertices of degree <= 2 read from n toward that
-        neighbour, `far` the node the chain ends at, or None for a leg.
-        alphas[j] is the numerator of the negative continued fraction
-        [b of chain[j], ..., b of chain[-1]], followed by 1 and 0, so the
-        fraction at chain[j] is alphas[j] / alphas[j + 1] (1/0 for an empty
-        chain).  Laufer's completion along the chain is then
+    def arm(self, n, u) -> tuple:
+        """(chain, far, alphas) read from vertex n toward its neighbour u.
+
+        `chain` holds the vertices of degree <= 2 from u on, `far` the node
+        the chain ends at, or None for a leg (a chain ending at a degree-1
+        vertex).  alphas[j] is the numerator of the negative continued
+        fraction [b of chain[j], ..., b of chain[-1]], followed by 1 and 0,
+        so the fraction at chain[j] is alphas[j] / alphas[j + 1] (1/0 for an
+        empty chain).  Laufer's completion along the chain is then
         x(chain[j]) = ceil((alphas[j + 1] x(previous) + z_far) / alphas[j]),
         with z_far = 0 on a leg.
         """
-        if self.nodes and not self.is_tree():
-            raise NotTree("chains between nodes need a tree graph")
-        table = {}
-        for n in self.nodes:
-            out = []
-            for u in self.neighbors[n]:
-                chain, prev = [], n
-                while self.degree[u] <= 2:
-                    chain.append(u)
-                    nxt = [x for x in self.neighbors[u] if x != prev]
-                    if not nxt:
-                        break  # a leg ends at a degree-1 vertex
-                    prev, u = u, nxt[0]
-                far = None if chain and self.degree[chain[-1]] == 1 else u
-                alphas = [0, 1]
-                for v in reversed(chain):
-                    alphas.append(self.b[v] * alphas[-1] - alphas[-2])
-                out.append((tuple(chain), far, tuple(reversed(alphas))))
-            table[n] = tuple(out)
-        return table
+        chain, prev = [], n
+        while self.degree[u] <= 2:
+            chain.append(u)
+            nxt = [x for x in self.neighbors[u] if x != prev]
+            if not nxt:
+                break  # a leg ends at a degree-1 vertex
+            prev, u = u, nxt[0]
+        far = None if chain and self.degree[chain[-1]] == 1 else u
+        alphas = [0, 1]
+        for v in reversed(chain):
+            alphas.append(self.b[v] * alphas[-1] - alphas[-2])
+        return tuple(chain), far, tuple(reversed(alphas))
 
     def _check(self):
         """Raise unless the graph is connected and negative definite."""
@@ -223,6 +220,15 @@ class IntersectionData:
         return tuple(table)
 
 
+def _bfs_order(g: PlumbingGraph, root) -> list:
+    """(vertex, parent) pairs of the tree g in breadth-first order from
+    root, whose parent is -1."""
+    order = [(root, -1)]
+    for v, parent in order:
+        order.extend((u, v) for u in g.neighbors[v] if u != parent)
+    return order
+
+
 def _leaf_first_definite(g: PlumbingGraph) -> bool:
     """Whether the form of the tree g is negative definite.
 
@@ -233,9 +239,7 @@ def _leaf_first_definite(g: PlumbingGraph) -> bool:
     D(v) = b_v P(v) - sum_c P(c) P(v)/D(c), every division exact.  The form
     is negative definite iff every pivot is positive, i.e. every D(v) > 0.
     """
-    order = [(0, -1)]
-    for v, parent in order:
-        order.extend((u, v) for u in g.neighbors[v] if u != parent)
+    order = _bfs_order(g, 0)
     det = [0] * g.nv
     prod = [1] * g.nv
     for v, parent in reversed(order):
@@ -489,7 +493,8 @@ def minimal_cycle(g: PlumbingGraph) -> tuple:
 
 
 def tree_code(g: PlumbingGraph) -> str:
-    """Canonical encoding of a decorated tree, for isomorphism checks.
+    """Canonical encoding of a decorated tree, for isomorphism checks: the
+    least code of the tree rooted at one of its centers.
 
     For graphs with cycles or genus (non rational-homology-sphere links) a
     weaker invariant tuple is encoded instead.
@@ -501,14 +506,29 @@ def tree_code(g: PlumbingGraph) -> str:
         det = g.data.determinant
         return f"nontree{decorations}|{len(g.edges)}|{det}"
 
-    return min(_rooted_code(g, v) for v in range(g.nv))
+    return min(_rooted_code(g, c) for c in _centers(g))
+
+
+def _centers(g: PlumbingGraph) -> list:
+    """The one or two middle vertices of a longest path of the tree g.
+
+    The last vertex of a breadth-first order is as far as any from its
+    root; from such a vertex the last one is the other end of a longest
+    path.  Every automorphism fixes the set of centers, so rooting there
+    keeps the code canonical.
+    """
+    start = _bfs_order(g, 0)[-1][0]
+    order = _bfs_order(g, start)
+    parent = dict(order)
+    path = [order[-1][0]]
+    while path[-1] != start:
+        path.append(parent[path[-1]])
+    return path[(len(path) - 1) // 2 : len(path) // 2 + 1]
 
 
 def _rooted_code(g: PlumbingGraph, root) -> str:
     """Code of g rooted at `root`: (b,genus|children's codes, sorted)."""
-    order = [(root, -1)]
-    for v, parent in order:
-        order.extend((u, v) for u in g.neighbors[v] if u != parent)
+    order = _bfs_order(g, root)
     codes = {}
     for v, parent in reversed(order):
         subs = sorted(codes.pop(u) for u in g.neighbors[v] if u != parent)

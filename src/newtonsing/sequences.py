@@ -7,8 +7,9 @@ sequence tracks node values only: along each chain from a node n toward o
 Laufer's completion is the interpolation ceil((beta z_n + z_o) / alpha)
 (`PlumbingGraph.arms`), so (Z_i, E_n) is read off the node values, and a
 full cycle is filled chain by chain only when a reader asks for it
-(`SequenceResult.cycles`).  `laufer_x` runs the Laufer operator itself, once
-per kind-III target.
+(`SequenceResult.cycles`).  The kind-III target x(Z_K - E) is such a fill
+too.  `laufer_x` runs the Laufer operator itself; the tests use it as the
+oracle for `fill_cycle`, and no production path calls it.
 """
 
 from dataclasses import dataclass
@@ -71,20 +72,8 @@ def _check_interpolation(og: OkaGraph, m):
 
 def leg_vertices(graph: PlumbingGraph):
     """Vertices lying on legs: chains from a node down to a degree-1 vertex."""
-    legs = set()
-    for end in graph.ends:
-        chain = [end]
-        prev, cur = None, end
-        while graph.degree[cur] <= 2:
-            nxt = [u for u in graph.neighbors[cur] if u != prev]
-            if not nxt:
-                break  # chain without a node (A_n graph): not a leg
-            prev, cur = cur, nxt[0]
-            if graph.degree[cur] >= 3:
-                legs.update(chain)
-                break
-            chain.append(cur)
-    return sorted(legs)
+    arms = (arm for node_arms in graph.arms.values() for arm in node_arms)
+    return sorted(v for chain, far, _ in arms if far is None for v in chain)
 
 
 def z_legs_cycle(graph: PlumbingGraph) -> tuple:
@@ -187,11 +176,22 @@ def kind2_context(og: OkaGraph) -> SequenceContext:
 
 
 def kind3_context(og: OkaGraph) -> SequenceContext:
+    """Targets x(Z_K - E), with Z_K - E = wt(f) - wt(x1 x2 x3).
+
+    The target is `fill_cycle` of the node values of Z_K - E.  When
+    Z_K - E lies below that fill, Laufer's walk from Z_K - E ends exactly
+    there (the fill is the least cycle with those node values and
+    (x, E_v) <= 0 off the nodes), so the condition is checked and the walk
+    is not run.
+    """
     wtf = wt_cycle(og, og.support.points)
     wtxyz = x1x2x3_cycle(og)
     zk_e = tuple(a - b for a, b in zip(wtf, wtxyz))
-    target = laufer_x(og.graph, zk_e, og)
     nodes = og.graph.nodes
+    target = fill_cycle(og.graph, [zk_e[n] for n in nodes])
+    if any(z > x for z, x in zip(zk_e, target)):
+        raise AssertionError("Z_K - E exceeds the chain fill of its node values")
+    _check_interpolation(og, target)
     return SequenceContext(
         "III",
         og.graph,

@@ -4,8 +4,10 @@ These are the independent oracles.  Coefficients of
 Z_0(t) = prod_v (1 - t^{E_v^*})^{deg v - 2} are enumerated from exponent
 assignments (positivity of the dual cycles bounds the search); the counting
 function walks the same terms through their cycles, whose chain coordinates
-are pinned by the node values and end exponents.  The sets P_i come from
-raw halfspace tests in Z^3.
+are pinned by the node values and end exponents.  That walk is one
+enumeration for every tree: a graph without nodes is rooted at an end, and
+its chain is read by the same walker as a node's arms
+(`PlumbingGraph.arm`).  The sets P_i come from raw halfspace tests in Z^3.
 """
 
 from dataclasses import dataclass
@@ -127,54 +129,7 @@ def counting_q(g: PlumbingGraph, lp, max_states=10_000_000) -> int:
     ub = _coordinate_bounds(g.data, target)
     if ub is None:
         return 0
-    if not g.nodes:
-        return _counting_q_chain(g, target, ub, max_states)
     return _ReducedCount(g, target, ub, max_states).run()
-
-
-def _counting_q_chain(g, target, ub, max_states):
-    """Node-free graphs: a single vertex or one chain of degree-2 vertices."""
-    total = 0
-    states = 0
-    if g.nv == 1:
-        for l0 in range(min(ub[0], target[0] - 1) + 1):
-            total += _vertex_factor(g.degree[0], g.b[0] * l0)
-        return total
-    # order the chain from one extreme; two free values determine the rest
-    start = g.ends[0]
-    order = [start, g.neighbors[start][0]]
-    while len(order) < g.nv:
-        nxt = [u for u in g.neighbors[order[-1]] if u != order[-2]]
-        order.append(nxt[0])
-    for first in range(ub[order[0]] + 1):
-        for second in range(ub[order[1]] + 1):
-            states += 1
-            if states > max_states:
-                raise NewtonsingError(
-                    "counting function enumeration exceeded its state budget"
-                )
-            values = {order[0]: first, order[1]: second}
-            ok = g.b[order[0]] * first - second >= 0  # end exponent at the start
-            prev, cur = first, second
-            for v in order[1:-1]:
-                nxt = g.b[v] * cur - prev  # a_v = 0 along the chain
-                i = order.index(v)
-                values[order[i + 1]] = nxt
-                prev, cur = cur, nxt
-                if nxt < 0:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            last = order[-1]
-            a_last = g.b[last] * values[last] - values[order[-2]]
-            if a_last < 0:
-                continue
-            if any(values[v] > ub[v] for v in order):
-                continue
-            if any(values[v] < target[v] for v in order):
-                total += 1  # both end factors are 1, interior factors 1
-    return total
 
 
 class _ReducedCount:
@@ -186,7 +141,8 @@ class _ReducedCount:
     (for a leg, the end exponent is alpha*f - beta*m_n; for a bamboo to
     another node, the far value is alpha*f - beta*m_n).  The pending
     0 <= a_n <= deg-2 constraint of the node brackets each f by the
-    congruence floors and box ceilings of the still-open slots.
+    congruence floors and box ceilings of the still-open slots.  A graph
+    without nodes is rooted at an end (or its one vertex) and has one leg.
     """
 
     def __init__(self, g, target, ub, max_states):
@@ -197,13 +153,14 @@ class _ReducedCount:
         self.states = 0
         self.total = 0
         self.values = [None] * g.nv
-        self.root = g.nodes[0]
-        # (chain, alpha, beta, far node) per directed (node, first vertex),
-        # read from the graph's arms table
+        self.root = (g.nodes or g.ends or (0,))[0]
+        arms = g.arms if g.nodes else {self.root: [g.arm(self.root, u) for u in g.neighbors[self.root]]}
+        # (chain, alpha, beta, far node) per directed (branch vertex, first
+        # vertex), read from the graph's arms
         self.edge_from = {
             (n, u): (chain, alphas[0], alphas[1], far)
-            for n in g.nodes
-            for u, (chain, far, alphas) in zip(g.neighbors[n], g.arms[n])
+            for n, n_arms in arms.items()
+            for u, (chain, far, alphas) in zip(g.neighbors[n], n_arms)
         }
 
     def _plan(self):
@@ -258,7 +215,10 @@ class _ReducedCount:
                 fut_min += self._congruence_floor(n, x)
                 fut_max += self.ub[x]
         slack = g.b[n] * m - assigned
-        lo = max(self._congruence_floor(n, u), slack - fut_max - (g.degree[n] - 2))
+        lo = self._congruence_floor(n, u)
+        if g.degree[n] >= 2:
+            # a_n <= deg - 2; an end's factor is 1 for every a_n >= 0
+            lo = max(lo, slack - fut_max - (g.degree[n] - 2))
         hi = min(self.ub[u], slack - fut_min)
         _, alpha, beta, far = self.edge_from[(n, u)]
         if far is not None:

@@ -2,11 +2,11 @@ import json
 
 import pytest
 
-from newtonsing import cli
+from newtonsing import cli, kernels
 from newtonsing.cli import main
 from newtonsing.graph import PlumbingGraph
 from newtonsing.series import counting_q
-from tests.conftest import FRONT_PAGE
+from tests.conftest import FRONT_PAGE, corpus_supports
 
 
 def write_doc(tmp_path, monomials, name=None):
@@ -177,3 +177,16 @@ def test_verify_series_computes_each_q_value_once(tmp_path, capsys, monkeypatch)
     assert code == 0
     assert json.loads(out)["result"]["passed"]
     assert len(cycles) == len(set(cycles)) > 2
+
+
+def test_production_path_never_runs_the_laufer_walk(tmp_path, capsys, monkeypatch):
+    # chains are filled from node values; the walk is only the tests' oracle
+    def walk(*args):
+        raise RuntimeError("the Laufer walk ran on the production path")
+
+    monkeypatch.setattr(kernels, "laufer_complete", walk)
+    for support in corpus_supports():
+        path = write_doc(tmp_path, support.points)
+        for command in ("pg", "spectrum", "poincare", "sw", "verify"):
+            code, out = run_cli(capsys, path, command)
+            assert code == 0, (support.points, command, out)

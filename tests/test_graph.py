@@ -316,6 +316,32 @@ def test_convenient_padding_blows_down_to_same_model():
         assert tree_code(g1) == tree_code(g2)
 
 
+def all_roots_code(g):
+    """The least rooted code over every root: canonical, at O(nv^2)."""
+    return min(graph_module._rooted_code(g, v) for v in range(g.nv))
+
+
+def test_tree_code_is_canonical_on_random_trees():
+    # small trees with two decorations collide often; each comes with a
+    # relabeling, and center codes split them exactly as all-roots codes do
+    rng = random.Random(5)
+    trees = []
+    for _ in range(300):
+        nv = rng.randint(1, 8)
+        b = [rng.choice((2, 3)) for _ in range(nv)]
+        edges = [(rng.randrange(v), v) for v in range(1, nv)]
+        perm = list(range(nv))
+        rng.shuffle(perm)
+        relabeled = [0] * nv
+        for v in range(nv):
+            relabeled[perm[v]] = b[v]
+        trees.append(PlumbingGraph(b, [0] * nv, edges, check=False))
+        trees.append(PlumbingGraph(relabeled, [0] * nv, [(perm[u], perm[v]) for u, v in edges], check=False))
+    codes = [(tree_code(g), all_roots_code(g)) for g in trees]
+    assert all(codes[i] == codes[i + 1] for i in range(0, len(codes), 2))
+    assert len({c for c, _ in codes}) == len({a for _, a in codes}) == len(set(codes)) < len(trees) // 2
+
+
 def test_minimal_cycle_simple():
     assert minimal_cycle(PlumbingGraph([2], [0], [])) == (1,)
     chain = PlumbingGraph([2] * 5, [0] * 5, [(i, i + 1) for i in range(4)])

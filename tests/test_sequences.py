@@ -8,7 +8,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from newtonsing.errors import NewtonsingError
-from newtonsing.graph import wt_cycle, zk_integer
+from newtonsing import sequences
+from newtonsing.graph import wt_cycle, x1x2x3_cycle, zk_integer
 from newtonsing.invariants import SingularityModel
 from newtonsing.newton import PuiseuxPoly, Support, brieskorn
 from newtonsing.sequences import (
@@ -406,3 +407,33 @@ def test_fill_cycle_is_the_laufer_completion(corpus):
                 for n, value in zip(g.nodes, z_nodes):
                     z[n] = value
                 assert fill_cycle(g, z_nodes) == laufer_x(g, tuple(z))
+
+
+def assert_kind3_target_is_the_laufer_walk(og):
+    zk_e = tuple(a - b for a, b in zip(wt_cycle(og, og.support.points), x1x2x3_cycle(og)))
+    assert kind3_context(og).target == laufer_x(og.graph, zk_e, og)
+
+
+def test_kind3_target_is_the_laufer_walk_on_corpus(corpus):
+    for m in corpus:
+        assert_kind3_target_is_the_laufer_walk(m.oka)
+
+
+@given(convenient_supports())
+@settings(max_examples=60)
+def test_kind3_target_is_the_laufer_walk_on_generated_supports(support):
+    m = SingularityModel(support)
+    assume(m.polyhedron.compact_faces and m.is_rhs)
+    assert_kind3_target_is_the_laufer_walk(m.oka)
+
+
+def test_kind3_target_checks_the_start_lies_below_the_fill(monkeypatch):
+    # x(Z) <= Z + 1 off the nodes, so raising Z_K - E by 2 at a chain vertex
+    # puts it above the fill, where the fill is no longer Laufer's walk
+    og = model_for(Support(FRONT_PAGE)).oka
+    v = next(v for v in range(og.graph.nv) if og.graph.degree[v] < 3)
+    shifted = list(x1x2x3_cycle(og))
+    shifted[v] -= 2
+    monkeypatch.setattr(sequences, "x1x2x3_cycle", lambda og: tuple(shifted))
+    with pytest.raises(AssertionError, match="exceeds the chain fill"):
+        kind3_context(og)

@@ -157,9 +157,12 @@ def test_q_budget_error():
         counting_q(m.minimal, m.zk_minimal, max_states=10_000)
 
 
-@pytest.mark.parametrize("b", [[2], [3], [2, 2], [2, 2, 2], [3, 2, 3], [2, 3, 2, 4], [5, 2]])
+@pytest.mark.parametrize(
+    "b",
+    [[2], [3], [2, 2], [2, 2, 2], [3, 2, 3], [2, 3, 2, 4], [5, 2], [1], [1, 3], [2, 2, 2, 2], [2, 2, 2, 2, 2]],
+)
 def test_counting_q_on_chains_matches_zeta_sum(b):
-    # node-free graphs take the chain enumeration; compare it with the sum
+    # node-free graphs are rooted at an end; compare the count with the sum
     # of zeta coefficients over the integral cycles of the bounding box that
     # lie below the target in some coordinate
     g = PlumbingGraph(b, [0] * len(b), [(i, i + 1) for i in range(len(b) - 1)])
@@ -181,6 +184,14 @@ def test_counting_q_on_chains_matches_zeta_sum(b):
             and any(x < t for x, t in zip(lp, target))
         )
         assert counting_q(g, target) == expected
+
+
+def test_counting_q_budget_on_a_chain():
+    # the chain's first value is bracketed by the end's congruence floor and
+    # a_n >= 0, so 3,740 states suffice where a box scan of two free values
+    # needs 10,795
+    g = PlumbingGraph([2, 2, 2], [0, 0, 0], [(0, 1), (1, 2)])
+    assert counting_q(g, (43, 43, 43), max_states=10_000) == 1849
 
 
 def test_counting_leaves_no_reference_cycles():
