@@ -20,14 +20,13 @@ from .errors import (
 from .graph import (
     OkaGraph,
     PlumbingGraph,
-    canonical_cycle,
+    check_canonical,
     intersection_data,
     merle_teissier_ZK,
     minimal_cycle,
     minimal_model,
     oka_graph,
     wt_cycle,
-    zk_integer,
 )
 from .invariants import (
     PgResult,

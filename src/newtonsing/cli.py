@@ -52,7 +52,7 @@ def read_document(path):
             with open(path, "r", encoding="utf-8") as fh:
                 raw = fh.read()
         doc = json.loads(raw)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: JSON or UTF-8
         raise InputError(f"cannot read input document: {exc}") from exc
     if not isinstance(doc, dict) or "monomials" not in doc:
         raise InputError('input document needs a "monomials" key')
@@ -177,7 +177,7 @@ def _verify_points(model, checks):
     )
     rep2 = enumerate_P(og, model.sequence("II"))
     checks["points/kind2_prefix_sizes"] = all(rep2.sizes_match)
-    ctx1 = kind1_context(og.graph, og)
+    ctx1 = kind1_context(og.graph, model.zk_oka, og)
     seq1 = run_sequence(ctx1)
     rep1 = enumerate_P(og, seq1)
     checks["points/kind1_total"] = sum(len(s) for s in rep1.point_sets) == seq1.total

@@ -4,9 +4,11 @@ Cycles are plain tuples indexed by vertex id.  Negative definiteness is
 certified (never assumed) when a graph is built: on a tree by leaf-first
 elimination, whose subtree determinants are integers and which makes no
 fill-in, on any other graph by the dense elimination below.  That dense
-pass, in integers (fraction-free Bareiss), gives det, the dual cycles and
-Z_K through its adjugate; it runs on a tree only when one of those is read,
-and its result is cached on the graph.
+pass, in integers (fraction-free Bareiss), gives det and the dual cycles
+through its adjugate; it runs on a tree only when those are read, and its
+result is cached on the graph.  Z_K is read off the Newton diagram
+(`merle_teissier_ZK`) and certified by the adjunction equalities
+(`check_canonical`), never solved for.
 """
 
 from dataclasses import dataclass
@@ -282,20 +284,19 @@ def intersection_data(g: PlumbingGraph) -> IntersectionData:
     return data
 
 
-def canonical_cycle(g: PlumbingGraph):
-    """Anticanonical cycle solving the adjunction equalities; (cycle, integral?)."""
-    data = g.data
-    rhs = [2 - g.b[v] - 2 * g.genus[v] for v in range(g.nv)]
-    numerators = [sum(a * r for a, r in zip(row, rhs)) for row in data.adjugate]
-    zk = tuple(Fraction(x, data.determinant) for x in numerators)
-    return zk, all(x % data.determinant == 0 for x in numerators)
+def check_canonical(g: PlumbingGraph, z) -> tuple:
+    """z as a tuple, after checking the adjunction equalities
+    (z, E_v) = 2 - b_v - 2 g_v at every vertex of g.
 
-
-def zk_integer(g: PlumbingGraph) -> tuple:
-    zk, integral = canonical_cycle(g)
-    if not integral:
-        raise NewtonsingError("graph is not numerically Gorenstein")
-    return tuple(int(x) for x in zk)
+    The form of a checked graph is nondegenerate, so Z_K is the one cycle
+    that satisfies them: the check is as strong as solving for Z_K, at
+    O(nv + edges).
+    """
+    z = tuple(z)
+    bad = [v for v in range(g.nv) if g.dot_E(z, v) != 2 - g.b[v] - 2 * g.genus[v]]
+    if bad:
+        raise AssertionError(f"adjunction equalities fail at vertices {bad}")
+    return z
 
 
 @dataclass
@@ -430,19 +431,23 @@ def x1x2x3_cycle(og: OkaGraph) -> tuple:
 
 
 def merle_teissier_ZK(og: OkaGraph) -> tuple:
-    """E + wt(f) - wt(x1 x2 x3); must agree with the adjunction solution."""
+    """Z_K = E + wt(f) - wt(x1 x2 x3) on the Oka graph (Oka 1987), integral by
+    construction; `check_canonical` certifies it."""
     wtf = wt_cycle(og, og.support.points)
     wtxyz = x1x2x3_cycle(og)
     return tuple(1 + a - b for a, b in zip(wtf, wtxyz))
 
 
-def minimal_model(g: PlumbingGraph) -> PlumbingGraph:
-    """Blow down genus-0 (-1)-vertices of degree <= 2 until none remain.
+def minimal_model(g: PlumbingGraph) -> tuple:
+    """(minimal, kept): blow down genus-0 (-1)-vertices of degree <= 2 until
+    none remain; kept[i] is the vertex of g that vertex i of minimal came
+    from.  A blow-down keeps every other coefficient of Z_K (K' = pi*K + E),
+    so Z_K of minimal is Z_K of g read at kept.
 
-    When nothing blows down, g itself is returned, after the checks its
-    constructor runs (g may have been built with check=False): connected,
-    and negative definite by the leaf-first certificate on a tree, by the
-    dense elimination otherwise.
+    When nothing blows down, g itself is returned, with every vertex kept,
+    after the checks its constructor runs (g may have been built with
+    check=False): connected, and negative definite by the leaf-first
+    certificate on a tree, by the dense elimination otherwise.
     """
     b = list(g.b)
     genus = list(g.genus)
@@ -470,16 +475,16 @@ def minimal_model(g: PlumbingGraph) -> PlumbingGraph:
             edges.append([others[0], others[1]])
         alive.remove(v)
 
-    if len(alive) == g.nv:
+    kept = tuple(sorted(alive))
+    if len(kept) == g.nv:
         g._check()
-        return g
-    order = sorted(alive)
-    renum = {old: new for new, old in enumerate(order)}
+        return g, kept
+    renum = {old: new for new, old in enumerate(kept)}
     return PlumbingGraph(
-        [b[v] for v in order],
-        [genus[v] for v in order],
+        [b[v] for v in kept],
+        [genus[v] for v in kept],
         [[renum[u], renum[w]] for u, w in edges],
-    )
+    ), kept
 
 
 def minimal_cycle(g: PlumbingGraph) -> tuple:

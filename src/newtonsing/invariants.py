@@ -5,7 +5,10 @@ stage is a function of the stage before it, and the model builds each one
 once and caches it: the polyhedron from the support, the Oka graph from the
 polyhedron, the convenient Oka graph (the same graph for a convenient
 support, else the one `make_convenient` accepted, which carries its own
-polyhedron), then the minimal model and the sequences.  The module-level
+polyhedron), then the minimal model and the sequences.  Z_K is read once,
+off the convenient diagram as E + wt(f) - wt(x1 x2 x3), and restricted to
+the minimal model's vertices; on each graph the adjunction equalities
+certify it, so no graph is eliminated to find it.  The module-level
 functions mirror the one-shot API.
 """
 
@@ -18,10 +21,10 @@ from math import floor, lcm
 from .errors import NewtonsingError, NoCompactFace, NotRationalHomologySphere
 from .graph import (
     PlumbingGraph,
+    check_canonical,
     merle_teissier_ZK,
     minimal_model,
     oka_graph,
-    zk_integer,
 )
 from .newton import (
     NewtonPolyhedron,
@@ -98,25 +101,28 @@ class SingularityModel:
 
     @cached_property
     def minimal(self) -> PlumbingGraph:
-        return minimal_model(self.oka.graph)
+        """Minimal model of the Oka graph; sets `kept`, the Oka vertex each
+        of its vertices came from."""
+        graph, self.kept = minimal_model(self.oka.graph)
+        return graph
 
     @cached_property
     def zk_oka(self) -> tuple:
-        zk = zk_integer(self.oka.graph)
-        if zk != merle_teissier_ZK(self.oka):
-            raise AssertionError("adjunction and weight-cycle computations of Z_K disagree")
-        return zk
+        """Z_K read off the diagram, certified by the adjunction equalities."""
+        return check_canonical(self.oka.graph, merle_teissier_ZK(self.oka))
 
     @cached_property
     def zk_minimal(self) -> tuple:
-        return zk_integer(self.minimal)
+        """Z_K of the Oka graph at the vertices that survive the blow-downs."""
+        minimal = self.minimal  # sets self.kept
+        return check_canonical(minimal, [self.zk_oka[v] for v in self.kept])
 
     def sequence(self, kind: str, tie_break="min") -> SequenceResult:
         self.require_rhs()
         key = (kind, tie_break)
         if key not in self._sequences:
             if kind == "I":
-                ctx = kind1_context(self.minimal)
+                ctx = kind1_context(self.minimal, self.zk_minimal)
             elif kind == "II":
                 ctx = kind2_context(self.oka)
             elif kind == "III":

@@ -285,7 +285,7 @@ def make_convenient(poly: NewtonPolyhedron):
             for c in range(3)
             if face.normal[c] > 0
         )
-        reference = tree_code(minimal_model(oka_graph(poly).graph))
+        reference = tree_code(minimal_model(oka_graph(poly).graph)[0])
         reference_spectrum = saito_spectrum(poly)
     limit = d + 400
     while d <= limit:
@@ -297,7 +297,7 @@ def make_convenient(poly: NewtonPolyhedron):
         if old <= new:
             og = oka_graph(new_poly)
             if reference is None or (
-                tree_code(minimal_model(og.graph)) == reference
+                tree_code(minimal_model(og.graph)[0]) == reference
                 and saito_spectrum(new_poly) == reference_spectrum
             ):
                 return og

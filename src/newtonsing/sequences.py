@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import kernels
 from .errors import NewtonsingError
-from .graph import OkaGraph, PlumbingGraph, wt_cycle, x1x2x3_cycle, zk_integer
+from .graph import OkaGraph, PlumbingGraph, wt_cycle, x1x2x3_cycle
 
 
 def laufer_x(graph: PlumbingGraph, z, og: OkaGraph | None = None) -> tuple:
@@ -142,9 +142,8 @@ class SequenceContext:
     og: OkaGraph | None = None
 
 
-def kind1_context(graph: PlumbingGraph, og: OkaGraph | None = None) -> SequenceContext:
-    """Targets Z_K; run on the minimal model (or an Oka graph for the oracle)."""
-    zk = zk_integer(graph)
+def kind1_context(graph: PlumbingGraph, zk, og: OkaGraph | None = None) -> SequenceContext:
+    """Targets zk, the graph's Z_K; run on the minimal model (or an Oka graph)."""
     offsets = {n: 0 for n in graph.nodes}
     denominators = {n: zk[n] - 1 for n in graph.nodes}
     return SequenceContext("I", graph, zk, offsets, denominators, og)

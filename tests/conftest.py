@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import settings
 
 from newtonsing import Support, brieskorn
+from newtonsing.errors import NotNegativeDefinite
 from newtonsing.invariants import SingularityModel
 
 # every property test draws the same cases on every run and keeps no example
@@ -60,6 +63,39 @@ def corpus():
 @pytest.fixture()
 def front_page_model():
     return model_for(Support(FRONT_PAGE))
+
+
+def fraction_gauss_jordan(matrix):
+    """Gauss-Jordan inverse over Fractions, the oracle for the integer
+    elimination: (det, inverse), or NotNegativeDefinite at the first
+    symmetric pivot that is not negative."""
+    n = len(matrix)
+    a = [[Fraction(x) for x in row] for row in matrix]
+    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    det = Fraction(1)
+    for k in range(n):
+        piv = a[k][k]
+        if piv >= 0:
+            raise NotNegativeDefinite(f"pivot {k} is {piv}")
+        det *= piv
+        for j in range(n):
+            a[k][j] /= piv
+            inv[k][j] /= piv
+        for i in range(n):
+            if i != k and a[i][k]:
+                f = a[i][k]
+                for j in range(n):
+                    a[i][j] -= f * a[k][j]
+                    inv[i][j] -= f * inv[k][j]
+    return det, inv
+
+
+def adjunction_solve(g):
+    """Z_K = inverse . rhs over Fractions, rhs_v = 2 - b_v - 2 g_v: the
+    oracle for the canonical cycle read off the diagram."""
+    _, inv = fraction_gauss_jordan(g.intersection_matrix())
+    rhs = [2 - b - 2 * genus for b, genus in zip(g.b, g.genus)]
+    return tuple(sum(x * r for x, r in zip(row, rhs)) for row in inv)
 
 
 from newtonsing.graph import tree_code  # noqa: F401  (re-export for tests)

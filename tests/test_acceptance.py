@@ -13,7 +13,6 @@ from newtonsing.graph import (
     minimal_model,
     oka_graph,
     wt_cycle,
-    zk_integer,
 )
 from newtonsing.lattice import pair_data
 from newtonsing.newton import Support, brieskorn, newton_polyhedron
@@ -26,7 +25,7 @@ from newtonsing.polygon import (
 )
 from newtonsing.sequences import kind1_context, laufer_x, run_sequence, z_legs_cycle
 from newtonsing.series import counting_q, enumerate_P
-from tests.conftest import BRIESKORN_RHS, FRONT_PAGE, model_for
+from tests.conftest import BRIESKORN_RHS, FRONT_PAGE, adjunction_solve, model_for
 from tests.test_polygon import _degenerate_exclusion, normal_forms, random_unimodular
 
 
@@ -181,7 +180,7 @@ def test_criterion_8_zk_cross_check():
     corpus = _corpus()
     for m in corpus:
         og = m.oka
-        zk = zk_integer(og.graph)  # adjunction solve, integral by construction
+        zk = adjunction_solve(og.graph)  # Fraction solve of the adjunction equalities
         assert zk == merle_teissier_ZK(og)
         data = intersection_data(og.graph)  # certifies negative definiteness
         assert all(x > 0 for row in data.dual_cycles for x in row)
@@ -195,7 +194,7 @@ def test_criterion_9_structural():
         g = og.graph
         assert g.is_tree() and set(g.genus) <= {0}
         mm = m.minimal
-        assert minimal_model(mm) == mm
+        assert minimal_model(mm)[0] == mm
         if mm.nv:
             assert intersection_data(g).group_order == intersection_data(mm).group_order
         for kind in ("I", "III"):
@@ -207,7 +206,7 @@ def test_criterion_9_structural():
         union = set().union(*rep3.point_sets) if rep3.point_sets else set()
         assert union == rep3.outside_points
         assert sum(len(s) for s in rep3.point_sets) == m.pg().value
-        seq1 = run_sequence(kind1_context(g, og))
+        seq1 = run_sequence(kind1_context(g, m.zk_oka, og))
         rep1 = enumerate_P(og, seq1)
         assert sum(len(s) for s in rep1.point_sets) == seq1.total == m.pg().value
     print(f"\nPASS criterion 9: structural invariants on {len(corpus)} inputs")

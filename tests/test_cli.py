@@ -128,6 +128,30 @@ def test_non_integer_exponent_is_input_error(tmp_path, capsys, exponent):
     assert "Traceback" not in captured.err
 
 
+def assert_input_error_on_stdin_and_file(tmp_path, capsys, monkeypatch, raw: bytes):
+    import io
+
+    path = tmp_path / "input.json"
+    path.write_bytes(raw)
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+    for source in ("-", str(path)):
+        code = main([source, "pg"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out)["error"] == "InputError"
+        assert "Traceback" not in captured.err
+
+
+def test_deeply_nested_input_is_input_error(tmp_path, capsys, monkeypatch):
+    # json.loads raises RecursionError long before the nesting ends
+    raw = b'{"monomials": ' + b"[" * 100_000
+    assert_input_error_on_stdin_and_file(tmp_path, capsys, monkeypatch, raw)
+
+
+def test_non_utf8_input_is_input_error(tmp_path, capsys, monkeypatch):
+    assert_input_error_on_stdin_and_file(tmp_path, capsys, monkeypatch, b"\xff\xfe")
+
+
 def test_stdin_input(capsys, monkeypatch):
     import io
 
@@ -161,6 +185,27 @@ def test_internal_errors_are_json_reports(tmp_path, capsys, monkeypatch, error):
     assert report["error"] == "InternalError"
     assert report["message"] == f"{type(error).__name__}: {error}"
     assert report["command"] == "pg"
+    assert "Traceback" not in captured.err
+
+
+def test_zk_off_the_adjunction_equalities_is_internal_error(tmp_path, capsys, monkeypatch):
+    from newtonsing import invariants
+
+    original = invariants.merle_teissier_ZK
+
+    def shifted(og):
+        zk = list(original(og))
+        zk[0] += 1
+        return tuple(zk)
+
+    monkeypatch.setattr(invariants, "merle_teissier_ZK", shifted)
+    path = write_doc(tmp_path, [(2, 0, 0), (0, 3, 0), (0, 0, 7)])
+    code = main([path, "pg"])
+    captured = capsys.readouterr()
+    assert code == 1
+    report = json.loads(captured.out)
+    assert report["error"] == "InternalError"
+    assert report["message"].startswith("AssertionError: adjunction equalities fail at vertices [0,")
     assert "Traceback" not in captured.err
 
 

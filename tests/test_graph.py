@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
 from newtonsing import cli
 from newtonsing import graph as graph_module
 from newtonsing.errors import Disconnected, NotNegativeDefinite
 from newtonsing.graph import (
     PlumbingGraph,
-    canonical_cycle,
+    check_canonical,
     intersection_data,
     merle_teissier_ZK,
     minimal_cycle,
@@ -17,11 +18,17 @@ from newtonsing.graph import (
     oka_graph,
     wt_cycle,
     x1x2x3_cycle,
-    zk_integer,
 )
 from newtonsing.invariants import SingularityModel
 from newtonsing.newton import Support, brieskorn, make_convenient, newton_polyhedron
-from tests.conftest import FRONT_PAGE, corpus_supports, tree_code
+from tests.conftest import (
+    FRONT_PAGE,
+    adjunction_solve,
+    corpus_supports,
+    fraction_gauss_jordan,
+    tree_code,
+)
+from tests.test_newton import convenient_supports
 
 
 @pytest.fixture(scope="module")
@@ -80,31 +87,6 @@ def test_duals_positive_on_corpus(corpus):
                 )
                 prod = sum(data.matrix[v][u] * data.inverse[u][w] for u in range(g.nv))
                 assert prod == (v == w)
-
-
-def fraction_gauss_jordan(matrix):
-    """Gauss-Jordan inverse over Fractions, the oracle for the integer
-    elimination: (det, inverse), or NotNegativeDefinite at the first
-    symmetric pivot that is not negative."""
-    n = len(matrix)
-    a = [[Fraction(x) for x in row] for row in matrix]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    det = Fraction(1)
-    for k in range(n):
-        piv = a[k][k]
-        if piv >= 0:
-            raise NotNegativeDefinite(f"pivot {k} is {piv}")
-        det *= piv
-        for j in range(n):
-            a[k][j] /= piv
-            inv[k][j] /= piv
-        for i in range(n):
-            if i != k and a[i][k]:
-                f = a[i][k]
-                for j in range(n):
-                    a[i][j] -= f * a[k][j]
-                    inv[i][j] -= f * inv[k][j]
-    return det, inv
 
 
 def assert_elimination_matches_oracle(g):
@@ -228,6 +210,19 @@ def test_one_elimination_per_graph(monkeypatch):
     assert len({id(g) for g in eliminated}) == len(eliminated)
 
 
+def test_no_oka_graph_is_eliminated(monkeypatch):
+    # Z_K is read off the diagram, so only the oracles' minimal models are
+    # eliminated, and an Oka graph only when it is its own minimal model
+    eliminated = _count_eliminations(monkeypatch)
+    for support in corpus_supports():
+        model = SingularityModel(support)
+        for command in ("pg", "sw", "verify"):
+            args = cli.build_parser().parse_args(["-", command])
+            cli._HANDLERS[command](model, args)
+        assert not any(g is model.oka.graph and g is not model.minimal for g in eliminated)
+        eliminated.clear()
+
+
 def test_positive_diagram_point_forces_genus_or_cycle():
     # (1,1,1) lies on the face of x^3+y^3+z^3; its graph cannot be a
     # genus-0 tree
@@ -244,13 +239,13 @@ def test_not_negative_definite():
 
 
 def test_canonical_cycle_ade():
-    zk, integral = canonical_cycle(e8_graph())
-    assert integral and all(x == 0 for x in zk)
+    zk = adjunction_solve(e8_graph())
+    assert all(x.denominator == 1 for x in zk) and all(x == 0 for x in zk)
 
 
 def test_canonical_cycle_237():
     og = oka_graph(newton_polyhedron(brieskorn(2, 3, 7)))
-    zk = zk_integer(og.graph)
+    zk = adjunction_solve(og.graph)
     n = og.node_ids[(21, 14, 6)]
     assert zk[n] - 1 == 1  # 42 - 41
 
@@ -258,7 +253,38 @@ def test_canonical_cycle_237():
 def test_merle_teissier_on_corpus(corpus):
     for m in corpus:
         og = m.oka
-        assert zk_integer(og.graph) == merle_teissier_ZK(og)
+        assert adjunction_solve(og.graph) == merle_teissier_ZK(og)
+
+
+def assert_zk_matches_adjunction_solve(m):
+    assert m.zk_oka == adjunction_solve(m.oka.graph)
+    assert m.zk_minimal == adjunction_solve(m.minimal)
+    assert m.zk_minimal == tuple(m.zk_oka[v] for v in m.kept)
+
+
+def test_zk_matches_adjunction_solve_on_corpus(corpus):
+    for m in corpus:
+        assert_zk_matches_adjunction_solve(m)
+
+
+@given(convenient_supports())
+@settings(max_examples=60)
+def test_zk_matches_adjunction_solve_on_generated_supports(support):
+    m = SingularityModel(support)
+    assume(m.polyhedron.compact_faces and m.is_rhs)
+    assert_zk_matches_adjunction_solve(m)
+
+
+def test_check_canonical_rejects_zk_moved_at_any_vertex(front_page_model):
+    m = front_page_model
+    g, zk = m.oka.graph, m.zk_oka
+    assert check_canonical(g, list(zk)) == zk
+    for v in range(g.nv):
+        for shift in (1, -1):
+            moved = list(zk)
+            moved[v] += shift
+            with pytest.raises(AssertionError, match="adjunction equalities fail"):
+                check_canonical(g, moved)
 
 
 def test_wt_cycle_examples(front_og):
@@ -272,25 +298,25 @@ def test_wt_cycle_examples(front_og):
 
 def test_minimal_model_fixpoint(front_og):
     g = front_og.graph
-    assert minimal_model(g) == g  # already minimal
-    assert minimal_model(minimal_model(g)) == minimal_model(g)
+    assert minimal_model(g) == (g, tuple(range(g.nv)))  # already minimal
+    assert minimal_model(minimal_model(g)[0]) == minimal_model(g)
 
 
 def test_minimal_model_blowdowns():
-    empty = minimal_model(PlumbingGraph([1], [0], []))
-    assert empty.nv == 0
+    empty, kept = minimal_model(PlumbingGraph([1], [0], []))
+    assert empty.nv == 0 and kept == ()
     # chain (-3) -- (-1) -- (-3) blows down to the A_2 chain (-2) -- (-2)
     g = PlumbingGraph([3, 1, 3], [0, 0, 0], [(0, 1), (1, 2)])
-    mm = minimal_model(g)
-    assert (mm.b, mm.edges) == ((2, 2), ((0, 1),))
+    mm, kept = minimal_model(g)
+    assert (mm.b, mm.edges, kept) == ((2, 2), ((0, 1),), (0, 2))
     assert intersection_data(g).group_order == intersection_data(mm).group_order == 3
 
 
 def test_minimal_model_returns_its_input_when_nothing_blows_down(front_og):
     g = front_og.graph
-    assert minimal_model(g) is g
+    assert minimal_model(g)[0] is g
     chain = PlumbingGraph([3, 1, 3], [0, 0, 0], [(0, 1), (1, 2)])
-    assert minimal_model(chain) is not chain
+    assert minimal_model(chain)[0] is not chain
     # an unchecked input still gets the constructor's checks
     with pytest.raises(Disconnected):
         minimal_model(PlumbingGraph([2, 2], [0, 0], [], check=False))
@@ -302,7 +328,7 @@ def test_minimal_model_preserves_det(corpus):
     for m in corpus:
         g = m.oka.graph
         mm = m.minimal
-        assert minimal_model(mm) == mm
+        assert minimal_model(mm)[0] == mm
         if mm.nv:
             assert intersection_data(g).group_order == intersection_data(mm).group_order
 
@@ -310,9 +336,9 @@ def test_minimal_model_preserves_det(corpus):
 def test_convenient_padding_blows_down_to_same_model():
     for abc in [(2, 3, 5), (2, 3, 7), (3, 4, 5), (2, 5, 7)]:
         s = brieskorn(*abc)
-        g1 = minimal_model(oka_graph(newton_polyhedron(s)).graph)
+        g1 = minimal_model(oka_graph(newton_polyhedron(s)).graph)[0]
         padded = make_convenient(newton_polyhedron(s)).support
-        g2 = minimal_model(oka_graph(newton_polyhedron(padded)).graph)
+        g2 = minimal_model(oka_graph(newton_polyhedron(padded)).graph)[0]
         assert tree_code(g1) == tree_code(g2)
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from newtonsing.errors import NewtonsingError
 from newtonsing import sequences
-from newtonsing.graph import wt_cycle, x1x2x3_cycle, zk_integer
+from newtonsing.graph import wt_cycle, x1x2x3_cycle
 from newtonsing.invariants import SingularityModel
 from newtonsing.newton import PuiseuxPoly, Support, brieskorn
 from newtonsing.sequences import (
@@ -26,7 +26,7 @@ from newtonsing.sequences import (
     run_sequence,
     z_legs_cycle,
 )
-from tests.conftest import FRONT_PAGE, model_for
+from tests.conftest import FRONT_PAGE, adjunction_solve, model_for
 from tests.test_newton import convenient_supports
 
 
@@ -210,10 +210,10 @@ def test_full_path_chi_and_triviality():
     recovers p_g."""
     for support in (brieskorn(2, 3, 7), brieskorn(3, 5, 7)):
         m = model_for(support)
-        ctx = kind1_context(m.minimal)
-        zk = [Fraction(x) for x in zk_integer(m.minimal)]
+        ctx = kind1_context(m.minimal, m.zk_minimal)
+        zk = adjunction_solve(m.minimal)
         path, picks = full_unit_step_path(ctx)
-        assert path[-1] == tuple(zk_integer(m.minimal))
+        assert path[-1] == zk
         total = 0
         for i, v in enumerate(picks):
             before, after = path[i], path[i + 1]
@@ -228,7 +228,7 @@ def test_full_path_chi_and_triviality():
 def test_chi_basics():
     m = model_for(brieskorn(2, 3, 7))
     g = m.minimal
-    zk = zk_integer(g)
+    zk = adjunction_solve(g)
     zero = (0,) * g.nv
     assert chi(g, zk, zero) == 0
     assert chi(g, zk, zk) == 0
@@ -251,7 +251,7 @@ def test_overshoot_guard():
 
     m = model_for(Support(RANDOM_SUPPORTS[1]))
     og = m.oka
-    seq = run_sequence(kind1_context(og.graph, og))
+    seq = run_sequence(kind1_context(og.graph, m.zk_oka, og))
     assert all(seq.reached[n] == seq.target[n] for n in og.graph.nodes)
     assert all(a >= b for a, b in zip(seq.reached, seq.target))
 
@@ -345,19 +345,12 @@ def model_contexts(m):
     """Every context a model runs: kind I on the minimal model and on the
     Oka graph (the oracle path), kinds II and III on the Oka graph."""
     og = m.oka
-    makers = [
-        lambda: kind1_context(m.minimal),
-        lambda: kind1_context(og.graph, og),
-        lambda: kind2_context(og),
-        lambda: kind3_context(og),
+    return [
+        kind1_context(m.minimal, m.zk_minimal),
+        kind1_context(og.graph, m.zk_oka, og),
+        kind2_context(og),
+        kind3_context(og),
     ]
-    contexts = []
-    for make in makers:
-        try:
-            contexts.append(make())
-        except NewtonsingError:
-            pass  # e.g. not numerically Gorenstein: no sequence to compare
-    return contexts
 
 
 def test_node_only_sequence_matches_laufer_walk_on_corpus(corpus):
@@ -382,7 +375,7 @@ def test_node_only_sequence_matches_laufer_walk_on_generated_supports(support, t
 def test_node_only_sequence_matches_laufer_walk_errors():
     m = model_for(Support(FRONT_PAGE))
     g = m.minimal
-    zk = zk_integer(g)
+    zk = tuple(int(x) for x in adjunction_solve(g))
     nodes = g.nodes
     # a node whose ratio has no positive denominator
     ctx = SequenceContext("I", g, zk, {n: 1 for n in nodes}, {n: 0 for n in nodes})
