@@ -2,6 +2,7 @@
 singularities, computed exactly from the monomial support."""
 
 from .errors import (
+    BudgetExceeded,
     Degenerate,
     Disconnected,
     EqualVectors,

@@ -61,6 +61,10 @@ class ClassificationFailed(NewtonsingError):
     pass
 
 
+class BudgetExceeded(NewtonsingError):
+    """Work that would exceed one of the fixed budgets; the message names it."""
+
+
 class InputError(NewtonsingError):
     """Malformed input document (CLI layer, exit code 2)."""
 

@@ -5,11 +5,12 @@ stage is a function of the stage before it, and the model builds each one
 once and caches it: the polyhedron from the support, the Oka graph from the
 polyhedron, the convenient Oka graph (the same graph for a convenient
 support, else the one `make_convenient` accepted, which carries its own
-polyhedron), then the minimal model and the sequences.  Z_K is read once,
-off the convenient diagram as E + wt(f) - wt(x1 x2 x3), and restricted to
-the minimal model's vertices; on each graph the adjunction equalities
-certify it, so no graph is eliminated to find it.  The module-level
-functions mirror the one-shot API.
+polyhedron and comes with its blow-down), then the minimal model (that
+blow-down, so a completion is blown down once) and the sequences.  Z_K is
+read once, off the convenient diagram as E + wt(f) - wt(x1 x2 x3), and
+restricted to the minimal model's vertices; on each graph the adjunction
+equalities certify it, so no graph is eliminated to find it.  The
+module-level functions mirror the one-shot API.
 """
 
 from collections import Counter
@@ -37,6 +38,7 @@ from .newton import (
     poincare_newton,
     poincare_pol_part,
     saito_spectrum,
+    weight_box,
 )
 from .sequences import (
     SequenceResult,
@@ -72,6 +74,7 @@ class SingularityModel:
     def __init__(self, support: Support):
         self.support = support
         self._sequences = {}
+        self._blown_down = None  # (minimal, kept) that make_convenient handed back
 
     @cached_property
     def polyhedron(self) -> NewtonPolyhedron:
@@ -97,13 +100,16 @@ class SingularityModel:
         """Oka graph of the convenient diagram; its `.polyhedron` is that diagram's."""
         if is_convenient(self.support):
             return self.oka_raw
-        return make_convenient(self.polyhedron)
+        og, self._blown_down = make_convenient(self.polyhedron)
+        return og
 
     @cached_property
     def minimal(self) -> PlumbingGraph:
         """Minimal model of the Oka graph; sets `kept`, the Oka vertex each
-        of its vertices came from."""
-        graph, self.kept = minimal_model(self.oka.graph)
+        of its vertices came from.  A convenient completion was already
+        blown down by `make_convenient`, which hands its pair back."""
+        og = self.oka  # sets self._blown_down for a completion
+        graph, self.kept = self._blown_down or minimal_model(og.graph)
         return graph
 
     @cached_property
@@ -165,6 +171,8 @@ class SingularityModel:
         bound = Fraction(max_exponent)
         if bound <= 0:
             raise ValueError("max_exponent must be positive")
+        self.require_rhs()
+        weight_box(self.oka.polyhedron, bound)  # the scan's budget bounds the periods too
         seq = self.sequence("II", tie_break=tie_break)
         g = seq.graph
         den = lcm(*(step.r.denominator for step in seq.steps))

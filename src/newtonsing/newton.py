@@ -23,11 +23,21 @@ from itertools import combinations
 from math import floor, gcd, lcm
 
 from . import kernels
-from .errors import ClassificationFailed, NoCompactFace, NotIsolated, NotRationalHomologySphere
+from .errors import (
+    BudgetExceeded,
+    ClassificationFailed,
+    NoCompactFace,
+    NotIsolated,
+    NotRationalHomologySphere,
+)
 from .lattice import IntVec3, content, cross, dot, vec_sub
 from .polygon import convex_hull
 
 _UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+# Budget of a weight scan: the lattice columns (p0, p1) of its weight box.
+# Front-page `poincare --max-exponent 50` spans 100,701 of them.
+WEIGHT_BOX_COLUMNS = 10**7
 
 
 class Support:
@@ -268,9 +278,11 @@ def make_convenient(poly: NewtonPolyhedron):
     So d grows until the padded diagram blows down to the same minimal
     plumbing graph as the original and leaves the Saito spectrum part
     unchanged, which is what "d large" buys in the equisingular completion.
-    Each candidate's polyhedron is built once, and its Oka graph only when
-    the face test passes; the accepted candidate's graph is returned, so its
-    `.polyhedron` and `.support` are the convenient ones.
+    Each candidate's polyhedron is built once, and its Oka graph and that
+    graph's blow-down only when the face test passes.  Returns the accepted
+    candidate's Oka graph, whose `.polyhedron` and `.support` are the
+    convenient ones, with the `(minimal, kept)` pair of `minimal_model` on
+    it, so that no caller blows it down again.
     """
     from .graph import minimal_model, oka_graph, tree_code
 
@@ -296,11 +308,12 @@ def make_convenient(poly: NewtonPolyhedron):
         new = {(f.normal, f.value, frozenset(f.vertices)) for f in new_poly.compact_faces}
         if old <= new:
             og = oka_graph(new_poly)
+            blown_down = minimal_model(og.graph)
             if reference is None or (
-                tree_code(minimal_model(og.graph)[0]) == reference
+                tree_code(blown_down[0]) == reference
                 and saito_spectrum(new_poly) == reference_spectrum
             ):
-                return og
+                return og, blown_down
         d += 1
     raise AssertionError(f"no equisingular convenient completion found for {support}")
 
@@ -334,11 +347,21 @@ def newton_weight(poly: NewtonPolyhedron, p) -> Fraction:
     return min(Fraction(dot(f.normal, p), f.value) for f in poly.compact_faces)
 
 
-def _weight_box(poly, bound):
-    """Box certainly containing every p >= 0 with weight(p) <= bound."""
-    hi = []
-    for c in range(3):
-        hi.append(max(floor(Fraction(bound) * f.value / f.normal[c]) for f in poly.compact_faces))
+def weight_box(poly, bound):
+    """Box certainly containing every p >= 0 with weight(p) <= bound.
+
+    Raises BudgetExceeded when the box has more than WEIGHT_BOX_COLUMNS
+    lattice columns (p0, p1): a scan of it, or the sum over periods in
+    `SingularityModel.poincare_via_sequence`, would not finish in time.
+    """
+    bound = Fraction(bound)
+    num, den = bound.numerator, bound.denominator
+    hi = [max(num * f.value // (den * f.normal[c]) for f in poly.compact_faces) for c in range(3)]
+    if (hi[0] + 1) * (hi[1] + 1) > WEIGHT_BOX_COLUMNS:
+        raise BudgetExceeded(
+            f"weight box budget exceeded: the weight scan spans more than "
+            f"{WEIGHT_BOX_COLUMNS} lattice columns"
+        )
     return hi
 
 
@@ -356,7 +379,7 @@ def _weight_histogram(poly, bound, positive):
     denominator = lcm(*(f.value for f in faces))
     scaled = [tuple(denominator // f.value * a for a in f.normal) for f in faces]
     lo = [1, 1, 1] if positive else [0, 0, 0]
-    hi = _weight_box(poly, bound)
+    hi = weight_box(poly, bound)
     return kernels.min_histogram(scaled, floor(bound * denominator), lo, hi), denominator
 
 

@@ -2,16 +2,21 @@
 
 These are the independent oracles.  Coefficients of
 Z_0(t) = prod_v (1 - t^{E_v^*})^{deg v - 2} are enumerated from exponent
-assignments (positivity of the dual cycles bounds the search); the counting
-function walks the same terms through their cycles, whose chain coordinates
-are pinned by the node values and end exponents.  That walk is one
-enumeration for every tree: a graph without nodes is rooted at an end, and
-its chain is read by the same walker as a node's arms
-(`PlumbingGraph.arm`).  The sets P_i come from raw halfspace tests in Z^3.
+assignments, one coefficient per call (positivity of the dual cycles bounds
+the search), and, as a second path, read off one truncated product for a
+list of targets.  The counting function walks the same terms through their
+cycles, whose chain coordinates are pinned by the node values and end
+exponents.  That walk is one enumeration for every tree: a graph without
+nodes is rooted at an end, and its chain is read by the same walker as a
+node's arms (`PlumbingGraph.arm`).  It is also one enumeration for every
+list of targets: q at each asked cycle is summed at the leaves of one walk
+over the least box containing all of their boxes.  The sets P_i come from
+raw halfspace tests in Z^3.
 """
 
 from dataclasses import dataclass
 from math import comb
+from operator import lt
 
 from . import kernels
 from .errors import KindMismatch, NewtonsingError, NotTree
@@ -70,13 +75,22 @@ def zeta_coefficient(g: PlumbingGraph, lp) -> int:
     return total
 
 
-def zeta_coefficient_convolution(g: PlumbingGraph, lp) -> int:
-    """Same coefficient by truncated polynomial multiplication (second path)."""
+def zeta_coefficient_convolution(g: PlumbingGraph, lps) -> list:
+    """Coefficients of t^lp in Z_0(t) for every lp in `lps`, read off one
+    truncated polynomial product (the second path).
+
+    The product is truncated at the componentwise max of the targets.  That
+    is exact at every target: dual entries are positive and exponents are
+    >= 0, so each factor only raises coordinates, and a coefficient at c
+    only sums terms whose partial products stay <= c.
+    """
     _require_tree(g)
     duals, scale = g.data.scaled_duals, g.data.group_order
-    target = tuple(x * scale for x in lp)
-    if any(x < 0 for x in target):
-        return 0
+    targets = [tuple(x * scale for x in lp) for lp in lps]
+    inside = [t for t in targets if all(x >= 0 for x in t)]
+    if not inside:
+        return [0] * len(targets)
+    top = [max(col) for col in zip(*inside)]
     acc = {(0,) * g.nv: 1}
     for v in range(g.nv):
         dual = duals[v]
@@ -85,7 +99,7 @@ def zeta_coefficient_convolution(g: PlumbingGraph, lp) -> int:
             a = 0
             while True:
                 shifted = tuple(k + a * e for k, e in zip(key, dual))
-                if any(s > t for s, t in zip(shifted, target)):
+                if any(s > t for s, t in zip(shifted, top)):
                     break
                 factor = _vertex_factor(g.degree[v], a)
                 if factor:
@@ -95,7 +109,7 @@ def zeta_coefficient_convolution(g: PlumbingGraph, lp) -> int:
                     break
                 a += 1
         acc = nxt
-    return acc.get(target, 0)
+    return [acc.get(t, 0) for t in targets]
 
 
 def _coordinate_bounds(data, lp):
@@ -111,25 +125,33 @@ def _coordinate_bounds(data, lp):
     ]
 
 
-def counting_q(g: PlumbingGraph, lp, max_states=10_000_000) -> int:
-    """q_lp = sum of z_l over l in lp + L with l - lp not effective.
+def counting_q(g: PlumbingGraph, lps, max_states=10_000_000) -> list:
+    """q_lp = sum of z_l over l in lp + L with l - lp not effective, for
+    every lp in `lps`, from one enumeration.
 
     Since the dual cycles are a basis, every zeta term is indexed by its
     cycle l with exponents a_v = -(l, E_v); so the sum runs over lattice
     cycles directly.  Cycles in the support have a_v = 0 along every chain,
     so they are determined by the node values and the end exponents; the
     enumeration walks that reduced tree, with one divisibility condition
-    per bamboo pinning the chain interior.  `max_states` bounds the visited
-    states and raises rather than churn on pathological inputs.
+    per bamboo pinning the chain interior.
+
+    One walk serves every target.  Every support cycle lies in the Lipman
+    cone, so the box `_coordinate_bounds(lp)` contains each support cycle l
+    that is not >= lp.  The walk runs over the componentwise max of the
+    targets' boxes, which contains all of those cycles for every target at
+    once; summing z_l over its leaves l that are not >= lp is therefore
+    exact for each lp, and each leaf is tested against every target.  A target with no positive entry has no such l
+    (support cycles are >= 0) and gets 0.  `max_states` bounds the visited
+    states of that one walk and raises rather than churn on pathological
+    inputs.
     """
     _require_tree(g)
-    if g.nv == 0:
-        return 0
-    target = list(lp)
-    ub = _coordinate_bounds(g.data, target)
-    if ub is None:
-        return 0
-    return _ReducedCount(g, target, ub, max_states).run()
+    targets = [tuple(lp) for lp in lps]
+    boxes = [b for b in (_coordinate_bounds(g.data, t) for t in targets) if b is not None]
+    if not boxes:
+        return [0] * len(targets)
+    return _ReducedCount(g, targets, [max(col) for col in zip(*boxes)], max_states).run()
 
 
 class _ReducedCount:
@@ -145,13 +167,13 @@ class _ReducedCount:
     without nodes is rooted at an end (or its one vertex) and has one leg.
     """
 
-    def __init__(self, g, target, ub, max_states):
+    def __init__(self, g, targets, ub, max_states):
         self.g = g
-        self.target = target
+        self.targets = targets
         self.ub = ub
         self.max_states = max_states
         self.states = 0
-        self.total = 0
+        self.totals = [0] * len(targets)
         self.values = [None] * g.nv
         self.root = (g.nodes or g.ends or (0,))[0]
         arms = g.arms if g.nodes else {self.root: [g.arm(self.root, u) for u in g.neighbors[self.root]]}
@@ -287,7 +309,8 @@ class _ReducedCount:
     def run(self):
         """Depth-first over the task list, with one `_choices` generator per
         open branching task on an explicit stack; a close task multiplies
-        the weight by the node's factor."""
+        the weight by the node's factor.  Each leaf is a support cycle l of
+        the box, and its z_l counts toward every target that l is not >=."""
         tasks = self._plan()
         stack = []  # (choices, index of the next task, weight)
         idx, weight = 0, 1
@@ -303,15 +326,16 @@ class _ReducedCount:
                 weight *= f
                 idx += 1
             else:
-                if any(self.values[v] < self.target[v] for v in range(self.g.nv)):
-                    self.total += weight
+                for i, t in enumerate(self.targets):
+                    if any(map(lt, self.values, t)):
+                        self.totals[i] += weight
             while stack:
                 choices, idx, weight = stack[-1]
                 if next(choices, False):
                     break
                 stack.pop()
             else:
-                return self.total
+                return self.totals
 
 
 @dataclass

@@ -69,7 +69,7 @@ def test_criterion_2_four_way_pg_agreement():
         pg = m.pg()
         assert pg.via_minimal == pg.via_diagram == pg.value
         assert m.pg_lattice_count() == pg.value
-        assert counting_q(m.minimal, m.zk_minimal) == pg.value
+        assert counting_q(m.minimal, [m.zk_minimal]) == [pg.value]
     assert model_for(brieskorn(2, 3, 5)).pg().value == 0
     assert model_for(brieskorn(2, 3, 7)).pg().value == 1
     elapsed = time.perf_counter() - started
@@ -89,7 +89,7 @@ def test_criterion_3_stepwise_sw_identity():
             continue
         seq = m.sequence("I")
         cycles = seq.cycles()
-        q_values = [counting_q(g, c) for c in cycles]
+        q_values = counting_q(g, cycles)
         for i, step in enumerate(seq.steps):
             assert q_values[i + 1] - q_values[i] == step.a
         checked += 1

@@ -1,11 +1,14 @@
 import json
+import time
 
 import pytest
 
-from newtonsing import cli, kernels
+from newtonsing import cli, graph, invariants, kernels
 from newtonsing.cli import main
 from newtonsing.graph import PlumbingGraph
-from newtonsing.series import counting_q
+from newtonsing.invariants import SingularityModel
+from newtonsing.newton import Support, make_convenient, newton_polyhedron
+from newtonsing.series import counting_q, zeta_coefficient_convolution
 from tests.conftest import FRONT_PAGE, corpus_supports
 
 
@@ -77,6 +80,31 @@ def test_spectrum_and_poincare(tmp_path, capsys):
     assert ["0/1", 1] in report["result"]["terms"]
     assert ["41/42", 1] in report["result"]["terms"]
     assert report["oracles"]["newton_filtration_agrees"]
+
+
+@pytest.mark.parametrize("bound", ["1e6", "1e999"])
+def test_huge_poincare_bound_fails_fast(tmp_path, capsys, monkeypatch, bound):
+    def no_work(*args, **kwargs):
+        raise RuntimeError("a Poincare path started work past the budget")
+
+    # the budget check runs before either path starts
+    monkeypatch.setattr(invariants, "run_sequence", no_work)
+    monkeypatch.setattr(invariants, "poincare_newton", no_work)
+    path = write_doc(tmp_path, [(2, 0, 0), (0, 3, 0), (0, 0, 5)])
+    started = time.perf_counter()
+    code, out = run_cli(capsys, path, "poincare", "--max-exponent", bound)
+    assert time.perf_counter() - started < 2.0
+    assert code == 1
+    report = json.loads(out)
+    assert report["error"] == "BudgetExceeded"
+    assert "weight box budget" in report["message"]
+
+
+def test_poincare_bound_within_the_budget(tmp_path, capsys):
+    path = write_doc(tmp_path, FRONT_PAGE)
+    code, out = run_cli(capsys, path, "poincare", "--max-exponent", "50")
+    assert code == 0
+    assert json.loads(out)["oracles"]["newton_filtration_agrees"]
 
 
 def test_determinism(tmp_path, capsys):
@@ -209,19 +237,52 @@ def test_zk_off_the_adjunction_equalities_is_internal_error(tmp_path, capsys, mo
     assert "Traceback" not in captured.err
 
 
-def test_verify_series_computes_each_q_value_once(tmp_path, capsys, monkeypatch):
-    cycles = []
+def test_verify_series_runs_one_counting_walk_and_one_product(tmp_path, capsys, monkeypatch):
+    q_calls, zeta_calls = [], []
 
-    def counted(g, lp):
-        cycles.append(tuple(lp))
-        return counting_q(g, lp)
+    def counted_q(g, lps):
+        q_calls.append([tuple(lp) for lp in lps])
+        return counting_q(g, lps)
 
-    monkeypatch.setattr(cli, "counting_q", counted)
+    def counted_zeta(g, lps):
+        zeta_calls.append([tuple(lp) for lp in lps])
+        return zeta_coefficient_convolution(g, lps)
+
+    monkeypatch.setattr(cli, "counting_q", counted_q)
+    monkeypatch.setattr(cli, "zeta_coefficient_convolution", counted_zeta)
     path = write_doc(tmp_path, FRONT_PAGE)
     code, out = run_cli(capsys, path, "verify", "--suite", "series")
     assert code == 0
     assert json.loads(out)["result"]["passed"]
-    assert len(cycles) == len(set(cycles)) > 2
+    m = SingularityModel(Support(FRONT_PAGE))
+    zk = m.zk_minimal
+    cycles = {tuple(c) for c in m.sequence("I").cycles()}
+    assert len(cycles) > 2
+    assert len(q_calls) == 1
+    assert set(q_calls[0]) == cycles | {(0,) * len(zk), zk}
+    assert zeta_calls == [[(0,) * len(zk), zk, tuple(x + 1 for x in zk)]]
+
+
+def test_graph_minimal_blows_a_completion_down_once(tmp_path, capsys, monkeypatch):
+    # not convenient (no z-axis monomial), and its Oka graphs are no trees
+    support = [(0, 1, 4), (0, 5, 0), (1, 1, 1), (2, 0, 0), (5, 2, 5)]
+    real = graph.minimal_model
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(graph, "minimal_model", counted)
+    monkeypatch.setattr(invariants, "minimal_model", counted)
+    path = write_doc(tmp_path, support)
+    code, out = run_cli(capsys, path, "graph", "--minimal")
+    assert code == 0
+    # one blow-down for the support's own graph, one for the completion
+    assert len(calls) == 2
+    monkeypatch.undo()
+    og, _ = make_convenient(newton_polyhedron(Support(support)))
+    assert json.loads(out)["result"] == real(og.graph)[0].to_payload(None)
 
 
 def test_production_path_never_runs_the_laufer_walk(tmp_path, capsys, monkeypatch):

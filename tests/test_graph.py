@@ -337,7 +337,7 @@ def test_convenient_padding_blows_down_to_same_model():
     for abc in [(2, 3, 5), (2, 3, 7), (3, 4, 5), (2, 5, 7)]:
         s = brieskorn(*abc)
         g1 = minimal_model(oka_graph(newton_polyhedron(s)).graph)[0]
-        padded = make_convenient(newton_polyhedron(s)).support
+        padded = make_convenient(newton_polyhedron(s))[0].support
         g2 = minimal_model(oka_graph(newton_polyhedron(padded)).graph)[0]
         assert tree_code(g1) == tree_code(g2)
 

@@ -93,7 +93,7 @@ def test_make_convenient():
     # isolated non-convenient support
     s = Support([(2, 1, 0), (0, 3, 0), (0, 0, 2)])
     assert is_isolated(s) and not is_convenient(s)
-    out = make_convenient(newton_polyhedron(s)).support
+    out = make_convenient(newton_polyhedron(s))[0].support
     assert is_convenient(out)
     assert any(p[1] == p[2] == 0 for p in out.points)  # axis point added on x1
     old = {(f.normal, f.value) for f in newton_polyhedron(s).compact_faces}
@@ -101,7 +101,7 @@ def test_make_convenient():
     assert old <= new
     # already-convenient input: faces unchanged entirely
     fp = Support(FRONT_PAGE)
-    enlarged = make_convenient(newton_polyhedron(fp)).support
+    enlarged = make_convenient(newton_polyhedron(fp))[0].support
     assert {(f.normal, f.value) for f in newton_polyhedron(fp).compact_faces} == {
         (f.normal, f.value) for f in newton_polyhedron(enlarged).compact_faces
     }

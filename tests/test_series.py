@@ -4,6 +4,7 @@ import random
 import weakref
 
 import pytest
+from hypothesis import assume, given, settings
 
 from newtonsing.errors import KindMismatch, NotTree
 from newtonsing.graph import PlumbingGraph, wt_cycle
@@ -18,6 +19,7 @@ from newtonsing.series import (
     zeta_coefficient_convolution,
 )
 from tests.conftest import FRONT_PAGE, model_for
+from tests.test_newton import convenient_supports
 
 
 def test_zeta_trivial_and_single_vertex():
@@ -49,7 +51,7 @@ def test_zeta_two_paths_agree(corpus):
         for _ in range(3):
             cycles.append(tuple(rng.randint(0, max(x, 1)) for x in zk))
         for lp in cycles:
-            assert zeta_coefficient(g, lp) == zeta_coefficient_convolution(g, lp)
+            assert [zeta_coefficient(g, lp)] == zeta_coefficient_convolution(g, [lp])
 
 
 def test_not_tree_rejected():
@@ -58,14 +60,17 @@ def test_not_tree_rejected():
         zeta_coefficient(g, (0, 0))
     genus = PlumbingGraph([3], [1], [])
     with pytest.raises(NotTree):
-        counting_q(genus, (0,))
+        counting_q(genus, [(0,)])
+    with pytest.raises(NotTree):
+        zeta_coefficient_convolution(genus, [(0,)])
 
 
 def test_q_basics():
     m = model_for(brieskorn(2, 3, 7))
     g = m.minimal
-    assert counting_q(g, (0,) * g.nv) == 0
-    assert counting_q(g, m.zk_minimal) == 1  # p_g
+    assert counting_q(g, [(0,) * g.nv]) == [0]
+    assert counting_q(g, [m.zk_minimal]) == [1]  # p_g
+    assert counting_q(g, []) == []
 
 
 def test_q_stepwise_smoke():
@@ -74,7 +79,8 @@ def test_q_stepwise_smoke():
     seq = m.sequence("I")
     cycles = seq.cycles()
     for i, step in enumerate(seq.steps):
-        assert counting_q(g, cycles[i + 1]) - counting_q(g, cycles[i]) == step.a
+        after, before = counting_q(g, [cycles[i + 1], cycles[i]])
+        assert after - before == step.a
 
 
 def test_enumerate_P_237():
@@ -143,8 +149,8 @@ def test_q_on_many_legged_star():
     from newtonsing.newton import Support
 
     m = SingularityModel(Support([(0, 0, 9), (0, 8, 0), (1, 3, 5), (5, 0, 4), (5, 1, 6), (5, 5, 5), (8, 0, 0)]))
-    q = counting_q(m.minimal, m.zk_minimal)
-    assert q == m.pg().value == 56
+    q = counting_q(m.minimal, [m.zk_minimal])
+    assert q == [m.pg().value] == [56]
 
 
 def test_q_budget_error():
@@ -154,7 +160,7 @@ def test_q_budget_error():
 
     m = SingularityModel(Support([(0, 0, 9), (0, 9, 0), (5, 3, 0), (9, 0, 0)]))
     with pytest.raises(NewtonsingError):
-        counting_q(m.minimal, m.zk_minimal, max_states=10_000)
+        counting_q(m.minimal, [m.zk_minimal], max_states=10_000)
 
 
 @pytest.mark.parametrize(
@@ -183,7 +189,7 @@ def test_counting_q_on_chains_matches_zeta_sum(b):
             and all(x <= u for x, u in zip(lp, ub))
             and any(x < t for x, t in zip(lp, target))
         )
-        assert counting_q(g, target) == expected
+        assert counting_q(g, [target]) == [expected]
 
 
 def test_counting_q_budget_on_a_chain():
@@ -191,7 +197,7 @@ def test_counting_q_budget_on_a_chain():
     # a_n >= 0, so 3,740 states suffice where a box scan of two free values
     # needs 10,795
     g = PlumbingGraph([2, 2, 2], [0, 0, 0], [(0, 1), (1, 2)])
-    assert counting_q(g, (43, 43, 43), max_states=10_000) == 1849
+    assert counting_q(g, [(43, 43, 43)], max_states=10_000) == [1849]
 
 
 def test_counting_leaves_no_reference_cycles():
@@ -204,10 +210,47 @@ def test_counting_leaves_no_reference_cycles():
     try:
         g = PlumbingGraph(m.minimal.b, m.minimal.genus, m.minimal.edges)
         ref = weakref.ref(g)
-        assert g.nodes and counting_q(g, zk) == m.pg().value
-        assert zeta_coefficient(g, zk) == zeta_coefficient_convolution(g, zk)
+        assert g.nodes and counting_q(g, [zk]) == [m.pg().value]
+        assert [zeta_coefficient(g, zk)] == zeta_coefficient_convolution(g, [zk])
         del g
         assert ref() is None
     finally:
         if enabled:
             gc.enable()
+
+
+def shared_walk_targets(g, zk, rng):
+    """Targets that form no chain: 0 and Z_K + E (both twice), Z_K, random
+    cycles below Z_K + E, one coordinate raised alone, and cycles with no
+    positive entry, whose box is None."""
+    top = [x + 1 for x in zk]
+    targets = [(0,) * g.nv, tuple(top), tuple(zk), (0,) * g.nv, tuple(top)]
+    targets += [tuple(rng.randint(0, x) for x in top) for _ in range(6)]
+    targets += [tuple(top[v] * (w == v) for w in range(g.nv)) for v in (0, g.nv - 1)]
+    targets += [(-1,) * g.nv, tuple(-x for x in top)]
+    assert _coordinate_bounds(g.data, targets[-1]) is None
+    return targets
+
+
+def assert_shared_walks_match_single_targets(m, rng):
+    g, zk = m.minimal, m.zk_minimal
+    targets = shared_walk_targets(g, zk, rng)
+    assert counting_q(g, targets) == [counting_q(g, [lp])[0] for lp in targets]
+    conv = zeta_coefficient_convolution(g, targets)
+    assert conv == [zeta_coefficient_convolution(g, [lp])[0] for lp in targets]
+    assert conv == [zeta_coefficient(g, lp) for lp in targets]
+
+
+def test_shared_walks_match_single_targets_on_corpus(corpus):
+    rng = random.Random(29)
+    for m in corpus:
+        if 0 < m.minimal.nv <= 14:
+            assert_shared_walks_match_single_targets(m, rng)
+
+
+@given(convenient_supports())
+@settings(max_examples=60)
+def test_shared_walks_match_single_targets_on_generated_supports(support):
+    m = SingularityModel(support)
+    assume(m.polyhedron.compact_faces and m.is_rhs and m.minimal.nv > 0)
+    assert_shared_walks_match_single_targets(m, random.Random(str(support.points)))
