@@ -3,7 +3,6 @@ singularities, computed exactly from the monomial support."""
 
 from .errors import (
     BudgetExceeded,
-    Degenerate,
     Disconnected,
     EqualVectors,
     KindMismatch,
@@ -11,8 +10,6 @@ from .errors import (
     NoCompactFace,
     NonCoprime,
     NonPrimitiveInput,
-    NotAVertex,
-    NotEmpty,
     NotIsolated,
     NotNegativeDefinite,
     NotRationalHomologySphere,
@@ -24,22 +21,12 @@ from .graph import (
     check_canonical,
     intersection_data,
     merle_teissier_ZK,
-    minimal_cycle,
     minimal_model,
     oka_graph,
     wt_cycle,
 )
-from .invariants import (
-    PgResult,
-    SingularityModel,
-    SwResult,
-    geometric_genus,
-    poincare_via_sequence,
-    spectrum_leq0,
-    sw_invariant,
-)
+from .invariants import PgResult, SingularityModel, SwResult
 from .lattice import (
-    canonical_primitive_sequence,
     content,
     denominator_beta,
     determinant_alpha,
@@ -49,7 +36,6 @@ from .newton import (
     NewtonPolyhedron,
     PuiseuxPoly,
     Support,
-    brieskorn,
     classify_diagram,
     is_convenient,
     is_isolated,
@@ -58,19 +44,9 @@ from .newton import (
     newton_polyhedron,
     newton_weight,
     poincare_newton,
-    poincare_pol_part,
     saito_spectrum,
 )
-from .polygon import (
-    DilatedPolygonSpec,
-    LatticePolygon2,
-    classify_empty_polygon,
-    count_dilated_points,
-    dilated_content,
-    edge_support_function,
-    vertex_is_regular,
-)
-from .sequences import chi, laufer_x, run_sequence, z_legs_cycle
+from .sequences import laufer_x, run_sequence
 from .series import counting_q, enumerate_P, zeta_coefficient
 
 __version__ = "0.1.0"

@@ -17,18 +17,6 @@ class NonCoprime(NewtonsingError):
     pass
 
 
-class NotEmpty(NewtonsingError):
-    pass
-
-
-class Degenerate(NewtonsingError):
-    pass
-
-
-class NotAVertex(NewtonsingError):
-    pass
-
-
 class NotIsolated(NewtonsingError):
     pass
 

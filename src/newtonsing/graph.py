@@ -157,13 +157,6 @@ class PlumbingGraph:
             verts.append(rec)
         return {"vertices": verts, "edges": [list(e) for e in self.edges]}
 
-    @classmethod
-    def from_payload(cls, payload):
-        verts = sorted(payload["vertices"], key=lambda r: r["id"])
-        if [r["id"] for r in verts] != list(range(len(verts))):
-            raise ValueError("vertex ids must be 0..n-1")
-        return cls([r["b"] for r in verts], [r["genus"] for r in verts], payload["edges"])
-
     def to_dot(self):
         lines = ["graph plumbing {"]
         for v in range(self.nv):
@@ -178,7 +171,6 @@ class PlumbingGraph:
 class IntersectionData:
     """Result of a graph's one elimination; the other views derive from it."""
 
-    matrix: tuple
     determinant: int
     adjugate: tuple  # integers; the inverse is adjugate / determinant
 
@@ -191,17 +183,6 @@ class IntersectionData:
         """scaled_duals[v][w] = |det| m_w(E_v^*) = (-1)^(nv+1) adjugate[v][w]."""
         sign = 1 if self.determinant < 0 else -1
         return tuple(tuple(sign * x for x in row) for row in self.adjugate)
-
-    @cached_property
-    def dual_cycles(self) -> tuple:
-        """dual_cycles[v][w] = m_w(E_v^*), positive Fractions."""
-        d = self.group_order
-        return tuple(tuple(Fraction(x, d) for x in row) for row in self.scaled_duals)
-
-    @cached_property
-    def inverse(self) -> tuple:
-        d = self.determinant
-        return tuple(tuple(Fraction(x, d) for x in row) for row in self.adjugate)
 
     @cached_property
     def ratio_table(self) -> tuple:
@@ -278,7 +259,7 @@ def intersection_data(g: PlumbingGraph) -> IntersectionData:
                 f = rows[i][k]
                 rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], pivot_row)]
         prev = p
-    data = IntersectionData(tuple(tuple(row) for row in m), prev, tuple(tuple(row[n:]) for row in rows))
+    data = IntersectionData(prev, tuple(tuple(row[n:]) for row in rows))
     if any(x <= 0 for row in data.scaled_duals for x in row):
         raise AssertionError("dual cycle entries must be positive")
     return data
@@ -485,16 +466,6 @@ def minimal_model(g: PlumbingGraph) -> tuple:
         [genus[v] for v in kept],
         [[renum[u], renum[w]] for u, w in edges],
     ), kept
-
-
-def minimal_cycle(g: PlumbingGraph) -> tuple:
-    """Artin's minimal cycle: the Laufer sequence from E_0 with no vertex
-    held fixed.  Its fixed point does not depend on the order of increments."""
-    if g.nv == 0:
-        return ()
-    z = [1] + [0] * (g.nv - 1)
-    kernels.laufer_complete(g.b, g.neighbors, [False] * g.nv, z)
-    return tuple(z)
 
 
 def tree_code(g: PlumbingGraph) -> str:

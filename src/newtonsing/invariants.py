@@ -9,8 +9,7 @@ polyhedron and comes with its blow-down), then the minimal model (that
 blow-down, so a completion is blown down once) and the sequences.  Z_K is
 read once, off the convenient diagram as E + wt(f) - wt(x1 x2 x3), and
 restricted to the minimal model's vertices; on each graph the adjunction
-equalities certify it, so no graph is eliminated to find it.  The
-module-level functions mirror the one-shot API.
+equalities certify it, so no graph is eliminated to find it.
 """
 
 from collections import Counter
@@ -36,7 +35,6 @@ from .newton import (
     make_convenient,
     newton_polyhedron,
     poincare_newton,
-    poincare_pol_part,
     saito_spectrum,
     weight_box,
 )
@@ -190,10 +188,6 @@ class SingularityModel:
         self.require_rhs()
         return poincare_newton(self.oka.polyhedron, max_exponent)
 
-    def poincare_pol_part(self) -> PuiseuxPoly:
-        self.require_rhs()
-        return poincare_pol_part(self.oka.polyhedron)
-
     def sw(self, tie_break="min") -> SwResult:
         seq = self.sequence("I", tie_break=tie_break)
         zk = self.zk_minimal
@@ -208,19 +202,3 @@ class SingularityModel:
         ell = list(self.oka.ell)
         zk_e = [x - 1 for x in self.zk_oka]
         return kernels.count_violating(ell, zk_e, [0, 0, 0], kernels.violating_top(ell, zk_e))
-
-
-def geometric_genus(support: Support) -> PgResult:
-    return SingularityModel(support).pg()
-
-
-def spectrum_leq0(support: Support) -> Counter:
-    return SingularityModel(support).spectrum()
-
-
-def poincare_via_sequence(support: Support, max_exponent) -> PuiseuxPoly:
-    return SingularityModel(support).poincare_via_sequence(max_exponent)
-
-
-def sw_invariant(support: Support) -> SwResult:
-    return SingularityModel(support).sw()

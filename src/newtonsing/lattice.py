@@ -6,7 +6,6 @@ that turns a pair of primitive face normals into a string of
 selfintersection numbers and the chain of primitive vectors between them.
 """
 
-from fractions import Fraction
 from math import gcd
 
 from .errors import EqualVectors, NonCoprime, NonPrimitiveInput
@@ -108,26 +107,6 @@ def negative_cf(alpha: int, beta: int) -> list[int]:
         terms.append(q)
         alpha, beta = beta, q * beta - alpha
     return terms
-
-
-def cf_evaluate(terms) -> Fraction:
-    """Evaluate [b_1, ..., b_s] back to a rational number."""
-    if not terms:
-        raise ValueError("empty continued fraction")
-    value = Fraction(terms[-1])
-    for b in reversed(terms[:-1]):
-        value = b - 1 / value
-    return value
-
-
-def canonical_primitive_sequence(a: IntVec3, b: IntVec3, unit_choice: int = 0):
-    """Chain a_1, ..., a_s with a_{i-1} - b_i a_i + a_{i+1} = 0, a_0 = a, a_{s+1} = b.
-
-    The b_i are the negative continued fraction terms of alpha/beta.  For
-    alpha = 1 the sequence is empty (unit_choice = 0) or the single vector
-    a + b (unit_choice = 1).
-    """
-    return pair_data(a, b, unit_choice)[3]
 
 
 def pair_data(a: IntVec3, b: IntVec3, unit_choice: int = 0):

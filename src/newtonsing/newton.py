@@ -31,13 +31,14 @@ from .errors import (
     NotRationalHomologySphere,
 )
 from .lattice import IntVec3, content, cross, dot, vec_sub
-from .polygon import convex_hull
+
+IntVec2 = tuple[int, int]
 
 _UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
-# Budget of a weight scan: the lattice columns (p0, p1) of its weight box.
-# Front-page `poincare --max-exponent 50` spans 100,701 of them.
-WEIGHT_BOX_COLUMNS = 10**7
+# Budget of a weight scan: the lattice points of its weight box.  Front-page
+# `poincare --max-exponent 50` spans 4.0e7 of them, and (2,3,5) at 200 2.4e8.
+WEIGHT_BOX_VOLUME = 10**8
 
 
 class Support:
@@ -67,11 +68,6 @@ class Support:
 
     def __repr__(self):
         return f"Support({list(self.points)})"
-
-
-def brieskorn(a, b, c) -> Support:
-    """Support of x^a + y^b + z^c."""
-    return Support([(a, 0, 0), (0, b, 0), (0, 0, c)])
 
 
 @dataclass(frozen=True)
@@ -195,6 +191,36 @@ def _affine_rank2(vectors) -> bool:
         if cross(v1, v2) != (0, 0, 0):
             return True
     return False
+
+
+def _cross2(a: IntVec2, b: IntVec2) -> int:
+    return a[0] * b[1] - a[1] * b[0]
+
+
+def _sub2(a, b):
+    return (a[0] - b[0], a[1] - b[1])
+
+
+def convex_hull(points):
+    """Vertices of the convex hull in counterclockwise order (monotone chain).
+
+    Collinear boundary points are dropped, so the result lists vertices only.
+    """
+    pts = sorted(set(map(tuple, points)))
+    if len(pts) <= 2:
+        return pts
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and _cross2(_sub2(out[-1], out[-2]), _sub2(p, out[-2])) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    lower = chain(pts)
+    upper = chain(reversed(pts))
+    return lower[:-1] + upper[:-1]
 
 
 def _hull_in_plane(points, normal):
@@ -350,17 +376,17 @@ def newton_weight(poly: NewtonPolyhedron, p) -> Fraction:
 def weight_box(poly, bound):
     """Box certainly containing every p >= 0 with weight(p) <= bound.
 
-    Raises BudgetExceeded when the box has more than WEIGHT_BOX_COLUMNS
-    lattice columns (p0, p1): a scan of it, or the sum over periods in
+    Raises BudgetExceeded when the box holds more than WEIGHT_BOX_VOLUME
+    lattice points: a scan of it, or the sum over periods in
     `SingularityModel.poincare_via_sequence`, would not finish in time.
     """
     bound = Fraction(bound)
     num, den = bound.numerator, bound.denominator
     hi = [max(num * f.value // (den * f.normal[c]) for f in poly.compact_faces) for c in range(3)]
-    if (hi[0] + 1) * (hi[1] + 1) > WEIGHT_BOX_COLUMNS:
+    if (hi[0] + 1) * (hi[1] + 1) * (hi[2] + 1) > WEIGHT_BOX_VOLUME:
         raise BudgetExceeded(
             f"weight box budget exceeded: the weight scan spans more than "
-            f"{WEIGHT_BOX_COLUMNS} lattice columns"
+            f"{WEIGHT_BOX_VOLUME} lattice points"
         )
     return hi
 
@@ -416,15 +442,6 @@ class PuiseuxPoly:
     def terms(self):
         return [(Fraction(k, self.denominator), c) for k, c in sorted(self.numerators.items())]
 
-    def coefficient(self, e) -> int:
-        e = Fraction(e)
-        k, rest = divmod(e.numerator * self.denominator, e.denominator)
-        return 0 if rest else self.numerators.get(k, 0)
-
-    def substitute_inverse(self):
-        """t -> 1/t."""
-        return PuiseuxPoly({-k: c for k, c in self.numerators.items()}, self.denominator)
-
     def __bool__(self):
         return bool(self.numerators)
 
@@ -456,12 +473,6 @@ def poincare_newton(poly: NewtonPolyhedron, max_exponent) -> PuiseuxPoly:
     return PuiseuxPoly(
         {k: n - histogram.get(k - denominator, 0) for k, n in histogram.items()}, denominator
     )
-
-
-def poincare_pol_part(poly: NewtonPolyhedron) -> PuiseuxPoly:
-    """sum of t^(1 - weight(p)) over positive lattice points under the diagram."""
-    histogram, denominator = _weight_histogram(poly, 1, positive=True)
-    return PuiseuxPoly({denominator - k: n for k, n in histogram.items()}, denominator)
 
 
 @dataclass

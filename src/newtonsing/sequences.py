@@ -70,25 +70,6 @@ def _check_interpolation(og: OkaGraph, m):
                 )
 
 
-def leg_vertices(graph: PlumbingGraph):
-    """Vertices lying on legs: chains from a node down to a degree-1 vertex."""
-    arms = (arm for node_arms in graph.arms.values() for arm in node_arms)
-    return sorted(v for chain, far, _ in arms if far is None for v in chain)
-
-
-def z_legs_cycle(graph: PlumbingGraph) -> tuple:
-    z = [0] * graph.nv
-    for v in leg_vertices(graph):
-        z[v] = 1
-    return tuple(z)
-
-
-def chi(graph: PlumbingGraph, zk, l) -> Fraction:
-    """(-l, l - Z_K)/2."""
-    diff = tuple(Fraction(a) - Fraction(b) for a, b in zip(l, zk))
-    return Fraction(-graph.pairing(l, diff), 2)
-
-
 def fill_cycle(graph: PlumbingGraph, z_nodes) -> tuple:
     """x(Z) for the node values z_nodes (in graph.nodes order), filled chain
     by chain: x_j = ceil((beta_j x_{j-1} + z_o) / alpha_j) from x_0 = z_n."""

@@ -19,10 +19,16 @@ from math import comb
 from operator import lt
 
 from . import kernels
-from .errors import KindMismatch, NewtonsingError, NotTree
+from .errors import BudgetExceeded, KindMismatch, NotTree
 from .graph import OkaGraph, PlumbingGraph
 from .lattice import dot
 from .sequences import SequenceResult
+
+# Budget of one zeta call: the stack pops of `zeta_coefficient`'s search, or
+# the shifted terms that `zeta_coefficient_convolution`'s product forms.
+# `verify` on the recorded workloads needs at most about 4,700.
+ZETA_TERMS = 10**5
+_ZETA_BUDGET = f"zeta budget exceeded: the expansion forms more than {ZETA_TERMS} terms"
 
 
 def _require_tree(g: PlumbingGraph):
@@ -50,7 +56,10 @@ def _max_exponent(degree, remaining, dual):
 
 
 def zeta_coefficient(g: PlumbingGraph, lp) -> int:
-    """Coefficient of t^lp in Z_0(t), by exponent-assignment enumeration."""
+    """Coefficient of t^lp in Z_0(t), by exponent-assignment enumeration.
+
+    Raises BudgetExceeded past ZETA_TERMS stack pops.
+    """
     _require_tree(g)
     duals, scale = g.data.scaled_duals, g.data.group_order
     target = [x * scale for x in lp]
@@ -61,7 +70,11 @@ def zeta_coefficient(g: PlumbingGraph, lp) -> int:
     # remaining budget, signed weight), children pushed last-first so they
     # are visited in increasing exponent
     stack = [(0, target, 1)]
+    pops = 0
     while stack:
+        pops += 1
+        if pops > ZETA_TERMS:
+            raise BudgetExceeded(_ZETA_BUDGET)
         v, remaining, sign_weight = stack.pop()
         if v == g.nv:
             if all(x == 0 for x in remaining):
@@ -82,7 +95,8 @@ def zeta_coefficient_convolution(g: PlumbingGraph, lps) -> list:
     The product is truncated at the componentwise max of the targets.  That
     is exact at every target: dual entries are positive and exponents are
     >= 0, so each factor only raises coordinates, and a coefficient at c
-    only sums terms whose partial products stay <= c.
+    only sums terms whose partial products stay <= c.  Raises
+    BudgetExceeded past ZETA_TERMS shifted terms.
     """
     _require_tree(g)
     duals, scale = g.data.scaled_duals, g.data.group_order
@@ -92,12 +106,16 @@ def zeta_coefficient_convolution(g: PlumbingGraph, lps) -> list:
         return [0] * len(targets)
     top = [max(col) for col in zip(*inside)]
     acc = {(0,) * g.nv: 1}
+    terms = 0
     for v in range(g.nv):
         dual = duals[v]
         nxt = {}
         for key, coeff in acc.items():
             a = 0
             while True:
+                terms += 1
+                if terms > ZETA_TERMS:
+                    raise BudgetExceeded(_ZETA_BUDGET)
                 shifted = tuple(k + a * e for k, e in zip(key, dual))
                 if any(s > t for s, t in zip(shifted, top)):
                     break
@@ -143,8 +161,8 @@ def counting_q(g: PlumbingGraph, lps, max_states=10_000_000) -> list:
     once; summing z_l over its leaves l that are not >= lp is therefore
     exact for each lp, and each leaf is tested against every target.  A target with no positive entry has no such l
     (support cycles are >= 0) and gets 0.  `max_states` bounds the visited
-    states of that one walk and raises rather than churn on pathological
-    inputs.
+    states of that one walk, which raises BudgetExceeded rather than churn
+    on pathological inputs.
     """
     _require_tree(g)
     targets = [tuple(lp) for lp in lps]
@@ -214,7 +232,7 @@ class _ReducedCount:
     def _bump(self):
         self.states += 1
         if self.states > self.max_states:
-            raise NewtonsingError(
+            raise BudgetExceeded(
                 "counting function enumeration exceeded its state budget"
             )
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
-from newtonsing import Support, brieskorn
+from newtonsing import Support
 from newtonsing.errors import NotNegativeDefinite
 from newtonsing.invariants import SingularityModel
 
@@ -11,6 +11,11 @@ from newtonsing.invariants import SingularityModel
 # database, so a failure reproduces and the tree stays clean
 settings.register_profile("newtonsing", derandomize=True, deadline=None, database=None)
 settings.load_profile("newtonsing")
+
+def brieskorn(a, b, c) -> Support:
+    """Support of x^a + y^b + z^c."""
+    return Support([(a, 0, 0), (0, b, 0), (0, 0, c)])
+
 
 # Brieskorn exponents (a, b, c <= 11) whose links are rational homology spheres
 BRIESKORN_RHS = [
@@ -36,6 +41,15 @@ RANDOM_SUPPORTS = [
     [(0, 0, 6), (0, 6, 0), (1, 5, 3), (2, 0, 1), (4, 0, 0), (5, 5, 1)],
     [(0, 0, 5), (0, 6, 0), (1, 3, 0), (3, 1, 2), (6, 0, 0)],
     [(0, 0, 7), (0, 1, 1), (0, 3, 0), (2, 2, 1), (4, 5, 4), (7, 0, 0)],
+]
+
+
+# supports whose Z_K + E zeta expansion runs into `series.ZETA_TERMS` on both
+# paths (each counted 0.33 to 1.8 million terms without a budget)
+ZETA_HEAVY = [
+    [(4, 3, 1), (9, 0, 0), (0, 4, 0), (0, 0, 9)],
+    [(2, 3, 4), (8, 0, 0), (0, 8, 0), (0, 0, 7)],
+    [(0, 5, 4), (3, 5, 3), (4, 3, 2), (6, 0, 0), (5, 1, 0), (8, 0, 0), (0, 7, 0), (0, 0, 7)],
 ]
 
 

@@ -1,50 +1,49 @@
-"""Empty integral polygons: classification, support functions and point counts.
+"""Test-only mathematics: independent oracles that no subcommand calls.
 
-Everything here lives in Z^2 with exact arithmetic.  Callers working in an
-affine plane of Z^3 are expected to supply their own identification with Z^2.
+The empty integral polygons below (classification, support functions and
+dilated point counts) are the lemma behind |P_i| = a_i, which
+`series.enumerate_P` checks point by point in production.  Everything there
+lives in Z^2 with exact arithmetic.  Callers working in an affine plane of
+Z^3 are expected to supply their own identification with Z^2.
+
+The rest are small views of the package's objects that only the tests read:
+continued-fraction evaluation, Artin's minimal cycle, a graph rebuilt from
+its payload, leg cycles, chi, the pol part of the Poincare series and two
+Puiseux-polynomial helpers.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd
 
-from .errors import ClassificationFailed, Degenerate, NotAVertex, NotEmpty
+from newtonsing import kernels
+from newtonsing.errors import ClassificationFailed, NewtonsingError
+from newtonsing.graph import PlumbingGraph
+from newtonsing.newton import (
+    IntVec2,
+    NewtonPolyhedron,
+    PuiseuxPoly,
+    _cross2,
+    _sub2,
+    _weight_histogram,
+    convex_hull,
+)
 
-IntVec2 = tuple[int, int]
+
+class NotEmpty(NewtonsingError):
+    pass
 
 
-def _cross2(a: IntVec2, b: IntVec2) -> int:
-    return a[0] * b[1] - a[1] * b[0]
+class Degenerate(NewtonsingError):
+    pass
 
 
-def _sub2(a, b):
-    return (a[0] - b[0], a[1] - b[1])
+class NotAVertex(NewtonsingError):
+    pass
 
 
 def content2(v) -> int:
     return gcd(abs(v[0]), abs(v[1]))
-
-
-def convex_hull(points):
-    """Vertices of the convex hull in counterclockwise order (monotone chain).
-
-    Collinear boundary points are dropped, so the result lists vertices only.
-    """
-    pts = sorted(set(map(tuple, points)))
-    if len(pts) <= 2:
-        return pts
-
-    def chain(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2 and _cross2(_sub2(out[-1], out[-2]), _sub2(p, out[-2])) <= 0:
-                out.pop()
-            out.append(p)
-        return out
-
-    lower = chain(pts)
-    upper = chain(reversed(pts))
-    return lower[:-1] + upper[:-1]
 
 
 class LatticePolygon2:
@@ -116,9 +115,6 @@ class AffineMap2:
         (e, f), (g, h) = other.matrix
         m = ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
         return AffineMap2(m, self.apply(other.shift))
-
-
-IDENTITY_MAP = AffineMap2(((1, 0), (0, 1)), (0, 0))
 
 
 @dataclass(frozen=True)
@@ -334,3 +330,66 @@ def count_dilated_points(spec: DilatedPolygonSpec) -> int:
     if spec.r < 1:
         return _count_points(spec, spec.r)
     return _count_points(spec, spec.r) - _count_points(spec, spec.r - 1)
+
+
+def cf_evaluate(terms) -> Fraction:
+    """Evaluate [b_1, ..., b_s] back to a rational number."""
+    if not terms:
+        raise ValueError("empty continued fraction")
+    value = Fraction(terms[-1])
+    for b in reversed(terms[:-1]):
+        value = b - 1 / value
+    return value
+
+
+def minimal_cycle(g: PlumbingGraph) -> tuple:
+    """Artin's minimal cycle: the Laufer sequence from E_0 with no vertex
+    held fixed.  Its fixed point does not depend on the order of increments."""
+    if g.nv == 0:
+        return ()
+    z = [1] + [0] * (g.nv - 1)
+    kernels.laufer_complete(g.b, g.neighbors, [False] * g.nv, z)
+    return tuple(z)
+
+
+def from_payload(payload):
+    verts = sorted(payload["vertices"], key=lambda r: r["id"])
+    if [r["id"] for r in verts] != list(range(len(verts))):
+        raise ValueError("vertex ids must be 0..n-1")
+    return PlumbingGraph([r["b"] for r in verts], [r["genus"] for r in verts], payload["edges"])
+
+
+def leg_vertices(graph: PlumbingGraph):
+    """Vertices lying on legs: chains from a node down to a degree-1 vertex."""
+    arms = (arm for node_arms in graph.arms.values() for arm in node_arms)
+    return sorted(v for chain, far, _ in arms if far is None for v in chain)
+
+
+def z_legs_cycle(graph: PlumbingGraph) -> tuple:
+    z = [0] * graph.nv
+    for v in leg_vertices(graph):
+        z[v] = 1
+    return tuple(z)
+
+
+def chi(graph: PlumbingGraph, zk, l) -> Fraction:
+    """(-l, l - Z_K)/2."""
+    diff = tuple(Fraction(a) - Fraction(b) for a, b in zip(l, zk))
+    return Fraction(-graph.pairing(l, diff), 2)
+
+
+def poincare_pol_part(poly: NewtonPolyhedron) -> PuiseuxPoly:
+    """sum of t^(1 - weight(p)) over positive lattice points under the diagram."""
+    histogram, denominator = _weight_histogram(poly, 1, positive=True)
+    return PuiseuxPoly({denominator - k: n for k, n in histogram.items()}, denominator)
+
+
+def coefficient(series: PuiseuxPoly, e) -> int:
+    e = Fraction(e)
+    k, rest = divmod(e.numerator * series.denominator, e.denominator)
+    return 0 if rest else series.numerators.get(k, 0)
+
+
+def substitute_inverse(series: PuiseuxPoly) -> PuiseuxPoly:
+    """t -> 1/t."""
+    return PuiseuxPoly({-k: c for k, c in series.numerators.items()}, series.denominator)

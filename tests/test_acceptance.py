@@ -15,17 +15,18 @@ from newtonsing.graph import (
     wt_cycle,
 )
 from newtonsing.lattice import pair_data
-from newtonsing.newton import Support, brieskorn, newton_polyhedron
-from newtonsing.polygon import (
+from newtonsing.newton import Support, newton_polyhedron
+from newtonsing.sequences import kind1_context, laufer_x, run_sequence
+from newtonsing.series import counting_q, enumerate_P
+from tests.conftest import BRIESKORN_RHS, FRONT_PAGE, adjunction_solve, brieskorn, model_for
+from tests.oracles import (
     DilatedPolygonSpec,
     LatticePolygon2,
     count_dilated_points,
     dilated_content,
     edge_support_function,
+    z_legs_cycle,
 )
-from newtonsing.sequences import kind1_context, laufer_x, run_sequence, z_legs_cycle
-from newtonsing.series import counting_q, enumerate_P
-from tests.conftest import BRIESKORN_RHS, FRONT_PAGE, adjunction_solve, model_for
 from tests.test_polygon import _degenerate_exclusion, normal_forms, random_unimodular
 
 
@@ -183,7 +184,7 @@ def test_criterion_8_zk_cross_check():
         zk = adjunction_solve(og.graph)  # Fraction solve of the adjunction equalities
         assert zk == merle_teissier_ZK(og)
         data = intersection_data(og.graph)  # certifies negative definiteness
-        assert all(x > 0 for row in data.dual_cycles for x in row)
+        assert all(x > 0 for row in data.scaled_duals for x in row)
     print(f"\nPASS criterion 8: Z_K adjunction = E + wt(f) - wt(xyz) on {len(corpus)} graphs")
 
 

@@ -1,15 +1,20 @@
+import contextlib
+import io
 import json
 import time
+from unittest.mock import patch
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from newtonsing import cli, graph, invariants, kernels
 from newtonsing.cli import main
-from newtonsing.graph import PlumbingGraph
 from newtonsing.invariants import SingularityModel
 from newtonsing.newton import Support, make_convenient, newton_polyhedron
 from newtonsing.series import counting_q, zeta_coefficient_convolution
-from tests.conftest import FRONT_PAGE, corpus_supports
+from tests.conftest import FRONT_PAGE, ZETA_HEAVY, corpus_supports
+from tests.oracles import from_payload
 
 
 def write_doc(tmp_path, monomials, name=None):
@@ -44,7 +49,7 @@ def test_graph_front_page(tmp_path, capsys):
     verts = report["result"]["vertices"]
     leg = [v for v in verts if v.get("functional") == [2, 1, 1]]
     assert len(leg) == 1 and leg[0]["b"] == 13
-    assert PlumbingGraph.from_payload(report["result"]).nv == len(verts)
+    assert from_payload(report["result"]).nv == len(verts)
 
 
 def test_graph_minimal_and_dot(tmp_path, capsys):
@@ -82,7 +87,7 @@ def test_spectrum_and_poincare(tmp_path, capsys):
     assert report["oracles"]["newton_filtration_agrees"]
 
 
-@pytest.mark.parametrize("bound", ["1e6", "1e999"])
+@pytest.mark.parametrize("bound", ["1e6", "1e999", "200", "1000"])
 def test_huge_poincare_bound_fails_fast(tmp_path, capsys, monkeypatch, bound):
     def no_work(*args, **kwargs):
         raise RuntimeError("a Poincare path started work past the budget")
@@ -105,6 +110,52 @@ def test_poincare_bound_within_the_budget(tmp_path, capsys):
     code, out = run_cli(capsys, path, "poincare", "--max-exponent", "50")
     assert code == 0
     assert json.loads(out)["oracles"]["newton_filtration_agrees"]
+
+
+@pytest.mark.parametrize("points", ZETA_HEAVY)
+def test_zeta_budget_fails_fast(tmp_path, capsys, points):
+    path = write_doc(tmp_path, points)
+    started = time.perf_counter()
+    code, out = run_cli(capsys, path, "verify")
+    assert time.perf_counter() - started < 5.0
+    assert code == 1
+    report = json.loads(out)
+    assert report["error"] == "BudgetExceeded"
+    assert "zeta budget" in report["message"]
+
+
+@st.composite
+def supports_up_to_nine(draw):
+    """Convenient supports with every exponent at most 9."""
+    axes = [draw(st.integers(2, 9)) for _ in range(3)]
+    points = [tuple(a if k == c else 0 for k in range(3)) for c, a in enumerate(axes)]
+    extra = st.tuples(st.integers(0, 9), st.integers(0, 9), st.integers(0, 9))
+    return points + draw(st.lists(extra.filter(any), max_size=5))
+
+
+@given(supports_up_to_nine())
+@example(ZETA_HEAVY[0])
+@example(ZETA_HEAVY[1])
+@example(ZETA_HEAVY[2])
+@settings(max_examples=40)
+def test_verify_and_pg_keep_the_report_contract(points):
+    """One JSON report on stdout, exit 0 or 1, and no internal error; a
+    report without an error exits 0 with every oracle in agreement."""
+    doc = json.dumps({"monomials": [list(p) for p in points]})
+    for command in ("verify", "pg"):
+        out = io.StringIO()
+        with (
+            patch("sys.stdin", io.StringIO(doc)),
+            contextlib.redirect_stdout(out),
+            contextlib.redirect_stderr(io.StringIO()),
+        ):
+            code = main(["-", command])
+        assert out.getvalue().count("\n") == 1
+        report = json.loads(out.getvalue())
+        assert code in (0, 1) and report["command"] == command
+        assert report.get("error") != "InternalError", report
+        if "error" not in report:
+            assert code == 0 and all(report["oracles"].values()), report
 
 
 def test_determinism(tmp_path, capsys):

@@ -13,21 +13,22 @@ from newtonsing.graph import (
     check_canonical,
     intersection_data,
     merle_teissier_ZK,
-    minimal_cycle,
     minimal_model,
     oka_graph,
     wt_cycle,
     x1x2x3_cycle,
 )
 from newtonsing.invariants import SingularityModel
-from newtonsing.newton import Support, brieskorn, make_convenient, newton_polyhedron
+from newtonsing.newton import Support, make_convenient, newton_polyhedron
 from tests.conftest import (
     FRONT_PAGE,
     adjunction_solve,
+    brieskorn,
     corpus_supports,
     fraction_gauss_jordan,
     tree_code,
 )
+from tests.oracles import from_payload, minimal_cycle
 from tests.test_newton import convenient_supports
 
 
@@ -63,9 +64,9 @@ def test_front_page_graph(front_og):
 def test_intersection_single_vertex():
     g = PlumbingGraph([2], [0], [])
     data = intersection_data(g)
-    assert data.matrix == ((-2,),)
+    assert g.intersection_matrix() == [[-2]]
     assert data.group_order == 2
-    assert data.dual_cycles == ((Fraction(1, 2),),)
+    assert data.scaled_duals == ((1,),)
 
 
 def test_e8_unimodular():
@@ -77,15 +78,16 @@ def test_e8_unimodular():
 def test_duals_positive_on_corpus(corpus):
     for m in corpus:
         data = intersection_data(m.oka.graph)
-        assert all(x > 0 for row in data.dual_cycles for x in row)
+        assert all(x > 0 for row in data.scaled_duals for x in row)
         # (E_v^*, E_w) = -delta exactly, and I * I^-1 is the identity
         g = m.oka.graph
+        matrix = g.intersection_matrix()
+        order, det = data.group_order, data.determinant
         for v in range(g.nv):
+            dual = [Fraction(x, order) for x in data.scaled_duals[v]]
             for w in range(g.nv):
-                assert g.pairing(data.dual_cycles[v], [int(u == w) for u in range(g.nv)]) == -(
-                    v == w
-                )
-                prod = sum(data.matrix[v][u] * data.inverse[u][w] for u in range(g.nv))
+                assert g.pairing(dual, [int(u == w) for u in range(g.nv)]) == -(v == w)
+                prod = sum(matrix[v][u] * Fraction(data.adjugate[u][w], det) for u in range(g.nv))
                 assert prod == (v == w)
 
 
@@ -104,9 +106,7 @@ def assert_elimination_matches_oracle(g):
     data = intersection_data(g)
     assert data.determinant == det and data.group_order == abs(det)
     assert data.adjugate == tuple(tuple(det * x for x in row) for row in inv)
-    assert data.inverse == tuple(map(tuple, inv))
     duals = [[-x for x in row] for row in inv]
-    assert data.dual_cycles == tuple(map(tuple, duals))
     assert data.scaled_duals == tuple(tuple(abs(det) * x for x in row) for row in duals)
     for w in range(g.nv):
         for wp in range(g.nv):
@@ -428,7 +428,7 @@ def test_rhs_oka_graphs_are_genus0_trees(corpus):
 def test_graph_payload_round_trip(front_og):
     g = front_og.graph
     payload = g.to_payload()
-    assert PlumbingGraph.from_payload(payload) == g
+    assert from_payload(payload) == g
     dot = g.to_dot()
     assert 'label="v0 [b=' in dot
 

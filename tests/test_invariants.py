@@ -3,14 +3,10 @@ from fractions import Fraction
 import pytest
 
 from newtonsing.errors import NoCompactFace, NotIsolated, NotRationalHomologySphere
-from newtonsing.invariants import (
-    SingularityModel,
-    geometric_genus,
-    poincare_via_sequence,
-    spectrum_leq0,
-    sw_invariant,
-)
-from newtonsing.newton import Support, brieskorn
+from newtonsing.invariants import SingularityModel
+from newtonsing.newton import Support
+from tests.conftest import brieskorn
+from tests.oracles import coefficient
 
 
 def test_error_paths():
@@ -22,13 +18,13 @@ def test_error_paths():
         SingularityModel(brieskorn(3, 3, 3)).pg()
 
 
-def test_one_shot_wrappers():
+def test_headline_invariants_of_a_fresh_model():
     s = brieskorn(2, 3, 7)
-    assert geometric_genus(s).value == 1
-    assert spectrum_leq0(s) == {Fraction(-1, 42): 1}
-    assert sw_invariant(s).value == 1
-    series = poincare_via_sequence(s, 1)
-    assert series.coefficient(0) == 1
+    assert SingularityModel(s).pg().value == 1
+    assert SingularityModel(s).spectrum() == {Fraction(-1, 42): 1}
+    assert SingularityModel(s).sw().value == 1
+    series = SingularityModel(s).poincare_via_sequence(1)
+    assert coefficient(series, 0) == 1
 
 
 def test_sw_result_relation(corpus):
@@ -40,7 +36,7 @@ def test_sw_result_relation(corpus):
 
 def test_poincare_constant_coefficient(corpus):
     for m in corpus:
-        assert m.poincare_via_sequence(1).coefficient(0) == 1
+        assert coefficient(m.poincare_via_sequence(1), 0) == 1
 
 
 def test_spectrum_range(corpus):

@@ -7,17 +7,17 @@ from hypothesis import strategies as st
 
 from newtonsing.errors import EqualVectors, NonCoprime, NonPrimitiveInput
 from newtonsing.lattice import (
-    canonical_primitive_sequence,
-    cf_evaluate,
     content,
     cross,
     denominator_beta,
     determinant_alpha,
     negative_cf,
+    pair_data,
     vec_add,
     vec_scale,
     vec_sub,
 )
+from tests.oracles import cf_evaluate
 
 
 def test_content_examples():
@@ -57,14 +57,14 @@ def test_negative_cf_examples():
 
 
 def test_canonical_sequence_examples():
-    assert canonical_primitive_sequence((11, 5, 7), (15, 8, 6)) == [(2, 1, 1)]
-    assert canonical_primitive_sequence((32, 12, 21), (0, 0, 1)) == [
+    assert pair_data((11, 5, 7), (15, 8, 6))[3] == [(2, 1, 1)]
+    assert pair_data((32, 12, 21), (0, 0, 1))[3] == [
         (24, 9, 16),
         (16, 6, 11),
         (8, 3, 6),
     ]
-    assert canonical_primitive_sequence((11, 5, 7), (6, 3, 4), 0) == []
-    assert canonical_primitive_sequence((11, 5, 7), (6, 3, 4), 1) == [(17, 8, 11)]
+    assert pair_data((11, 5, 7), (6, 3, 4), 0)[3] == []
+    assert pair_data((11, 5, 7), (6, 3, 4), 1)[3] == [(17, 8, 11)]
 
 
 def test_negative_cf_round_trip_exhaustive():
@@ -108,7 +108,7 @@ def test_canonical_sequence_recursion(data):
     if a is None or b is None or a == b or cross(a, b) == (0, 0, 0):
         return
     unit_choice = data.draw(st.sampled_from([0, 1]))
-    seq = canonical_primitive_sequence(a, b, unit_choice)
+    seq = pair_data(a, b, unit_choice)[3]
     alpha = determinant_alpha(a, b)
     if alpha == 1:
         assert seq == ([] if unit_choice == 0 else [vec_add(a, b)])

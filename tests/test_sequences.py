@@ -11,22 +11,20 @@ from newtonsing.errors import NewtonsingError
 from newtonsing import sequences
 from newtonsing.graph import wt_cycle, x1x2x3_cycle
 from newtonsing.invariants import SingularityModel
-from newtonsing.newton import PuiseuxPoly, Support, brieskorn
+from newtonsing.newton import PuiseuxPoly, Support
 from newtonsing.sequences import (
     SeqStep,
     SequenceContext,
     SequenceResult,
-    chi,
     fill_cycle,
     kind1_context,
     kind2_context,
     kind3_context,
     laufer_x,
-    leg_vertices,
     run_sequence,
-    z_legs_cycle,
 )
-from tests.conftest import FRONT_PAGE, adjunction_solve, model_for
+from tests.conftest import FRONT_PAGE, adjunction_solve, brieskorn, model_for
+from tests.oracles import chi, leg_vertices, z_legs_cycle
 from tests.test_newton import convenient_supports
 
 

@@ -6,10 +6,10 @@ import weakref
 import pytest
 from hypothesis import assume, given, settings
 
-from newtonsing.errors import KindMismatch, NotTree
+from newtonsing.errors import BudgetExceeded, KindMismatch, NotTree
 from newtonsing.graph import PlumbingGraph, wt_cycle
 from newtonsing.invariants import SingularityModel
-from newtonsing.newton import Support, brieskorn
+from newtonsing.newton import Support
 from newtonsing.sequences import kind1_context, run_sequence
 from newtonsing.series import (
     _coordinate_bounds,
@@ -18,7 +18,7 @@ from newtonsing.series import (
     zeta_coefficient,
     zeta_coefficient_convolution,
 )
-from tests.conftest import FRONT_PAGE, model_for
+from tests.conftest import FRONT_PAGE, ZETA_HEAVY, brieskorn, model_for
 from tests.test_newton import convenient_supports
 
 
@@ -154,13 +154,21 @@ def test_q_on_many_legged_star():
 
 
 def test_q_budget_error():
-    from newtonsing.errors import NewtonsingError
     from newtonsing.invariants import SingularityModel
     from newtonsing.newton import Support
 
     m = SingularityModel(Support([(0, 0, 9), (0, 9, 0), (5, 3, 0), (9, 0, 0)]))
-    with pytest.raises(NewtonsingError):
+    with pytest.raises(BudgetExceeded, match="state budget"):
         counting_q(m.minimal, [m.zk_minimal], max_states=10_000)
+
+
+def test_zeta_paths_stop_at_their_budget():
+    m = model_for(Support(ZETA_HEAVY[0]))
+    top = [x + 1 for x in m.zk_minimal]
+    with pytest.raises(BudgetExceeded, match="zeta budget"):
+        zeta_coefficient(m.minimal, top)
+    with pytest.raises(BudgetExceeded, match="zeta budget"):
+        zeta_coefficient_convolution(m.minimal, [top])
 
 
 @pytest.mark.parametrize(

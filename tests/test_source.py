@@ -4,6 +4,7 @@ from pathlib import Path
 import newtonsing
 
 SOURCES = sorted(Path(newtonsing.__file__).parent.glob("*.py"))
+BENCHMARK = sorted((Path(newtonsing.__file__).parents[2] / "perfbench").glob("*.py"))
 
 
 def test_no_assert_statements():
@@ -33,3 +34,48 @@ def test_no_nested_function_refers_to_itself():
                 if any(isinstance(node, ast.Name) and node.id == inner.name for node in ast.walk(inner)):
                     found.append(f"{path.name}:{inner.lineno} {inner.name}")
     assert found == []
+
+
+def _read_names(tree):
+    """(name, line) of every name and attribute the tree reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+
+
+def test_every_definition_is_referenced():
+    """Every function, class and method of the package is named somewhere in
+    the package outside its own body, or by the benchmark (as a name, or as
+    a part of a dotted string such as a traced layer).  Code that only the
+    tests call lives in the tests.  `__init__.py` re-exports names and does
+    not count; dunder methods are called by the language."""
+    assert BENCHMARK
+    trees = {
+        path.name: ast.parse(path.read_text(), filename=str(path))
+        for path in SOURCES
+        if path.name != "__init__.py"
+    }
+    reads = [(name, module, line) for module, tree in trees.items() for name, line in _read_names(tree)]
+    benchmark = set()
+    for path in BENCHMARK:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        benchmark.update(name for name, _ in _read_names(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                benchmark.update(node.value.split("."))
+    unreferenced = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if (name.startswith("__") and name.endswith("__")) or name in benchmark:
+                continue
+            if not any(
+                read == name and not (where == module and node.lineno <= line <= node.end_lineno)
+                for read, where, line in reads
+            ):
+                unreferenced.append(f"{module}:{node.lineno} {name}")
+    assert unreferenced == []
