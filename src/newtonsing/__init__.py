@@ -28,7 +28,6 @@ from .graph import (
 from .invariants import PgResult, SingularityModel, SwResult
 from .lattice import (
     content,
-    denominator_beta,
     determinant_alpha,
     negative_cf,
 )

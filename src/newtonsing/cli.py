@@ -7,12 +7,14 @@ rationals render as "p/q", and timing goes to stderr.
 
 Exit codes: 0 success, 1 domain or internal error, 2 usage or input error.
 An internal failure (a broken invariant check or exhausted recursion) is
-reported as an InternalError, never as a traceback.
+reported as an InternalError, never as a traceback.  When the reader of
+stdout has gone (`newtonsing ... | head`), the run exits 1 quietly.
 """
 
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -274,6 +276,18 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # point stdout at the null device, so that the interpreter's own
+        # flush at exit does not fail on the closed pipe again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

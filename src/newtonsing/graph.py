@@ -17,7 +17,7 @@ from functools import cached_property
 
 from . import kernels
 from .errors import Disconnected, NewtonsingError, NoCompactFace, NotNegativeDefinite, NotTree
-from .lattice import denominator_beta, dot, pair_data, vec_add
+from .lattice import dot, pair_data, vec_add
 from .newton import NewtonPolyhedron, Support
 
 ONES = (1, 1, 1)
@@ -281,23 +281,17 @@ def check_canonical(g: PlumbingGraph, z) -> tuple:
 
 
 @dataclass
-class Bamboo:
-    face_a: tuple  # normal of the node the orientation starts at
-    face_b: tuple  # normal of the other face (node or star)
-    vertex_ids: tuple  # possibly empty, ordered from face_a to face_b
-    alpha: int
-    beta: int
-    beta_reverse: int | None  # for node-node bamboos
-
-
-@dataclass
 class OkaGraph:
+    """Oka's graph with its functionals.  Its chains are `graph.arms`: read
+    from a node n, an arm's (alphas[0], alphas[1]) is `pair_data`'s
+    (alpha, beta) of l_n and the far functional (l_far, or the star normal
+    of a leg)."""
+
     graph: PlumbingGraph
     polyhedron: NewtonPolyhedron
     support: Support
     ell: tuple  # vertex id -> primitive functional
     node_ids: dict  # compact face normal -> vertex id
-    bamboos: list
     star_attach: dict  # vertex id -> star normal it abuts
 
 
@@ -319,7 +313,6 @@ def oka_graph(poly: NewtonPolyhedron) -> OkaGraph:
     b_values = [None] * len(compact)
     genus = [None] * len(compact)
     edges = []
-    bamboos = []
     star_attach = {}
 
     def new_vertex(functional, selfint):
@@ -339,8 +332,7 @@ def oka_graph(poly: NewtonPolyhedron) -> OkaGraph:
     for fa, fb, t in pairs:
         a_vec, b_vec = fa.normal, fb.normal
         unit_choice = 0 if fb.compact else 1
-        alpha, beta, string, seq = pair_data(a_vec, b_vec, unit_choice)
-        beta_rev = denominator_beta(b_vec, a_vec) if fb.compact else None
+        string, seq = pair_data(a_vec, b_vec, unit_choice)[2:]
         for _ in range(t):
             vids = tuple(new_vertex(vec, s) for vec, s in zip(seq, string))
             chain = [node_ids[a_vec], *vids]
@@ -350,7 +342,6 @@ def oka_graph(poly: NewtonPolyhedron) -> OkaGraph:
                 edges.append((u, v))
             if not fb.compact and vids:
                 star_attach[vids[-1]] = b_vec
-            bamboos.append(Bamboo(a_vec, b_vec, vids, alpha, beta, beta_rev))
 
     # node selfintersections from the neighbour sum; node genera from
     # interior lattice points of the face
@@ -375,7 +366,7 @@ def oka_graph(poly: NewtonPolyhedron) -> OkaGraph:
         genus[nid] = _interior_points(poly, face)
 
     graph = PlumbingGraph(b_values, genus, edges)
-    og = OkaGraph(graph, poly, support, tuple(ell), node_ids, bamboos, star_attach)
+    og = OkaGraph(graph, poly, support, tuple(ell), node_ids, star_attach)
     _check_neighbor_sums(og)
     return og
 

@@ -175,11 +175,12 @@ class SingularityModel:
         g = seq.graph
         den = lcm(*(step.r.denominator for step in seq.steps))
         cap = floor(bound * den)
+        slope = {n: g.dot_E(seq.target, n) for n in g.nodes}
         terms = Counter()
         for step in seq.steps:
             k = step.r.numerator * (den // step.r.denominator)
             c = 1 - step.pairing
-            d = g.dot_E(seq.target, step.v)
+            d = slope[step.v]
             for j in range((cap - k) // den + 1):
                 terms[k + j * den] += max(0, c - j * d)
         return PuiseuxPoly(terms, den)

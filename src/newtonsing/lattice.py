@@ -67,27 +67,22 @@ def determinant_alpha(a: IntVec3, b: IntVec3) -> int:
     return alpha
 
 
-def denominator_beta(a: IntVec3, b: IntVec3, unit_choice: int = 0) -> int:
-    """The unique 0 <= beta < alpha(a,b) with content(beta*a + b) = alpha.
-
-    Found by exhaustive scan: modular inversion of a coordinate of ``a``
-    fails whenever that coordinate shares a factor with alpha, while the
-    scan is always correct and cheap at this scale.  When alpha = 1 the
-    value is a convention and ``unit_choice`` (0 or 1) is returned.
-    """
-    if unit_choice not in (0, 1):
-        raise ValueError("unit_choice must be 0 or 1")
-    alpha = determinant_alpha(a, b)
-    if alpha == 1:
-        return unit_choice
-    return _beta_scan(a, b, alpha)
+def _xgcd(x: int, y: int) -> tuple:
+    """(g, s, t) with s*x + t*y = g = gcd(x, y) >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while y:
+        q = x // y
+        x, y = y, x - q * y
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (x, s0, t0) if x >= 0 else (-x, -s0, -t0)
 
 
-def _beta_scan(a: IntVec3, b: IntVec3, alpha: int) -> int:
-    for beta in range(alpha):
-        if content(vec_add(vec_scale(beta, a), b)) == alpha:
-            return beta
-    raise AssertionError(f"no denominator found for {a}, {b}")  # unreachable
+def _inverse_functional(a: IntVec3) -> IntVec3:
+    """u with u.a = 1, for a primitive a: two extended gcds."""
+    g, s, t = _xgcd(a[0], a[1])
+    _, p, q = _xgcd(g, a[2])
+    return (p * s, p * t, q)
 
 
 def negative_cf(alpha: int, beta: int) -> list[int]:
@@ -112,9 +107,12 @@ def negative_cf(alpha: int, beta: int) -> list[int]:
 def pair_data(a: IntVec3, b: IntVec3, unit_choice: int = 0):
     """(alpha, beta, selfintersection string, canonical primitive sequence).
 
-    The string is empty exactly when the sequence is; for alpha = 1 with
-    unit_choice = 1 it is the single term [1].  alpha, the beta scan and
-    the continued fraction are each computed once.
+    beta is the unique 0 <= beta < alpha with alpha | beta*a + b.  With
+    u.a = 1 (`_inverse_functional`), pairing that divisibility with u gives
+    beta = -u.b mod alpha, so beta costs two extended gcds; the start vector
+    (beta*a + b) / alpha and the closing recursion certify it.  The string
+    is empty exactly when the sequence is; for alpha = 1 with
+    unit_choice = 1 it is the single term [1].
     """
     alpha = determinant_alpha(a, b)
     if alpha == 1:
@@ -122,7 +120,7 @@ def pair_data(a: IntVec3, b: IntVec3, unit_choice: int = 0):
         if unit_choice == 0:
             return alpha, beta, [], []
         return alpha, beta, [1], [vec_add(a, b)]
-    beta = _beta_scan(a, b, alpha)
+    beta = -dot(_inverse_functional(a), b) % alpha
     terms = negative_cf(alpha, beta)
     first = vec_add(vec_scale(beta, a), b)
     if any(x % alpha for x in first):

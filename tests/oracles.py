@@ -7,7 +7,7 @@ lives in Z^2 with exact arithmetic.  Callers working in an affine plane of
 Z^3 are expected to supply their own identification with Z^2.
 
 The rest are small views of the package's objects that only the tests read:
-continued-fraction evaluation, Artin's minimal cycle, a graph rebuilt from
+the exhaustive scan for Oka's beta, continued-fraction evaluation, Artin's minimal cycle, a graph rebuilt from
 its payload, leg cycles, chi, the pol part of the Poincare series and two
 Puiseux-polynomial helpers.
 """
@@ -19,6 +19,7 @@ from math import ceil, floor, gcd
 from newtonsing import kernels
 from newtonsing.errors import ClassificationFailed, NewtonsingError
 from newtonsing.graph import PlumbingGraph
+from newtonsing.lattice import _xgcd, content, vec_add, vec_scale
 from newtonsing.newton import (
     IntVec2,
     NewtonPolyhedron,
@@ -145,20 +146,6 @@ def _complement_basis(d: IntVec2) -> IntVec2:
         raise AssertionError(f"direction {d} is not primitive")
     # dx*x + dy*y = 1  ->  u = (-y, x) gives dx*x - dy*(-y) = 1
     return (-y, x)
-
-
-def _xgcd(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 def classify_empty_polygon(polygon: LatticePolygon2) -> EmptyPolygonClass:
@@ -330,6 +317,15 @@ def count_dilated_points(spec: DilatedPolygonSpec) -> int:
     if spec.r < 1:
         return _count_points(spec, spec.r)
     return _count_points(spec, spec.r) - _count_points(spec, spec.r - 1)
+
+
+def beta_scan(a, b, alpha) -> int:
+    """The least 0 <= beta < alpha with content(beta*a + b) = alpha, found
+    by trying every candidate: the reference for `pair_data`'s beta."""
+    for beta in range(alpha):
+        if content(vec_add(vec_scale(beta, a), b)) == alpha:
+            return beta
+    raise ValueError(f"no denominator found for {a}, {b}")
 
 
 def cf_evaluate(terms) -> Fraction:

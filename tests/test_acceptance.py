@@ -27,6 +27,7 @@ from tests.oracles import (
     edge_support_function,
     z_legs_cycle,
 )
+from tests.test_graph import leg_toward
 from tests.test_polygon import _degenerate_exclusion, normal_forms, random_unimodular
 
 
@@ -51,8 +52,8 @@ def test_criterion_1_worked_example():
     assert string == [2, 2, 2]
 
     og = oka_graph(newton_polyhedron(Support(FRONT_PAGE)))
-    bam = next(b for b in og.bamboos if (b.face_a, b.face_b) == ((32, 12, 21), (0, 0, 1)))
-    assert [og.graph.b[v] for v in bam.vertex_ids] == [2, 2, 2]
+    chain = leg_toward(og, (32, 12, 21), (0, 0, 1))
+    assert [og.graph.b[v] for v in chain] == [2, 2, 2]
     leg = next(v for v in range(og.graph.nv) if og.ell[v] == (2, 1, 1))
     assert og.graph.b[leg] == 13
 
@@ -152,11 +153,11 @@ def test_criterion_7_laufer_operator_laws():
         g = og.graph
         zk = m.zk_oka
         zero = (0,) * g.nv
-        assert laufer_x(g, zero, og) == zero
+        assert laufer_x(g, zero) == zero
         wtf = wt_cycle(og, og.support.points)
-        assert laufer_x(g, wtf, og) == wtf
+        assert laufer_x(g, wtf) == wtf
         zk_e = tuple(x - 1 for x in zk)
-        assert laufer_x(g, zk_e, og) == tuple(
+        assert laufer_x(g, zk_e) == tuple(
             a + b for a, b in zip(zk_e, z_legs_cycle(g))
         )
         for _ in range(250):

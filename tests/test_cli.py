@@ -1,7 +1,11 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from unittest.mock import patch
 
 import pytest
@@ -122,6 +126,39 @@ def test_zeta_budget_fails_fast(tmp_path, capsys, points):
     report = json.loads(out)
     assert report["error"] == "BudgetExceeded"
     assert "zeta budget" in report["message"]
+
+
+# x^7 + y^11 + z^1000003: a graph of 12,997 vertices, and 59,000,101 kind-I steps
+LONG_SEQUENCE = [(7, 0, 0), (0, 11, 0), (0, 0, 1000003)]
+
+
+def test_sequence_step_budget_fails_fast(tmp_path, capsys):
+    path = write_doc(tmp_path, LONG_SEQUENCE)
+    started = time.perf_counter()
+    code, out = run_cli(capsys, path, "pg")
+    assert time.perf_counter() - started < 5.0
+    assert code == 1
+    assert out.count("\n") == 1
+    report = json.loads(out)
+    assert report["error"] == "BudgetExceeded"
+    assert "sequence step budget" in report["message"]
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    path = write_doc(tmp_path, LONG_SEQUENCE)
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "newtonsing", path, "graph"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()  # the reader goes away before the report is written
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err, err
 
 
 @st.composite

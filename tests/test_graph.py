@@ -19,6 +19,7 @@ from newtonsing.graph import (
     x1x2x3_cycle,
 )
 from newtonsing.invariants import SingularityModel
+from newtonsing.lattice import pair_data
 from newtonsing.newton import Support, make_convenient, newton_polyhedron
 from tests.conftest import (
     FRONT_PAGE,
@@ -50,15 +51,57 @@ def test_front_page_graph(front_og):
     leg = by_ell[(2, 1, 1)]
     assert g.b[leg] == 13
     assert set(g.neighbors[leg]) == {front_og.node_ids[(11, 5, 7)], front_og.node_ids[(15, 8, 6)]}
-    # bamboo toward the x3 coordinate face
-    bam = next(
-        b for b in front_og.bamboos if b.face_a == (32, 12, 21) and b.face_b == (0, 0, 1)
-    )
-    assert [front_og.ell[v] for v in bam.vertex_ids] == [(24, 9, 16), (16, 6, 11), (8, 3, 6)]
-    assert [g.b[v] for v in bam.vertex_ids] == [2, 2, 2]
+    # chain from the node (32,12,21) toward the x3 coordinate face
+    chain = leg_toward(front_og, (32, 12, 21), (0, 0, 1))
+    assert [front_og.ell[v] for v in chain] == [(24, 9, 16), (16, 6, 11), (8, 3, 6)]
+    assert [g.b[v] for v in chain] == [2, 2, 2]
     # nodes (11,5,7) and (6,3,4) joined directly by the empty bamboo
     n1, n2 = front_og.node_ids[(11, 5, 7)], front_og.node_ids[(6, 3, 4)]
     assert (min(n1, n2), max(n1, n2)) in g.edges
+
+
+def leg_toward(og, node_normal, star_normal) -> tuple:
+    """The chain of the leg from a node to a coordinate face, read from the node."""
+    n = og.node_ids[node_normal]
+    (chain,) = [
+        chain
+        for chain, far, _ in og.graph.arms[n]
+        if far is None and og.star_attach[chain[-1]] == star_normal
+    ]
+    return chain
+
+
+def assert_arms_are_okas_chains(og):
+    """Every arm read from a node n carries Oka's (alpha, beta) of l_n and
+    the far functional: l_far between two nodes, the star normal its last
+    vertex abuts on a leg.  Each chain between nodes is read from both ends,
+    so beta and its inverse mod alpha are both checked."""
+    g = og.graph
+    arms = 0
+    for n in g.nodes:
+        for chain, far, alphas in g.arms[n]:
+            if far is None:
+                far_normal, unit_choice = og.star_attach[chain[-1]], 1
+            else:
+                far_normal, unit_choice = og.ell[far], 0
+            alpha, beta, string, seq = pair_data(og.ell[n], far_normal, unit_choice)
+            assert (alphas[0], alphas[1]) == (alpha, beta)
+            assert [g.b[v] for v in chain] == string
+            assert [og.ell[v] for v in chain] == seq
+            arms += 1
+    return arms
+
+
+def test_arms_are_okas_chains_on_corpus(corpus):
+    assert sum(assert_arms_are_okas_chains(m.oka) for m in corpus) == 93
+
+
+@given(convenient_supports())
+@settings(max_examples=100)
+def test_arms_are_okas_chains_on_generated_supports(support):
+    m = SingularityModel(support)
+    assume(m.polyhedron.compact_faces and m.is_rhs)
+    assert assert_arms_are_okas_chains(m.oka) >= 3
 
 
 def test_intersection_single_vertex():

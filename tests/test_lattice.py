@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -9,7 +10,6 @@ from newtonsing.errors import EqualVectors, NonCoprime, NonPrimitiveInput
 from newtonsing.lattice import (
     content,
     cross,
-    denominator_beta,
     determinant_alpha,
     negative_cf,
     pair_data,
@@ -17,7 +17,7 @@ from newtonsing.lattice import (
     vec_scale,
     vec_sub,
 )
-from tests.oracles import cf_evaluate
+from tests.oracles import beta_scan, cf_evaluate
 
 
 def test_content_examples():
@@ -42,10 +42,42 @@ def test_alpha_errors():
 
 
 def test_beta_examples():
-    assert denominator_beta((11, 5, 7), (15, 8, 6)) == 1
-    assert denominator_beta((32, 12, 21), (0, 0, 1)) == 3
-    assert denominator_beta((11, 5, 7), (6, 3, 4), unit_choice=0) == 0
-    assert denominator_beta((11, 5, 7), (6, 3, 4), unit_choice=1) == 1
+    assert pair_data((11, 5, 7), (15, 8, 6))[1] == 1
+    assert pair_data((32, 12, 21), (0, 0, 1))[1] == 3
+    assert pair_data((11, 5, 7), (6, 3, 4), unit_choice=0)[1] == 0
+    assert pair_data((11, 5, 7), (6, 3, 4), unit_choice=1)[1] == 1
+
+
+def test_beta_beyond_any_scan():
+    # alpha = 10^9 + 7 (a prime): b = alpha*w - beta*a puts beta*a + b in
+    # alpha Z^3, so the definition fixes beta
+    a, w, alpha, beta = (3, 5, 7), (1, 2, 4), 10**9 + 7, 123456789
+    b = vec_sub(vec_scale(alpha, w), vec_scale(beta, a))
+    assert content(b) == 1
+    got_alpha, got_beta, string, seq = pair_data(a, b)
+    assert got_alpha == alpha > 10**9
+    assert 0 <= got_beta < alpha
+    assert content(vec_add(vec_scale(got_beta, a), b)) == alpha
+    assert got_beta == beta
+    assert cf_evaluate(string) == Fraction(alpha, beta)
+    # read from the other end, the chain's beta is the inverse mod alpha
+    assert pair_data(b, a)[1] * beta % alpha == 1
+
+
+def test_beta_matches_the_scan_with_signed_coordinates():
+    rng = random.Random(5)
+    checked = 0
+    while checked < 2000:
+        a, b = (tuple(rng.randint(-40, 40) for _ in range(3)) for _ in range(2))
+        if content(a) != 1 or content(b) != 1 or cross(a, b) == (0, 0, 0):
+            continue
+        alpha = determinant_alpha(a, b)
+        if alpha == 1:
+            continue
+        beta = pair_data(a, b)[1]
+        assert beta == beta_scan(a, b, alpha)
+        assert pair_data(b, a)[1] * beta % alpha == 1
+        checked += 1
 
 
 def test_negative_cf_examples():
@@ -97,7 +129,7 @@ def test_beta_uniqueness_and_alpha_symmetry(data):
             for beta in range(alpha)
             if content(vec_add(vec_scale(beta, a), b)) == alpha
         ]
-        assert matches == [denominator_beta(a, b)]
+        assert matches == [pair_data(a, b)[1]] == [beta_scan(a, b, alpha)]
 
 
 @given(st.data())
@@ -116,7 +148,9 @@ def test_canonical_sequence_recursion(data):
             return
         terms = [1]
     else:
-        terms = negative_cf(alpha, denominator_beta(a, b))
+        beta = beta_scan(a, b, alpha)
+        assert pair_data(a, b, unit_choice)[1] == beta
+        terms = negative_cf(alpha, beta)
     chain = [a, *seq, b]
     assert all(content(v) == 1 for v in seq)
     for i, b_i in enumerate(terms, start=1):

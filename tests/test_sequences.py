@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from newtonsing.errors import NewtonsingError
+from newtonsing.errors import BudgetExceeded, NewtonsingError
 from newtonsing import sequences
 from newtonsing.graph import wt_cycle, x1x2x3_cycle
 from newtonsing.invariants import SingularityModel
@@ -33,12 +33,12 @@ def test_x_fixed_points_on_corpus(corpus):
         og = m.oka
         g = og.graph
         zero = (0,) * g.nv
-        assert laufer_x(g, zero, og) == zero
+        assert laufer_x(g, zero) == zero
         wtf = wt_cycle(og, og.support.points)
-        assert laufer_x(g, wtf, og) == wtf  # convenient diagram
+        assert laufer_x(g, wtf) == wtf  # convenient diagram
         zk_e = tuple(x - 1 for x in m.zk_oka)
         expected = tuple(a + b for a, b in zip(zk_e, z_legs_cycle(g)))
-        assert laufer_x(g, zk_e, og) == expected
+        assert laufer_x(g, zk_e) == expected
 
 
 def test_x_idempotent_and_monotone(corpus):
@@ -61,12 +61,21 @@ def test_x_idempotent_and_monotone(corpus):
 
 def test_leg_vertices_front_page():
     og = model_for(Support(FRONT_PAGE)).oka
-    legs = leg_vertices(og.graph)
-    # legs are exactly the bamboos that end at a coordinate face
-    expected = sorted(
-        v for bam in og.bamboos if bam.face_b not in og.node_ids for v in bam.vertex_ids
-    )
-    assert legs == expected
+    g = og.graph
+    legs = leg_vertices(g)
+    # legs are exactly the chains that end at a coordinate face: the vertices
+    # joined to a star-abutting vertex off the nodes
+    expected, stack = set(), list(og.star_attach)
+    while stack:
+        v = stack.pop()
+        if v not in expected and g.degree[v] < 3:
+            expected.add(v)
+            stack.extend(g.neighbors[v])
+    assert legs == sorted(expected)
+    assert sorted(og.ell[v] for v in legs) == [
+        (2, 1, 2), (3, 2, 2), (4, 2, 3), (5, 3, 2), (8, 3, 6),
+        (8, 4, 3), (11, 4, 7), (16, 6, 11), (24, 9, 16),
+    ]
 
 
 def test_sequence_counts_and_ratios(corpus):
@@ -85,6 +94,18 @@ def test_sequence_counts_and_ratios(corpus):
                 assert seq.reached[n] == max(0, target[n])
             if kind == "I":
                 assert seq.reached == seq.target
+
+
+def test_step_budget_admits_exactly_the_steps_needed(front_page_model, monkeypatch):
+    # the sum of the target's positive node values is the exact step count
+    m = front_page_model
+    ctx = kind1_context(m.minimal, m.zk_minimal)
+    needed = sum(max(0, m.zk_minimal[n]) for n in m.minimal.nodes)
+    monkeypatch.setattr(sequences, "SEQUENCE_STEPS", needed)
+    assert len(run_sequence(ctx).steps) == needed
+    monkeypatch.setattr(sequences, "SEQUENCE_STEPS", needed - 1)
+    with pytest.raises(BudgetExceeded, match="sequence step budget"):
+        run_sequence(ctx)
 
 
 def replay_kind2(m, bound, tie_break):
@@ -110,7 +131,7 @@ def replay_kind2(m, bound, tie_break):
         cycles.append(z)
         bumped = list(z)
         bumped[n] += 1
-        z = laufer_x(g, bumped, m.oka)
+        z = laufer_x(g, bumped)
         i += 1
     return steps, cycles
 
@@ -301,7 +322,7 @@ def laufer_walk_sequence(ctx: SequenceContext, tie_break="min") -> SequenceResul
         steps.append(LauferStep(z, n, a, best))
         bumped = list(z)
         bumped[n] += 1
-        z = laufer_x(graph, bumped, ctx.og)
+        z = laufer_x(graph, bumped)
         if any(z[v] > max(ctx.target[v], 0) for v in graph.nodes):
             raise NewtonsingError("sequence overshot its target on a node")
     if z != ctx.target and (ctx.kind == "II" or ctx.og is None):
@@ -402,7 +423,7 @@ def test_fill_cycle_is_the_laufer_completion(corpus):
 
 def assert_kind3_target_is_the_laufer_walk(og):
     zk_e = tuple(a - b for a, b in zip(wt_cycle(og, og.support.points), x1x2x3_cycle(og)))
-    assert kind3_context(og).target == laufer_x(og.graph, zk_e, og)
+    assert kind3_context(og).target == laufer_x(og.graph, zk_e)
 
 
 def test_kind3_target_is_the_laufer_walk_on_corpus(corpus):
