@@ -179,8 +179,7 @@ def _verify_points(model, checks):
     )
     rep2 = enumerate_P(og, model.sequence("II"))
     checks["points/kind2_prefix_sizes"] = all(rep2.sizes_match)
-    ctx1 = kind1_context(og.graph, model.zk_oka, og)
-    seq1 = run_sequence(ctx1)
+    seq1 = run_sequence(kind1_context(og.graph, model.zk_oka))
     rep1 = enumerate_P(og, seq1)
     checks["points/kind1_total"] = sum(len(s) for s in rep1.point_sets) == seq1.total
     checks["points/lattice_count"] = model.pg_lattice_count() == model.pg().value

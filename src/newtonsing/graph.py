@@ -3,12 +3,12 @@
 Cycles are plain tuples indexed by vertex id.  Negative definiteness is
 certified (never assumed) when a graph is built: on a tree by leaf-first
 elimination, whose subtree determinants are integers and which makes no
-fill-in, on any other graph by the dense elimination below.  That dense
-pass, in integers (fraction-free Bareiss), gives det and the dual cycles
-through its adjugate; it runs on a tree only when those are read, and its
-result is cached on the graph.  Z_K is read off the Newton diagram
-(`merle_teissier_ZK`) and certified by the adjunction equalities
-(`check_canonical`), never solved for.
+fill-in, on any other graph by a dense fraction-free (Bareiss) elimination.
+The intersection data, |det| and the dual cycles, is cached on the graph
+when first read: on a tree it is a product of the same subtree
+determinants, on any other graph the dense pass's adjugate.  Z_K is read
+off the Newton diagram (`merle_teissier_ZK`) and certified by the
+adjunction equalities (`check_canonical`), never solved for.
 """
 
 from dataclasses import dataclass
@@ -27,10 +27,10 @@ class PlumbingGraph:
     """Vertices carry selfintersection -b_v and genus g_v; edges may repeat.
 
     With check=True the graph must be connected and negative definite.  A
-    tree is certified by `_leaf_first_definite` and its `data` is computed
-    when first read; any other graph is eliminated at once.  Either way a
-    form that is not definite raises the dense elimination's
-    NotNegativeDefinite, which names the first pivot that fails.
+    tree is certified by `_subtree_dets` and its `data` is computed when
+    first read; any other graph is eliminated at once.  Either way a form
+    that is not definite raises the dense elimination's NotNegativeDefinite,
+    which names the first pivot that fails.
     """
 
     def __init__(self, b, genus, edges, check=True):
@@ -96,11 +96,8 @@ class PlumbingGraph:
     def _check(self):
         """Raise unless the graph is connected and negative definite."""
         self._check_connected()
-        if not self.is_tree():
-            self.data  # the elimination raises NotNegativeDefinite
-        elif not _leaf_first_definite(self):
-            intersection_data(self)  # raises NotNegativeDefinite, naming its pivot
-            raise AssertionError("leaf-first certificate and elimination disagree")
+        if not self.is_tree() or _subtree_dets(self, _bfs_order(self, 0)) is None:
+            self.data  # the dense elimination raises NotNegativeDefinite
 
     def _check_connected(self):
         if self.nv == 0:
@@ -167,40 +164,12 @@ class PlumbingGraph:
         return "\n".join(lines)
 
 
-@dataclass
+@dataclass(frozen=True)
 class IntersectionData:
-    """Result of a graph's one elimination; the other views derive from it."""
+    """|det| of a graph's form, and scaled_duals[v][w] = |det| m_w(E_v^*)."""
 
-    determinant: int
-    adjugate: tuple  # integers; the inverse is adjugate / determinant
-
-    @property
-    def group_order(self) -> int:
-        return abs(self.determinant)
-
-    @cached_property
-    def scaled_duals(self) -> tuple:
-        """scaled_duals[v][w] = |det| m_w(E_v^*) = (-1)^(nv+1) adjugate[v][w]."""
-        sign = 1 if self.determinant < 0 else -1
-        return tuple(tuple(sign * x for x in row) for row in self.adjugate)
-
-    @cached_property
-    def ratio_table(self) -> tuple:
-        """ratio_table[w][w'] = (num, den), num/den the largest ratio
-        m_w(E_v^*) / m_w'(E_v^*) over v, found by cross-multiplying."""
-        rows = self.scaled_duals
-        n = len(rows)
-        table = []
-        for w in range(n):
-            out = []
-            for wp in range(n):
-                num, den = rows[0][w], rows[0][wp]
-                for row in rows[1:]:
-                    if row[w] * den > num * row[wp]:
-                        num, den = row[w], row[wp]
-                out.append((num, den))
-            table.append(tuple(out))
-        return tuple(table)
+    group_order: int
+    scaled_duals: tuple
 
 
 def _bfs_order(g: PlumbingGraph, root) -> list:
@@ -212,42 +181,83 @@ def _bfs_order(g: PlumbingGraph, root) -> list:
     return order
 
 
-def _leaf_first_definite(g: PlumbingGraph) -> bool:
-    """Whether the form of the tree g is negative definite.
+def _subtree_dets(g: PlumbingGraph, order):
+    """(D, P) for the tree g rooted at order[0], or None when its form is
+    not negative definite.
 
-    Rooted at vertex 0, let D(v) be the determinant of minus the form on
-    v's subtree and P(v) the product of D(c) over v's children c.
-    Eliminating leaves first makes no fill-in: the pivot at v is
-    b_v - sum_c P(c)/D(c) = D(v)/P(v), so
+    D(v) is the determinant of minus the form on v's subtree and P(v) the
+    product of D(c) over v's children c.  Eliminating leaves first makes no
+    fill-in: the pivot at v is b_v - sum_c P(c)/D(c) = D(v)/P(v), so
     D(v) = b_v P(v) - sum_c P(c) P(v)/D(c), every division exact.  The form
     is negative definite iff every pivot is positive, i.e. every D(v) > 0.
     """
-    order = _bfs_order(g, 0)
     det = [0] * g.nv
     prod = [1] * g.nv
     for v, parent in reversed(order):
         p = prod[v]
         d = g.b[v] * p - sum(prod[c] * (p // det[c]) for c in g.neighbors[v] if c != parent)
         if d <= 0:
-            return False
+            return None
         det[v] = d
         if parent >= 0:
             prod[parent] *= d
-    return True
+    return det, prod
+
+
+def _tree_data(g: PlumbingGraph, order, det, prod) -> IntersectionData:
+    """Intersection data of a definite tree from `_subtree_dets`.
+
+    |det| m_x(E_w^*) is the product of the determinants of the branches off
+    the path [w, x] (Eisenbud-Neumann 1985), and |det| = D(root).  up[v], the
+    branch at v's parent p away from v, follows from expanding |det| across
+    the edge (v, p): |det| = D(v) up[v] - P(v) (P(p)/D(v)) up[p], up[root] = 1.
+    The diagonal at w is P(w) up[w]; a step from p to x away from w trades the
+    branch at p toward x for the other branches at x, a factor
+    P(x) up[x] / (D(c) up[c]) with c the child end of {p, x}.
+    """
+    total, parent, up = det[order[0][0]], dict(order), [1] * g.nv
+    for v, p in order[1:]:
+        up[v] = (total + prod[v] * (prod[p] // det[v]) * up[p]) // det[v]
+    cofactor = [prod[v] * up[v] for v in range(g.nv)]
+    edge = [det[v] * up[v] for v in range(g.nv)]  # the edge from v to its parent
+    rows = []
+    for w in range(g.nv):
+        row = [0] * g.nv
+        row[w] = cofactor[w]
+        for x, p in _bfs_order(g, w)[1:]:
+            row[x] = row[p] * cofactor[x] // edge[x if parent[x] == p else p]
+        rows.append(tuple(row))
+    return IntersectionData(total, tuple(rows))
 
 
 def intersection_data(g: PlumbingGraph) -> IntersectionData:
-    """Determinant and adjugate of the intersection form by one fraction-free
-    Gauss-Jordan pass over [A | I] (Bareiss 1968).
+    """|det| and the scaled dual cycles of g's form: from the subtree
+    determinants (rooted at vertex 0) on a definite tree, by `_bareiss` on
+    any other graph, which on a tree names the pivot that fails."""
+    if not g.is_tree():
+        data = _bareiss(g)
+    else:
+        order = _bfs_order(g, 0)
+        dets = _subtree_dets(g, order)
+        if dets is None:
+            _bareiss(g)
+            raise AssertionError("leaf-first certificate and elimination disagree")
+        data = _tree_data(g, order, *dets)
+    if any(x <= 0 for row in data.scaled_duals for x in row):
+        raise AssertionError("dual cycle entries must be positive")
+    return data
+
+
+def _bareiss(g: PlumbingGraph) -> IntersectionData:
+    """Intersection data by one fraction-free Gauss-Jordan pass over
+    [A | I] (Bareiss 1968), which ends at [det I | adj A].
 
     Pivot k is the leading principal minor of order k + 1, so the symmetric
     elimination pivot is minor_{k+1} / minor_k; all of these must be
-    negative.  Every row other than k is updated at step k, every division
-    is exact, and the pass ends at [det I | adj A].
+    negative.  Every division is exact.
     """
     n = g.nv
-    m = g.intersection_matrix()
-    rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(g.intersection_matrix())]
     prev = 1
     for k in range(n):
         pivot_row = rows[k]
@@ -259,10 +269,8 @@ def intersection_data(g: PlumbingGraph) -> IntersectionData:
                 f = rows[i][k]
                 rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], pivot_row)]
         prev = p
-    data = IntersectionData(prev, tuple(tuple(row[n:]) for row in rows))
-    if any(x <= 0 for row in data.scaled_duals for x in row):
-        raise AssertionError("dual cycle entries must be positive")
-    return data
+    sign = 1 if prev < 0 else -1  # the duals are -adj A / det, scaled by |det|
+    return IntersectionData(abs(prev), tuple(tuple(sign * x for x in row[n:]) for row in rows))
 
 
 def check_canonical(g: PlumbingGraph, z) -> tuple:
@@ -470,8 +478,7 @@ def tree_code(g: PlumbingGraph) -> str:
         return "()"
     if not g.is_tree():
         decorations = sorted(zip(g.b, g.genus, g.degree))
-        det = g.data.determinant
-        return f"nontree{decorations}|{len(g.edges)}|{det}"
+        return f"nontree{decorations}|{len(g.edges)}|{g.data.group_order}"
 
     return min(_rooted_code(g, c) for c in _centers(g))
 

@@ -133,7 +133,11 @@ class SingularityModel:
                 ctx = kind3_context(self.oka)
             else:
                 raise ValueError(kind)
-            self._sequences[key] = run_sequence(ctx, tie_break=tie_break)
+            seq = run_sequence(ctx, tie_break=tie_break)
+            # kind III's target is a chain fill by construction
+            if kind != "III" and seq.reached != seq.target:
+                raise NewtonsingError("sequence did not reach its target cycle")
+            self._sequences[key] = seq
         return self._sequences[key]
 
     def pg(self, tie_break="min") -> PgResult:

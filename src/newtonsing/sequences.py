@@ -91,14 +91,13 @@ class SequenceContext:
     target: tuple
     numerator_offset: dict  # node -> int
     denominator: dict  # node -> int
-    og: OkaGraph | None = None
 
 
-def kind1_context(graph: PlumbingGraph, zk, og: OkaGraph | None = None) -> SequenceContext:
+def kind1_context(graph: PlumbingGraph, zk) -> SequenceContext:
     """Targets zk, the graph's Z_K; run on the minimal model (or an Oka graph)."""
     offsets = {n: 0 for n in graph.nodes}
     denominators = {n: zk[n] - 1 for n in graph.nodes}
-    return SequenceContext("I", graph, zk, offsets, denominators, og)
+    return SequenceContext("I", graph, zk, offsets, denominators)
 
 
 def kind2_context(og: OkaGraph) -> SequenceContext:
@@ -113,7 +112,7 @@ def kind2_context(og: OkaGraph) -> SequenceContext:
     x(Z + wt(f)) = x(Z) + wt(f).  With Z_k = wt(f), step i + j*k is
     (Z_i + j*wt(f), v_i, max(0, c_i - j*d_i), r_i + j), where
     c_i = 1 - (Z_i, E_{v_i}) and d_i = (wt(f), E_{v_i}).  The pairing is
-    checked here and `run_sequence` checks that the period ends at wt(f).
+    checked here, and the period's end in `SingularityModel.sequence`.
     """
     wtf = wt_cycle(og, og.support.points)
     graph = og.graph
@@ -123,7 +122,7 @@ def kind2_context(og: OkaGraph) -> SequenceContext:
             f"(wt(f), E_v) != 0 at non-node vertices {bad}; kind II needs a convenient diagram"
         )
     nodes = graph.nodes
-    return SequenceContext("II", graph, wtf, {n: 0 for n in nodes}, {n: wtf[n] for n in nodes}, og)
+    return SequenceContext("II", graph, wtf, {n: 0 for n in nodes}, {n: wtf[n] for n in nodes})
 
 
 def kind3_context(og: OkaGraph) -> SequenceContext:
@@ -142,14 +141,8 @@ def kind3_context(og: OkaGraph) -> SequenceContext:
     target = fill_cycle(og.graph, [zk_e[n] for n in nodes])
     if any(z > x for z, x in zip(zk_e, target)):
         raise AssertionError("Z_K - E exceeds the chain fill of its node values")
-    return SequenceContext(
-        "III",
-        og.graph,
-        target,
-        {n: wtxyz[n] for n in nodes},
-        {n: wtf[n] for n in nodes},
-        og,
-    )
+    offsets, denominators = {n: wtxyz[n] for n in nodes}, {n: wtf[n] for n in nodes}
+    return SequenceContext("III", og.graph, target, offsets, denominators)
 
 
 def run_sequence(ctx: SequenceContext, tie_break="min") -> SequenceResult:
@@ -165,9 +158,9 @@ def run_sequence(ctx: SequenceContext, tie_break="min") -> SequenceResult:
     of n and of the nodes its chains end at.  Ratios are compared by
     cross-multiplication.
 
-    Each step raises one node value by 1 and no value passes
-    max(target, 0), so the sum of those maxima bounds the number of steps;
-    past SEQUENCE_STEPS the sequence is refused before its first step.
+    Each step raises one node value below its target by 1, so no value
+    passes max(target, 0) and the sum of those maxima bounds the number of
+    steps; past SEQUENCE_STEPS the sequence is refused before its first step.
     """
     if tie_break not in ("min", "reversed"):
         raise ValueError(tie_break)
@@ -229,15 +222,10 @@ def run_sequence(ctx: SequenceContext, tie_break="min") -> SequenceResult:
         pair = pairings[best]
         steps.append(SeqStep(tuple(z), nodes[best], max(0, 1 - pair), Fraction(b_num, b_den), pair))
         z[best] += 1
-        if z[best] > max(target[best], 0):
-            raise NewtonsingError("sequence overshot its target on a node")
         pairings[best] = pairing(best)
         for _, _, o in local[best][1]:
             if o is not None:
                 pairings[o] = pairing(o)
-    reached = fill_cycle(graph, z)
-    if reached != ctx.target and (ctx.kind == "II" or ctx.og is None):
-        raise NewtonsingError("sequence did not reach its target cycle")
     if falls:
         raise AssertionError("sequence ratios must be nondecreasing")
-    return SequenceResult(ctx.kind, steps, ctx.target, reached, graph)
+    return SequenceResult(ctx.kind, steps, ctx.target, fill_cycle(graph, z), graph)

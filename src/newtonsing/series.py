@@ -130,17 +130,17 @@ def zeta_coefficient_convolution(g: PlumbingGraph, lps) -> list:
     return [acc.get(t, 0) for t in targets]
 
 
-def _coordinate_bounds(data, lp):
+def _coordinate_bounds(duals, lp):
     """Box certainly containing every cycle of the Lipman cone that stays
-    below lp in some coordinate: entries of the dual cycles are positive,
-    so l_w <= (m_w(E*)/m_w'(E*)) * l_w' termwise."""
+    below lp in some coordinate: dual cycle entries are positive, so
+    l_w <= max_v (m_w(E_v^*) / m_w'(E_v^*)) l_w'.  On a tree the max is at
+    v = w: G = -Q^-1 is the covariance of a Gaussian with tree-structured
+    precision, so for x the projection of v onto the path [w, w'],
+    G_vw / G_vw' = G_xw / G_xw' <= G_ww / G_ww', as G_xw^2 <= G_ww G_xx."""
     witnesses = [w for w in range(len(lp)) if lp[w] > 0]
     if not witnesses:
         return None
-    return [
-        max(row[wp][0] * (lp[wp] - 1) // row[wp][1] for wp in witnesses)
-        for row in data.ratio_table
-    ]
+    return [max(row[w] * (lp[wp] - 1) // row[wp] for wp in witnesses) for w, row in enumerate(duals)]
 
 
 def counting_q(g: PlumbingGraph, lps, max_states=10_000_000) -> list:
@@ -159,14 +159,14 @@ def counting_q(g: PlumbingGraph, lps, max_states=10_000_000) -> list:
     that is not >= lp.  The walk runs over the componentwise max of the
     targets' boxes, which contains all of those cycles for every target at
     once; summing z_l over its leaves l that are not >= lp is therefore
-    exact for each lp, and each leaf is tested against every target.  A target with no positive entry has no such l
-    (support cycles are >= 0) and gets 0.  `max_states` bounds the visited
-    states of that one walk, which raises BudgetExceeded rather than churn
-    on pathological inputs.
+    exact for each lp, and each leaf is tested against every target.  A
+    target with no positive entry has no such l (support cycles are >= 0)
+    and gets 0.  `max_states` bounds the visited states of that one walk,
+    which raises BudgetExceeded rather than churn on pathological inputs.
     """
     _require_tree(g)
     targets = [tuple(lp) for lp in lps]
-    boxes = [b for b in (_coordinate_bounds(g.data, t) for t in targets) if b is not None]
+    boxes = [b for b in (_coordinate_bounds(g.data.scaled_duals, t) for t in targets) if b is not None]
     if not boxes:
         return [0] * len(targets)
     return _ReducedCount(g, targets, [max(col) for col in zip(*boxes)], max_states).run()

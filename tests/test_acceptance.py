@@ -208,7 +208,7 @@ def test_criterion_9_structural():
         union = set().union(*rep3.point_sets) if rep3.point_sets else set()
         assert union == rep3.outside_points
         assert sum(len(s) for s in rep3.point_sets) == m.pg().value
-        seq1 = run_sequence(kind1_context(g, m.zk_oka, og))
+        seq1 = run_sequence(kind1_context(g, m.zk_oka))
         rep1 = enumerate_P(og, seq1)
         assert sum(len(s) for s in rep1.point_sets) == seq1.total == m.pg().value
     print(f"\nPASS criterion 9: structural invariants on {len(corpus)} inputs")

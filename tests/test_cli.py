@@ -195,6 +195,66 @@ def test_verify_and_pg_keep_the_report_contract(points):
             assert code == 0 and all(report["oracles"].values()), report
 
 
+# Exponents stay at 12 or below: the face scans grow quadratically with
+# the exponent size, and that cost is no concern of the report contract.
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 12)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4)
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=10,
+)
+_exponents = st.integers(0, 12)
+_monomials = st.one_of(
+    st.lists(_exponents, min_size=3, max_size=3),
+    st.lists(_exponents, max_size=5),
+    st.lists(_exponents | _json_scalars, min_size=3, max_size=3),
+    _json_values,
+)
+
+
+@st.composite
+def _documents(draw):
+    """Any JSON value; or a "monomials" list of anything; or a convenient
+    support, now and then with one more monomial of any kind and a name."""
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        return draw(_json_values)
+    if kind == 1:
+        return {"monomials": draw(st.lists(_monomials, max_size=6) | _json_values)}
+    monomials = [list(p) for p in draw(supports_up_to_nine())]
+    doc = {"monomials": monomials + draw(st.lists(_monomials, max_size=1))}
+    if draw(st.booleans()):
+        doc["name"] = draw(st.text(max_size=4) | _json_values)
+    return doc
+
+
+@given(_documents())
+@settings(max_examples=150, deadline=None)
+def test_any_json_document_gets_one_report(doc):
+    """Exit 0, 1 or 2 with exactly one JSON object on stdout, whatever the
+    document; exit 2 exactly for an InputError, and never an internal error."""
+    raw = json.dumps(doc)
+    for command in ("diagram", "graph", "pg"):
+        out = io.StringIO()
+        with (
+            patch("sys.stdin", io.StringIO(raw)),
+            contextlib.redirect_stdout(out),
+            contextlib.redirect_stderr(io.StringIO()),
+        ):
+            code = main(["-", command])
+        assert out.getvalue().count("\n") == 1
+        report = json.loads(out.getvalue())
+        assert isinstance(report, dict) and code in (0, 1, 2)
+        assert (code == 2) == (report.get("error") == "InputError"), report
+        assert report.get("error") != "InternalError", report
+
+
 def test_determinism(tmp_path, capsys):
     path = write_doc(tmp_path, FRONT_PAGE)
     _, out1 = run_cli(capsys, path, "diagram")

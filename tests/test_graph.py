@@ -9,6 +9,7 @@ from newtonsing import cli
 from newtonsing import graph as graph_module
 from newtonsing.errors import Disconnected, NotNegativeDefinite
 from newtonsing.graph import (
+    IntersectionData,
     PlumbingGraph,
     check_canonical,
     intersection_data,
@@ -120,41 +121,48 @@ def test_e8_unimodular():
 
 def test_duals_positive_on_corpus(corpus):
     for m in corpus:
-        data = intersection_data(m.oka.graph)
+        g = m.oka.graph
+        data = intersection_data(g)
+        assert data == graph_module._bareiss(g)
         assert all(x > 0 for row in data.scaled_duals for x in row)
         # (E_v^*, E_w) = -delta exactly, and I * I^-1 is the identity
-        g = m.oka.graph
         matrix = g.intersection_matrix()
-        order, det = data.group_order, data.determinant
+        det, _ = fraction_gauss_jordan(matrix)
+        order = data.group_order
+        assert order == abs(det)
         for v in range(g.nv):
             dual = [Fraction(x, order) for x in data.scaled_duals[v]]
             for w in range(g.nv):
                 assert g.pairing(dual, [int(u == w) for u in range(g.nv)]) == -(v == w)
-                prod = sum(matrix[v][u] * Fraction(data.adjugate[u][w], det) for u in range(g.nv))
+                prod = sum(matrix[v][u] * Fraction(-data.scaled_duals[u][w], order) for u in range(g.nv))
                 assert prod == (v == w)
 
 
+def assert_ratio_peaks_on_the_diagonal(duals):
+    """The lemma behind `counting_q`'s box on a tree: the largest ratio
+    m_w(E_v^*) / m_w'(E_v^*) over v is the one at v = w."""
+    for w in range(len(duals)):
+        for wp in range(len(duals)):
+            best = max(Fraction(row[w], row[wp]) for row in duals)
+            assert best == Fraction(duals[w][w], duals[w][wp])
+
+
 def assert_elimination_matches_oracle(g):
-    """True when g is negative definite; both paths must agree either way."""
+    """True when g is negative definite; every path must agree either way."""
     try:
         det, inv = fraction_gauss_jordan(g.intersection_matrix())
     except NotNegativeDefinite as expected:
-        with pytest.raises(NotNegativeDefinite) as caught:
-            intersection_data(g)
-        assert str(caught.value) == str(expected)
-        with pytest.raises(NotNegativeDefinite) as caught:
-            PlumbingGraph(g.b, g.genus, g.edges)
-        assert str(caught.value) == str(expected)
+        for eliminate in (intersection_data, graph_module._bareiss, lambda g: PlumbingGraph(g.b, g.genus, g.edges)):
+            with pytest.raises(NotNegativeDefinite) as caught:
+                eliminate(g)
+            assert str(caught.value) == str(expected)
         return False
-    data = intersection_data(g)
-    assert data.determinant == det and data.group_order == abs(det)
-    assert data.adjugate == tuple(tuple(det * x for x in row) for row in inv)
-    duals = [[-x for x in row] for row in inv]
-    assert data.scaled_duals == tuple(tuple(abs(det) * x for x in row) for row in duals)
-    for w in range(g.nv):
-        for wp in range(g.nv):
-            num, den = data.ratio_table[w][wp]
-            assert Fraction(num, den) == max(row[w] / row[wp] for row in duals)
+    duals = tuple(tuple(int(-abs(det) * x) for x in row) for row in inv)
+    expected = IntersectionData(abs(det), duals)
+    assert intersection_data(g) == expected
+    assert graph_module._bareiss(g) == expected
+    if g.is_tree():
+        assert_ratio_peaks_on_the_diagonal(duals)
     return True
 
 
@@ -211,9 +219,29 @@ def test_leaf_first_certificate_matches_fraction_oracle_on_random_trees():
                 with pytest.raises(NotNegativeDefinite) as caught:
                     minimal_model(g)
                 assert str(caught.value) == str(expected)
-        assert graph_module._leaf_first_definite(g) == definite
+        assert (graph_module._subtree_dets(g, graph_module._bfs_order(g, 0)) is not None) == definite
         verdicts.append(definite)
     assert 100 < sum(verdicts) < 300
+
+
+def test_tree_rows_match_bareiss_on_random_trees():
+    # b_v near v's degree keeps large random trees definite about half the time
+    rng = random.Random(9)
+    sizes = []
+    for _ in range(150):
+        nv = rng.randint(1, 40)
+        edges = [(rng.randrange(v), v) for v in range(1, nv)]
+        degree = [sum(v in e for e in edges) for v in range(nv)]
+        b = [max(1, d + rng.choice((-1, 0, 1, 1, 2))) for d in degree]
+        g = PlumbingGraph(b, [0] * nv, edges, check=False)
+        try:
+            data = intersection_data(g)
+        except NotNegativeDefinite:
+            continue
+        assert data == graph_module._bareiss(g)
+        assert_ratio_peaks_on_the_diagonal(data.scaled_duals)
+        sizes.append(nv)
+    assert len(sizes) > 50 and sum(nv >= 30 for nv in sizes) > 10
 
 
 def _count_eliminations(monkeypatch):
@@ -241,6 +269,19 @@ def test_commands_that_read_no_intersection_data_eliminate_nothing(monkeypatch):
     model = SingularityModel(Support(FRONT_PAGE))
     assert model.minimal.data.group_order > 0
     assert eliminated == [model.minimal]
+
+
+def test_no_definite_tree_reaches_bareiss(monkeypatch):
+    eliminated = _count_eliminations(monkeypatch)
+    dense = []
+    original = graph_module._bareiss
+    monkeypatch.setattr(graph_module, "_bareiss", lambda g: dense.append(g) or original(g))
+    for support in corpus_supports():
+        model = SingularityModel(support)
+        for command in ("pg", "sw", "verify"):
+            args = cli.build_parser().parse_args(["-", command])
+            cli._HANDLERS[command](model, args)
+    assert eliminated and dense == []
 
 
 def test_one_elimination_per_graph(monkeypatch):

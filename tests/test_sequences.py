@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import pytest
@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from newtonsing.errors import BudgetExceeded, NewtonsingError
-from newtonsing import sequences
+from newtonsing import invariants, sequences
 from newtonsing.graph import wt_cycle, x1x2x3_cycle
 from newtonsing.invariants import SingularityModel
 from newtonsing.newton import PuiseuxPoly, Support
@@ -270,8 +270,9 @@ def test_overshoot_guard():
 
     m = model_for(Support(RANDOM_SUPPORTS[1]))
     og = m.oka
-    seq = run_sequence(kind1_context(og.graph, m.zk_oka, og))
+    seq = run_sequence(kind1_context(og.graph, m.zk_oka))
     assert all(seq.reached[n] == seq.target[n] for n in og.graph.nodes)
+    assert seq.reached != seq.target
     assert all(a >= b for a, b in zip(seq.reached, seq.target))
 
 
@@ -323,10 +324,6 @@ def laufer_walk_sequence(ctx: SequenceContext, tie_break="min") -> SequenceResul
         bumped = list(z)
         bumped[n] += 1
         z = laufer_x(graph, bumped)
-        if any(z[v] > max(ctx.target[v], 0) for v in graph.nodes):
-            raise NewtonsingError("sequence overshot its target on a node")
-    if z != ctx.target and (ctx.kind == "II" or ctx.og is None):
-        raise NewtonsingError("sequence did not reach its target cycle")
     result = SequenceResult(ctx.kind, steps, ctx.target, z, graph)
     ratios = [s.r for s in result.steps]
     if any(b < a for a, b in zip(ratios, ratios[1:])):
@@ -366,7 +363,7 @@ def model_contexts(m):
     og = m.oka
     return [
         kind1_context(m.minimal, m.zk_minimal),
-        kind1_context(og.graph, m.zk_oka, og),
+        kind1_context(og.graph, m.zk_oka),
         kind2_context(og),
         kind3_context(og),
     ]
@@ -378,8 +375,8 @@ def test_node_only_sequence_matches_laufer_walk_on_corpus(corpus):
         for ctx in model_contexts(m):
             for tie_break in ("min", "reversed"):
                 assert assert_matches_laufer_walk(ctx, tie_break) is None
-                kinds[ctx.kind, ctx.og is None] += 1
-    assert set(kinds) == {("I", True), ("I", False), ("II", False), ("III", False)}
+                kinds[ctx.kind, ctx.graph is m.oka.graph] += 1
+    assert set(kinds) == {("I", True), ("I", False), ("II", True), ("III", True)}
 
 
 @given(convenient_supports(), st.sampled_from(["min", "reversed"]))
@@ -399,14 +396,31 @@ def test_node_only_sequence_matches_laufer_walk_errors():
     # a node whose ratio has no positive denominator
     ctx = SequenceContext("I", g, zk, {n: 1 for n in nodes}, {n: 0 for n in nodes})
     assert assert_matches_laufer_walk(ctx, "min")[1].startswith("ratio test undefined at node")
-    # node values of Z_K but a chain coefficient off by one: never reached
+    # node values of Z_K but a chain coefficient off by one: both walks end
+    # at Z_K, which the model refuses (below)
     off = list(zk)
     off[next(v for v in range(g.nv) if g.degree[v] < 3)] += 1
     ctx = SequenceContext("I", g, tuple(off), {n: 0 for n in nodes}, {n: zk[n] - 1 for n in nodes})
-    assert assert_matches_laufer_walk(ctx, "reversed") == (
-        NewtonsingError,
-        "sequence did not reach its target cycle",
-    )
+    assert assert_matches_laufer_walk(ctx, "reversed") is None
+    assert run_sequence(ctx).reached == zk
+
+
+@pytest.mark.parametrize("kind", ["I", "II"])
+def test_model_refuses_a_sequence_that_misses_its_target(kind, monkeypatch):
+    # a chain coefficient off by one keeps the node values, so the sequence
+    # runs as before, ends at the true target and misses this one
+    name = {"I": "kind1_context", "II": "kind2_context"}[kind]
+    real = getattr(invariants, name)
+
+    def off_target(*args):
+        ctx = real(*args)
+        off = list(ctx.target)
+        off[next(v for v in range(ctx.graph.nv) if ctx.graph.degree[v] < 3)] += 1
+        return replace(ctx, target=tuple(off))
+
+    monkeypatch.setattr(invariants, name, off_target)
+    with pytest.raises(NewtonsingError, match="sequence did not reach its target cycle"):
+        SingularityModel(Support(FRONT_PAGE)).sequence(kind)
 
 
 def test_fill_cycle_is_the_laufer_completion(corpus):

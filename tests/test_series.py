@@ -131,7 +131,7 @@ def test_enumerate_P_accepts_kind1_on_an_already_minimal_oka_graph():
 def test_kind1_totals_on_oka_graph(corpus):
     for m in corpus[:6]:
         og = m.oka
-        seq = run_sequence(kind1_context(og.graph, m.zk_oka, og))
+        seq = run_sequence(kind1_context(og.graph, m.zk_oka))
         rep = enumerate_P(og, seq)
         assert sum(len(s) for s in rep.point_sets) == seq.total == m.pg().value
         # when the Oka graph is already minimal, per-step sizes hold too
@@ -180,7 +180,7 @@ def test_counting_q_on_chains_matches_zeta_sum(b):
     # of zeta coefficients over the integral cycles of the bounding box that
     # lie below the target in some coordinate
     g = PlumbingGraph(b, [0] * len(b), [(i, i + 1) for i in range(len(b) - 1)])
-    bounds = {t: _coordinate_bounds(g.data, t) for t in itertools.product(range(4), repeat=g.nv)}
+    bounds = {t: _coordinate_bounds(g.data.scaled_duals, t) for t in itertools.product(range(4), repeat=g.nv)}
     top = [max(ub[v] for ub in bounds.values() if ub) for v in range(g.nv)]
     # zeta terms lie in the Lipman cone: a_v = -(l, E_v) >= 0 at every vertex
     cone = (
@@ -236,7 +236,7 @@ def shared_walk_targets(g, zk, rng):
     targets += [tuple(rng.randint(0, x) for x in top) for _ in range(6)]
     targets += [tuple(top[v] * (w == v) for w in range(g.nv)) for v in (0, g.nv - 1)]
     targets += [(-1,) * g.nv, tuple(-x for x in top)]
-    assert _coordinate_bounds(g.data, targets[-1]) is None
+    assert _coordinate_bounds(g.data.scaled_duals, targets[-1]) is None
     return targets
 
 
