@@ -11,14 +11,14 @@ off the Newton diagram (`merle_teissier_ZK`) and certified by the
 adjunction equalities (`check_canonical`), never solved for.
 """
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from . import kernels
 from .errors import Disconnected, NewtonsingError, NoCompactFace, NotNegativeDefinite, NotTree
-from .lattice import dot, pair_data, vec_add
-from .newton import NewtonPolyhedron, Support
+from .lattice import dot, pair_data
+from .newton import NewtonPolyhedron, Support, face_interior_points
 
 ONES = (1, 1, 1)
 
@@ -329,39 +329,41 @@ def oka_graph(poly: NewtonPolyhedron) -> OkaGraph:
         genus.append(0)
         return len(ell) - 1
 
+    # (compact, other, t): a compact face first, of two the smaller normal
     pairs = []
-    for fa in compact:
-        for fb, t in poly.neighbors_of(fa.normal):
-            if fb.compact and fb.normal < fa.normal:
-                continue  # handled from the other side
-            pairs.append((fa, fb, t))
-    pairs.sort(key=lambda rec: (rec[0].normal, rec[1].normal))
+    for key, t in poly.adjacency.items():
+        a_vec, b_vec = key
+        if b_vec in node_ids and (a_vec not in node_ids or b_vec < a_vec):
+            a_vec, b_vec = b_vec, a_vec
+        pairs.append((a_vec, b_vec, t))
+    pairs.sort()
 
-    for fa, fb, t in pairs:
-        a_vec, b_vec = fa.normal, fb.normal
-        unit_choice = 0 if fb.compact else 1
-        string, seq = pair_data(a_vec, b_vec, unit_choice)[2:]
+    for a_vec, b_vec, t in pairs:
+        b_compact = b_vec in node_ids
+        string, seq = pair_data(a_vec, b_vec, 0 if b_compact else 1)[2:]
         for _ in range(t):
             vids = tuple(new_vertex(vec, s) for vec, s in zip(seq, string))
             chain = [node_ids[a_vec], *vids]
-            if fb.compact:
+            if b_compact:
                 chain.append(node_ids[b_vec])
             for u, v in zip(chain, chain[1:]):
                 edges.append((u, v))
-            if not fb.compact and vids:
+            if not b_compact and vids:
                 star_attach[vids[-1]] = b_vec
 
-    # node selfintersections from the neighbour sum; node genera from
-    # interior lattice points of the face
+    # node selfintersections from the neighbour sum; node genera are the
+    # face's interior lattice points (Pick's theorem)
     neighbor_lists = [[] for _ in range(len(ell))]
     for u, v in edges:
         neighbor_lists[u].append(v)
         neighbor_lists[v].append(u)
     for face in compact:
         nid = node_ids[face.normal]
-        total = (0, 0, 0)
+        sx = sy = sz = 0
         for u in neighbor_lists[nid]:
-            total = vec_add(total, ell[u])
+            x, y, z = ell[u]
+            sx, sy, sz = sx + x, sy + y, sz + z
+        total = (sx, sy, sz)
         k = max(range(3), key=lambda i: face.normal[i])
         if total[k] % face.normal[k]:
             raise AssertionError(f"neighbour sum not a multiple of the normal at {face.normal}")
@@ -371,7 +373,7 @@ def oka_graph(poly: NewtonPolyhedron) -> OkaGraph:
         if b_n <= 0:
             raise AssertionError(f"nonpositive selfintersection at node {face.normal}")
         b_values[nid] = b_n
-        genus[nid] = _interior_points(poly, face)
+        genus[nid] = face_interior_points(face)
 
     graph = PlumbingGraph(b_values, genus, edges)
     og = OkaGraph(graph, poly, support, tuple(ell), node_ids, star_attach)
@@ -379,25 +381,18 @@ def oka_graph(poly: NewtonPolyhedron) -> OkaGraph:
     return og
 
 
-def _interior_points(poly, face):
-    others = [g for g in poly.all_faces() if g.normal != face.normal]
-    lo = [min(v[c] for v in face.vertices) for c in range(3)]
-    hi = [max(v[c] for v in face.vertices) for c in range(3)]
-    points = kernels.plane_points(face.normal, face.value, lo, hi)
-    return sum(1 for p in points if all(dot(g.normal, p) > g.value for g in others))
-
-
 def _check_neighbor_sums(og: OkaGraph):
     """-b_v l_v + sum of neighbour functionals = 0 at every vertex, exactly."""
-    g = og.graph
+    g, ell = og.graph, og.ell
     for v in range(g.nv):
-        total = tuple(-g.b[v] * x for x in og.ell[v])
+        (x, y, z), b = ell[v], g.b[v]
+        sx, sy, sz = og.star_attach.get(v, (0, 0, 0))
+        sx, sy, sz = sx - b * x, sy - b * y, sz - b * z
         for u in g.neighbors[v]:
-            total = vec_add(total, og.ell[u])
-        if v in og.star_attach:
-            total = vec_add(total, og.star_attach[v])
-        if total != (0, 0, 0):
-            raise AssertionError(f"neighbour sum violated at vertex {v}: {total}")
+            x, y, z = ell[u]
+            sx, sy, sz = sx + x, sy + y, sz + z
+        if sx or sy or sz:
+            raise AssertionError(f"neighbour sum violated at vertex {v}: {(sx, sy, sz)}")
 
 
 def wt_cycle(og: OkaGraph, points) -> tuple:
@@ -422,7 +417,8 @@ def minimal_model(g: PlumbingGraph) -> tuple:
     """(minimal, kept): blow down genus-0 (-1)-vertices of degree <= 2 until
     none remain; kept[i] is the vertex of g that vertex i of minimal came
     from.  A blow-down keeps every other coefficient of Z_K (K' = pi*K + E),
-    so Z_K of minimal is Z_K of g read at kept.
+    so Z_K of minimal is Z_K of g read at kept.  The least eligible vertex
+    goes first, from a min-heap over neighbour lists: O((V + E) log V).
 
     When nothing blows down, g itself is returned, with every vertex kept,
     after the checks its constructor runs (g may have been built with
@@ -430,32 +426,34 @@ def minimal_model(g: PlumbingGraph) -> tuple:
     certificate on a tree, by the dense elimination otherwise.
     """
     b = list(g.b)
-    genus = list(g.genus)
-    edges = [list(e) for e in g.edges]
-    alive = set(range(g.nv))
+    genus = g.genus
+    nbr = [list(n) for n in g.neighbors]  # with multiplicity
+    alive = [True] * g.nv
 
-    def degree(v):
-        return sum((u == v) + (w == v) for u, w in edges)
+    def eligible(v):
+        return b[v] == 1 and genus[v] == 0 and len(nbr[v]) <= 2
 
-    while True:
-        candidates = sorted(
-            v for v in alive if b[v] == 1 and genus[v] == 0 and degree(v) <= 2
-        )
-        if not candidates:
-            break
-        v = candidates[0]
-        incident = [e for e in edges if v in e]
-        others = [e[0] if e[1] == v else e[1] for e in incident]
+    heap = [v for v in range(g.nv) if eligible(v)]
+    while heap:
+        v = heapq.heappop(heap)
+        if not alive[v] or not eligible(v):
+            continue
+        others = nbr[v]
         if len(others) == 2 and others[0] == others[1]:
             raise NewtonsingError("blow-down would create a loop edge")
-        edges = [e for e in edges if v not in e]
+        alive[v] = False
         for u in others:
+            nbr[u].remove(v)
             b[u] -= 1
         if len(others) == 2:
-            edges.append([others[0], others[1]])
-        alive.remove(v)
+            u, w = others
+            nbr[u].append(w)
+            nbr[w].append(u)
+        for u in others:
+            if eligible(u):
+                heapq.heappush(heap, u)
 
-    kept = tuple(sorted(alive))
+    kept = tuple(v for v in range(g.nv) if alive[v])
     if len(kept) == g.nv:
         g._check()
         return g, kept
@@ -463,7 +461,7 @@ def minimal_model(g: PlumbingGraph) -> tuple:
     return PlumbingGraph(
         [b[v] for v in kept],
         [genus[v] for v in kept],
-        [[renum[u], renum[w]] for u, w in edges],
+        [[renum[u], renum[w]] for u in kept for w in nbr[u] if u < w],
     ), kept
 
 

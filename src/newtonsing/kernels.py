@@ -103,21 +103,6 @@ def min_histogram(rows, cap, lo, hi):
     return Counter(chain.from_iterable(pieces))
 
 
-def plane_points(normal, value, lo, hi):
-    """Lattice points p in [lo, hi]^3 with normal.p == value, in lexicographic order.
-
-    Solves for p2 in each column (p0, p1); `normal` must have a nonzero last entry.
-    """
-    a0, a1, a2 = normal
-    points = []
-    for p0 in range(lo[0], hi[0] + 1):
-        for p1 in range(lo[1], hi[1] + 1):
-            p2, rest = divmod(value - a0 * p0 - a1 * p1, a2)
-            if not rest and lo[2] <= p2 <= hi[2]:
-                points.append((p0, p1, p2))
-    return points
-
-
 def laufer_complete(b, neighbors, is_node, m):
     """Run the generalized Laufer sequence from the cycle `m` in place.
 

@@ -15,10 +15,7 @@ IntVec3 = tuple[int, int, int]
 
 def content(v) -> int:
     """gcd of the absolute values of the coordinates; 0 for the zero vector."""
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g
+    return gcd(*v)
 
 
 def is_primitive(v) -> bool:
@@ -38,15 +35,15 @@ def dot(a, b) -> int:
 
 
 def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
 
 
 def vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
 
 
 def vec_scale(k, a):
-    return tuple(k * x for x in a)
+    return (k * a[0], k * a[1], k * a[2])
 
 
 def _check_pair(a: IntVec3, b: IntVec3) -> None:

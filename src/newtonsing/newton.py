@@ -4,10 +4,11 @@ The polyhedron Gamma_+ = conv(support) + R^3_{>=0} is built in exact integer
 arithmetic from its minimal support points: every plane through three of
 them, or through two of them and a coordinate ray, or through one of them
 and two rays, gives a candidate normal, and a candidate is kept when its
-minimal set spans a face.  On top of it: isolatedness/convenience/
-rational-homology-sphere predicates, the weight function, the spectrum part
-in (-1, 0], the Poincare series of the induced filtration, and the
-central-face/arm anatomy of the diagram.
+minimal set spans a face; Pick's theorem counts a face's lattice points.
+On top of it: isolatedness/convenience/rational-homology-sphere
+predicates, the weight function, the spectrum part in (-1, 0], the
+Poincare series of the induced filtration, and the central-face/arm
+anatomy of the diagram.
 
 The spectrum and the Poincare series count lattice points by weight.  With
 L the lcm of the compact face values, L * weight(p) is an integer, so one
@@ -30,7 +31,7 @@ from .errors import (
     NotIsolated,
     NotRationalHomologySphere,
 )
-from .lattice import IntVec3, content, cross, dot, vec_sub
+from .lattice import IntVec3, cross, dot, vec_sub
 
 IntVec2 = tuple[int, int]
 
@@ -95,24 +96,8 @@ class NewtonPolyhedron:
     def all_faces(self):
         return list(self.compact_faces) + list(self.noncompact_faces)
 
-    def face_by_normal(self, normal):
-        for f in self.all_faces():
-            if f.normal == tuple(normal):
-                return f
-        raise KeyError(normal)
-
     def t_between(self, n1, n2) -> int:
         return self.adjacency.get(frozenset((tuple(n1), tuple(n2))), 0)
-
-    def neighbors_of(self, normal):
-        """(face, t) pairs over faces adjacent to the given one, t > 0."""
-        normal = tuple(normal)
-        out = []
-        for key, t in sorted(self.adjacency.items(), key=lambda kv: sorted(kv[0])):
-            if normal in key:
-                (other,) = key - {normal}
-                out.append((self.face_by_normal(other), t))
-        return out
 
 
 def is_isolated(support: Support) -> bool:
@@ -122,7 +107,12 @@ def is_isolated(support: Support) -> bool:
     point p with p - e_i in the octant face spanned by I: p_j = 0 outside
     I union {i}, p_i >= 1, and p_i = 1 exactly when i lies outside I (this
     is the "distance at most one from each coordinate axis" clause).
+
+    A convenient support is isolated: for i in I an axis point d e_i is a
+    witness (p_i = 1 is asked only for i outside I), so I has |I| of them.
     """
+    if is_convenient(support):
+        return True
     pts = support.points
     for size in (1, 2, 3):
         for subset in combinations(range(3), size):
@@ -167,30 +157,40 @@ def _candidate_normals(pts):
     through one point and two rays (a unit vector).
     """
     raw = set(_UNITS)
-    for i, p in enumerate(pts):
-        diffs = [vec_sub(q, p) for q in pts[i + 1 :]]
-        for j, d in enumerate(diffs):
-            raw.update(cross(d, e) for e in _UNITS)
-            raw.update(cross(d, d2) for d2 in diffs[j + 1 :])
+    for i, (px, py, pz) in enumerate(pts):
+        diffs = [(x - px, y - py, z - pz) for x, y, z in pts[i + 1 :]]
+        for j, (a, b, c) in enumerate(diffs):
+            raw.update(((0, c, -b), (-c, 0, a), (b, -a, 0)))
+            for d, e, f in diffs[j + 1 :]:
+                raw.add((b * f - c * e, c * d - a * f, a * e - b * d))
     normals = set()
-    for v in raw:
-        if min(v) < 0 < max(v):
-            continue  # no multiple of v is nonnegative
-        c = content(v)
-        if c == 0:
-            continue
-        if min(v) < 0:
-            c = -c
-        normals.add(tuple(x // c for x in v))
+    for a, b, c in raw:
+        if a < 0 or b < 0 or c < 0:
+            if a > 0 or b > 0 or c > 0:
+                continue  # no multiple of (a, b, c) is nonnegative
+            a, b, c = -a, -b, -c
+        g = gcd(a, b, c)
+        if g:
+            normals.add((a // g, b // g, c // g))
     return normals
 
 
-def _affine_rank2(vectors) -> bool:
-    nonzero = [v for v in vectors if v != (0, 0, 0)]
-    for v1, v2 in combinations(nonzero, 2):
-        if cross(v1, v2) != (0, 0, 0):
-            return True
-    return False
+def _spans_face(normal, minimal) -> bool:
+    """Whether the minimal set of a candidate normal (distinct points), with
+    the coordinate rays the normal leaves invariant, spans an affine plane.
+
+    Two zero coordinates: the two rays span it.  One zero, at k: some
+    minimal point must differ from the first in a coordinate other than k.
+    No zero: two differences from the first point must not be parallel.
+    """
+    zeros = normal.count(0)
+    if zeros == 2:
+        return True
+    x0, y0, z0 = minimal[0]
+    diffs = [(x - x0, y - y0, z - z0) for x, y, z in minimal[1:]]
+    if zeros:
+        return any(d[i] for d in diffs for i in range(3) if normal[i])
+    return any(cross(diffs[0], d) != (0, 0, 0) for d in diffs[1:])
 
 
 def _cross2(a: IntVec2, b: IntVec2) -> int:
@@ -249,9 +249,10 @@ def newton_polyhedron(support: Support) -> NewtonPolyhedron:
     kept points, a noncompact face with one ray holds two kept points whose
     difference is not along that ray, and a face with two rays has a unit
     normal.  A candidate survives when its minimal set, together with the
-    coordinate rays it leaves invariant, spans an affine plane.  With m
-    points kept the cost is O(m^4): C(m, 3) + 3 C(m, 2) + 3 candidates,
-    each checked against every kept point.
+    coordinate rays it leaves invariant, spans an affine plane
+    (`_spans_face`).  With m points kept the cost is O(m^4): C(m, 3) +
+    3 C(m, 2) + 3 candidates, each checked against every kept point; no
+    step scans lattice points, so large exponents cost no more.
     """
     if not is_isolated(support):
         raise NotIsolated(f"{support} does not define an isolated singularity")
@@ -262,32 +263,30 @@ def newton_polyhedron(support: Support) -> NewtonPolyhedron:
         levels = [a * x + b * y + c * z for x, y, z in pts]
         value = min(levels)
         minimal = [p for p, level in zip(pts, levels) if level == value]
-        anchor = minimal[0]
-        spanning = [vec_sub(p, anchor) for p in minimal]
-        rays = [e for k, e in enumerate(_UNITS) if normal[k] == 0]
-        if not _affine_rank2(spanning + rays):
+        if not _spans_face(normal, minimal):
             continue
-        if all(x > 0 for x in normal):
+        if a and b and c:
             vertices = _hull_in_plane(minimal, normal)
             compact.append(Face2D(normal, value, vertices, True))
         else:
             noncompact.append(Face2D(normal, value, (), False))
 
     poly = NewtonPolyhedron(support, compact, noncompact)
+    planes = [(g, *g.normal, g.value) for g in poly.all_faces()]
     for face in compact:
         verts = face.vertices
-        for i in range(len(verts)):
-            p, q = verts[i], verts[(i + 1) % len(verts)]
+        for i, (px, py, pz) in enumerate(verts):
+            q = qx, qy, qz = verts[(i + 1) % len(verts)]
             others = [
                 g
-                for g in poly.all_faces()
-                if g.normal != face.normal
-                and dot(g.normal, p) == g.value == dot(g.normal, q)
+                for g, a, b, c, value in planes
+                if a * px + b * py + c * pz == value == a * qx + b * qy + c * qz
+                and g is not face
             ]
             if len(others) != 1:
-                raise AssertionError(f"edge [{p}, {q}] should lie on exactly one other face, got {others}")
+                raise AssertionError(f"edge [{verts[i]}, {q}] should lie on exactly one other face, got {others}")
             key = frozenset((face.normal, others[0].normal))
-            t = content(vec_sub(q, p))
+            t = gcd(qx - px, qy - py, qz - pz)
             prev = poly.adjacency.setdefault(key, t)
             if prev != t:
                 raise AssertionError(f"inconsistent adjacency length on {key}")
@@ -345,21 +344,41 @@ def make_convenient(poly: NewtonPolyhedron):
 
 
 def is_rhs_link(poly: NewtonPolyhedron) -> bool:
-    """True when no all-positive lattice point lies on a compact face."""
-    return not _positive_diagram_points(poly)
+    """True when no all-positive lattice point lies on a compact face.
 
-
-def _positive_diagram_points(poly: NewtonPolyhedron):
-    """Lattice points with all coordinates positive on the union of compact faces."""
-    found = set()
-    faces = poly.all_faces()
+    Such a point is a vertex with no zero coordinate, a lattice point inside
+    an edge whose ends are not both 0 in one coordinate, or one inside a
+    face (a zero coordinate there would make x_c = 0 the face's plane).
+    """
     for face in poly.compact_faces:
-        lo = [max(min(v[c] for v in face.vertices), 1) for c in range(3)]
-        hi = [max(v[c] for v in face.vertices) for c in range(3)]
-        for p in kernels.plane_points(face.normal, face.value, lo, hi):
-            if all(dot(g.normal, p) >= g.value for g in faces):
-                found.add(p)
-    return sorted(found)
+        verts = face.vertices
+        for i, (px, py, pz) in enumerate(verts):
+            if px and py and pz:
+                return False
+            qx, qy, qz = verts[i - 1]
+            if gcd(qx - px, qy - py, qz - pz) >= 2 and (px or qx) and (py or qy) and (pz or qz):
+                return False
+        if face_interior_points(face):
+            return False
+    return True
+
+
+def face_interior_points(face: Face2D) -> int:
+    """Lattice points inside a compact face, by Pick: I = (2A - B + 2) / 2.
+
+    The normal n is primitive, so cross(v_i - v_0, v_(i+1) - v_0) is an
+    integer multiple of n, and over the fan from v_0 the multiples sum to
+    twice the lattice area 2A.  Their z coordinates, the shoelace sum of
+    the projection to the (x, y)-plane, sum to n_z 2A.  B, the lattice
+    points on the boundary, is the sum of the edge contents.
+    """
+    verts = face.vertices
+    shoelace = boundary = 0
+    for i, (px, py, pz) in enumerate(verts):
+        qx, qy, qz = verts[i - 1]
+        shoelace += qx * py - qy * px
+        boundary += gcd(px - qx, py - qy, pz - qz)
+    return (abs(shoelace) // face.normal[2] - boundary + 2) // 2
 
 
 def _require_compact(poly: NewtonPolyhedron):
@@ -500,7 +519,7 @@ def _diagram_edges(poly):
 def classify_diagram(poly: NewtonPolyhedron) -> AnatomyReport:
     """Central face / central edge diagnosis and the arm chains per axis."""
     _require_compact(poly)
-    if _positive_diagram_points(poly):
+    if not is_rhs_link(poly):
         raise NotRationalHomologySphere("diagram has an interior positive lattice point")
 
     candidates = [

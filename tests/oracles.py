@@ -9,18 +9,23 @@ Z^3 are expected to supply their own identification with Z^2.
 The rest are small views of the package's objects that only the tests read:
 the exhaustive scan for Oka's beta, continued-fraction evaluation, Artin's minimal cycle, a graph rebuilt from
 its payload, leg cycles, chi, the pol part of the Poincare series and two
-Puiseux-polynomial helpers.
+Puiseux-polynomial helpers.  The face scans (every lattice point of a
+face's bounding box), the pairwise rank test of a candidate face and the
+blow-down loop that rescans the edge list are the references for the
+closed counts, the zero-pattern test and the heap that the package uses.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import ceil, floor, gcd
 
 from newtonsing import kernels
 from newtonsing.errors import ClassificationFailed, NewtonsingError
 from newtonsing.graph import PlumbingGraph
-from newtonsing.lattice import _xgcd, content, vec_add, vec_scale
+from newtonsing.lattice import _xgcd, content, cross, dot, vec_add, vec_scale, vec_sub
 from newtonsing.newton import (
+    _UNITS,
     IntVec2,
     NewtonPolyhedron,
     PuiseuxPoly,
@@ -389,3 +394,97 @@ def coefficient(series: PuiseuxPoly, e) -> int:
 def substitute_inverse(series: PuiseuxPoly) -> PuiseuxPoly:
     """t -> 1/t."""
     return PuiseuxPoly({-k: c for k, c in series.numerators.items()}, series.denominator)
+
+
+def plane_points(normal, value, lo, hi):
+    """Lattice points p in [lo, hi]^3 with normal.p == value, in lexicographic order.
+
+    Solves for p2 in each column (p0, p1); `normal` must have a nonzero last entry.
+    """
+    a0, a1, a2 = normal
+    points = []
+    for p0 in range(lo[0], hi[0] + 1):
+        for p1 in range(lo[1], hi[1] + 1):
+            p2, rest = divmod(value - a0 * p0 - a1 * p1, a2)
+            if not rest and lo[2] <= p2 <= hi[2]:
+                points.append((p0, p1, p2))
+    return points
+
+
+def positive_diagram_points(poly: NewtonPolyhedron):
+    """Lattice points with all coordinates positive on the union of compact
+    faces, by a scan of every face's bounding box."""
+    found = set()
+    faces = poly.all_faces()
+    for face in poly.compact_faces:
+        lo = [max(min(v[c] for v in face.vertices), 1) for c in range(3)]
+        hi = [max(v[c] for v in face.vertices) for c in range(3)]
+        for p in plane_points(face.normal, face.value, lo, hi):
+            if all(dot(g.normal, p) >= g.value for g in faces):
+                found.add(p)
+    return sorted(found)
+
+
+def interior_points(poly: NewtonPolyhedron, face) -> int:
+    """Lattice points of the compact face strictly inside every other face's
+    half-space, by a scan of the face's bounding box."""
+    others = [g for g in poly.all_faces() if g.normal != face.normal]
+    lo = [min(v[c] for v in face.vertices) for c in range(3)]
+    hi = [max(v[c] for v in face.vertices) for c in range(3)]
+    points = plane_points(face.normal, face.value, lo, hi)
+    return sum(1 for p in points if all(dot(g.normal, p) > g.value for g in others))
+
+
+def affine_rank2(vectors) -> bool:
+    nonzero = [v for v in vectors if v != (0, 0, 0)]
+    for v1, v2 in combinations(nonzero, 2):
+        if cross(v1, v2) != (0, 0, 0):
+            return True
+    return False
+
+
+def spans_face(normal, minimal) -> bool:
+    """The differences from the first minimal point, with the rays the
+    normal leaves invariant, have rank 2 (tested pairwise)."""
+    spanning = [vec_sub(p, minimal[0]) for p in minimal]
+    rays = [e for k, e in enumerate(_UNITS) if normal[k] == 0]
+    return affine_rank2(spanning + rays)
+
+
+def minimal_model_scan(g: PlumbingGraph) -> tuple:
+    """`graph.minimal_model` by rescanning the edge list: each round sorts
+    every vertex that may blow down, each degree by a pass over the edges."""
+    b = list(g.b)
+    genus = list(g.genus)
+    edges = [list(e) for e in g.edges]
+    alive = set(range(g.nv))
+
+    def degree(v):
+        return sum((u == v) + (w == v) for u, w in edges)
+
+    while True:
+        candidates = sorted(v for v in alive if b[v] == 1 and genus[v] == 0 and degree(v) <= 2)
+        if not candidates:
+            break
+        v = candidates[0]
+        incident = [e for e in edges if v in e]
+        others = [e[0] if e[1] == v else e[1] for e in incident]
+        if len(others) == 2 and others[0] == others[1]:
+            raise NewtonsingError("blow-down would create a loop edge")
+        edges = [e for e in edges if v not in e]
+        for u in others:
+            b[u] -= 1
+        if len(others) == 2:
+            edges.append([others[0], others[1]])
+        alive.remove(v)
+
+    kept = tuple(sorted(alive))
+    if len(kept) == g.nv:
+        g._check()
+        return g, kept
+    renum = {old: new for new, old in enumerate(kept)}
+    return PlumbingGraph(
+        [b[v] for v in kept],
+        [genus[v] for v in kept],
+        [[renum[u], renum[w]] for u, w in edges],
+    ), kept

@@ -195,8 +195,11 @@ def test_verify_and_pg_keep_the_report_contract(points):
             assert code == 0 and all(report["oracles"].values()), report
 
 
-# Exponents stay at 12 or below: the face scans grow quadratically with
-# the exponent size, and that cost is no concern of the report contract.
+# Exponents stay at 12 or below: the Oka graph, and with it `pg`'s
+# sequences and counting walk, grows with the exponents (the budgets stop
+# those in seconds, not milliseconds), and that cost is no concern of the
+# report contract.  The faces themselves cost nothing extra:
+# `test_large_exponents_answer_in_closed_form` runs exponents of 3000.
 _json_scalars = (
     st.none()
     | st.booleans()
@@ -253,6 +256,24 @@ def test_any_json_document_gets_one_report(doc):
         assert isinstance(report, dict) and code in (0, 1, 2)
         assert (code == 2) == (report.get("error") == "InputError"), report
         assert report.get("error") != "InternalError", report
+
+
+@pytest.mark.parametrize("command", ["diagram", "graph"])
+def test_large_exponents_answer_in_closed_form(command):
+    """Face lattice points are counted from the vertices (Pick's theorem),
+    so exponents of 3000 cost no scan of the face's 4.5 * 10^6 lattice points."""
+    doc = json.dumps({"monomials": [[3000, 0, 0], [0, 3000, 0], [0, 0, 3000]]})
+    out = io.StringIO()
+    started = time.perf_counter()
+    with (
+        patch("sys.stdin", io.StringIO(doc)),
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(io.StringIO()),
+    ):
+        code = main(["-", command])
+    assert time.perf_counter() - started < 2
+    assert code == 0 and out.getvalue().count("\n") == 1
+    assert json.loads(out.getvalue())["command"] == command
 
 
 def test_determinism(tmp_path, capsys):

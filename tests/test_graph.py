@@ -30,8 +30,8 @@ from tests.conftest import (
     fraction_gauss_jordan,
     tree_code,
 )
-from tests.oracles import from_payload, minimal_cycle
-from tests.test_newton import convenient_supports
+from tests.oracles import from_payload, interior_points, minimal_cycle, minimal_model_scan
+from tests.test_newton import GENERATED, _isolated_polyhedra, convenient_supports
 
 
 @pytest.fixture(scope="module")
@@ -406,6 +406,54 @@ def test_minimal_model_returns_its_input_when_nothing_blows_down(front_og):
         minimal_model(PlumbingGraph([2, 2], [0, 0], [], check=False))
     with pytest.raises(NotNegativeDefinite):
         minimal_model(PlumbingGraph([2, 2], [0, 0], [(0, 1), (0, 1)], check=False))
+
+
+def _outcome(run, *args):
+    try:
+        return run(*args)
+    except Exception as exc:  # the oracle must fail the same way
+        return type(exc), str(exc)
+
+
+def _random_blowdown_graph(rng):
+    """A small unchecked graph with b in 1..3, some genus and now and then a
+    repeated edge or a cycle."""
+    nv = rng.randint(1, 9)
+    edges = [(rng.randrange(v), v) for v in range(1, nv)]
+    for _ in range(rng.choice([0, 0, 0, 1, 2])):
+        u, v = rng.sample(range(nv), 2) if nv > 1 else (0, 0)
+        if u != v:
+            edges.append((u, v))
+    b = [rng.choice([1, 1, 2, 3]) for _ in range(nv)]
+    genus = [int(rng.random() < 0.1) for _ in range(nv)]
+    return PlumbingGraph(b, genus, edges, check=False)
+
+
+def test_minimal_model_matches_the_edge_scan():
+    """The heap of candidates blows down the same vertices, in the same
+    order, as the loop that rescans the edge list: the same (minimal, kept)
+    or the same error, on Oka graphs and on small random graphs."""
+    graphs = []
+    for _, poly in _isolated_polyhedra():
+        if poly.compact_faces:
+            graphs.append(oka_graph(poly).graph)
+    rng = random.Random(23)
+    graphs += [_random_blowdown_graph(rng) for _ in range(600)]
+    kinds = set()
+    for g in graphs:
+        got = _outcome(minimal_model, g)
+        assert got == _outcome(minimal_model_scan, g), g.to_payload()
+        kinds.add(got[0] if isinstance(got[0], type) else len(got[1]) < g.nv)
+    assert {True, False} <= kinds and len(kinds) >= 4, kinds
+
+
+def test_node_genera_match_the_face_scan():
+    for _, poly in _isolated_polyhedra():
+        if not poly.compact_faces:
+            continue
+        og = oka_graph(poly)
+        for face in poly.compact_faces:
+            assert og.graph.genus[og.node_ids[face.normal]] == interior_points(poly, face)
 
 
 def test_minimal_model_preserves_det(corpus):

