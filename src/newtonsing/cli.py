@@ -6,9 +6,10 @@ report on stdout.  Reports are byte-identical across runs: keys are sorted,
 rationals render as "p/q", and timing goes to stderr.
 
 Exit codes: 0 success, 1 domain or internal error, 2 usage or input error.
-An internal failure (a broken invariant check or exhausted recursion) is
-reported as an InternalError, never as a traceback.  When the reader of
-stdout has gone (`newtonsing ... | head`), the run exits 1 quietly.
+Any other exception of a subcommand (a broken invariant check, exhausted
+recursion) is reported as an InternalError, never as a traceback.  When the
+reader of stdout has gone (`newtonsing ... | head`), the run exits 1
+quietly.
 """
 
 import argparse
@@ -305,7 +306,7 @@ def _run(argv) -> int:
     }
     try:
         out = _HANDLERS[args.command](model, args)
-    except (NewtonsingError, AssertionError, RecursionError) as exc:
+    except Exception as exc:
         if not isinstance(exc, NewtonsingError):
             exc = InternalError(f"{type(exc).__name__}: {exc}")
         report["error"] = type(exc).__name__

@@ -58,4 +58,5 @@ class InputError(NewtonsingError):
 
 
 class InternalError(NewtonsingError):
-    """A broken internal invariant or exhausted recursion (CLI exit code 1)."""
+    """Any other exception of a subcommand, such as a broken internal
+    invariant or exhausted recursion (CLI exit code 1)."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import Disconnected, NewtonsingError, NoCompactFace, NotNegativeDefinite, NotTree
+from .errors import Disconnected, NoCompactFace, NotNegativeDefinite, NotRationalHomologySphere, NotTree
 from .lattice import dot, pair_data
 from .newton import NewtonPolyhedron, Support, face_interior_points
 
@@ -440,7 +440,8 @@ def minimal_model(g: PlumbingGraph) -> tuple:
             continue
         others = nbr[v]
         if len(others) == 2 and others[0] == others[1]:
-            raise NewtonsingError("blow-down would create a loop edge")
+            # a double edge is a cycle, so b1 > 0 and H1 of the link is infinite
+            raise NotRationalHomologySphere("blow-down would create a loop edge: the graph has a cycle")
         alive[v] = False
         for u in others:
             nbr[u].remove(v)

@@ -3,9 +3,10 @@
 The scans walk the columns (p0, p1) of the box.  When every row has a
 nonnegative last entry, the p2 with rows[i].p < bounds[i] for some i form a
 prefix of each column, so a scan costs box^2 * rows plus its output rather
-than box^3 * rows.  `min_histogram` walks the pieces of min_i rows[i].p
-along each column instead of its points, and counts each piece as one
-arithmetic progression.  Arithmetic is on Python integers, hence exact.
+than box^3 * rows.  `min_histogram` counts min_i rows[i].p at each point
+on the first row attaining it; that row's points on a column are one
+interval of p2, counted as one arithmetic progression.  Arithmetic is on
+Python integers, hence exact.
 """
 
 from collections import Counter
@@ -59,48 +60,50 @@ def collect_violating(rows, bounds, lo, hi):
     return [(p0, p1, p2) for p0, p1, top in columns for p2 in range(lo[2], top + 1)]
 
 
+def _span(a, c, lo, hi):
+    """The x in [lo, hi] with a * x <= c, as a range."""
+    if a > 0:
+        return range(lo, min(hi, c // a) + 1)
+    if a < 0:
+        return range(max(lo, -(c // -a)), hi + 1)
+    return range(lo, hi + 1) if c >= 0 else range(0)
+
+
 def min_histogram(rows, cap, lo, hi):
     """Counter of min_i rows[i].p over the p in [lo, hi]^3 where that min is <= cap.
 
     `rows` is a nonempty list of integer 3-vectors with positive last
-    entries.  Along a column (p0, p1) the min is then an increasing concave
-    piecewise-linear function of p2.  Each piece starts on the line of least
-    value, ties to the least slope; it ends where a line of smaller slope
-    reaches it, at cap or at hi[2].  So a column has at most one piece per
-    row and costs O(rows) per piece.  Past cap the column is done, and when
-    no row decreases in p1, a column that starts past cap ends its p0 too.
-    Each piece is one `range` of values, and one `Counter` pass in C counts
-    them all.
+    entries.  Each p is counted on the first row i attaining the min, that
+    is where (a2 - b2) p2 <= (b0 - a0) p0 + (b1 - a1) p1 - [j < i] for every
+    other row j = (b0, b1, b2) (a = rows[i]).  On a column (p0, p1) these
+    are floor bounds (a2 > b2), ceiling bounds (a2 < b2) or all-or-nothing
+    tests (a2 = b2) on p2, so row i owns one interval of the column and its
+    values up to cap are one `range` of step a2.  The cap also bounds p0
+    and p1 per row.  One `Counter` pass in C counts all the ranges.
     """
     if not rows or any(a2 <= 0 for _, _, a2 in rows):
         raise ValueError("min_histogram needs rows with a positive last entry")
-    pieces = []
-    l2, h2 = lo[2], hi[2]
-    rising = all(a1 >= 0 for _, a1, _ in rows)
-    for p0 in range(lo[0], hi[0] + 1):
-        for p1 in range(lo[1], hi[1] + 1):
-            # (value at p2 = l2, slope) per row
-            lines = [(a0 * p0 + a1 * p1 + a2 * l2, a2) for a0, a1, a2 in rows]
-            v, s = min(lines)
-            if v > cap:
-                if rising:
-                    break
-                continue
-            p2 = l2
-            while True:
-                # a line of slope r < s is at most v + s*d once d >= ceil(gap / (s - r))
-                n = min(h2 - p2 + 1, (cap - v) // s + 1)
-                for u, r in lines:
-                    if r < s:
-                        n = min(n, -(-(u + r * (p2 - l2) - v) // (s - r)))
-                pieces.append(range(v, v + s * n, s))
-                p2 += n
-                if p2 > h2:
-                    break
-                v, s = min([(u + r * (p2 - l2), r) for u, r in lines])
-                if v > cap:
-                    break
-    return Counter(chain.from_iterable(pieces))
+    ranges = []
+    (l0, l1, l2), (h0, h1, h2) = lo, hi
+    for i, (a0, a1, a2) in enumerate(rows):
+        others = [(a2 - b2, b0 - a0, b1 - a1, j < i) for j, (b0, b1, b2) in enumerate(rows) if j != i]
+        for p0 in _span(a0, cap - a2 * l2 - min(a1 * l1, a1 * h1), l0, h0):
+            terms = [(d, c0 * p0 - t, c1) for d, c0, c1, t in others]
+            for p1 in _span(a1, cap - a2 * l2 - a0 * p0, l1, h1):
+                bottom, top = l2, h2
+                for d, r, c1 in terms:
+                    r += c1 * p1
+                    if d > 0:
+                        top = min(top, r // d)
+                    elif d < 0:
+                        bottom = max(bottom, -(r // -d))
+                    elif r < 0:
+                        top = bottom - 1
+                u = a0 * p0 + a1 * p1
+                values = range(u + a2 * bottom, min(cap, u + a2 * top) + 1, a2)
+                if values:
+                    ranges.append(values)
+    return Counter(chain.from_iterable(ranges))
 
 
 def laufer_complete(b, neighbors, is_node, m):

@@ -415,8 +415,8 @@ def _weight_histogram(poly, bound, positive):
 
     L is the lcm of the compact face values w_n, so weight(p) is k / L with
     the integer k = min_n (L // w_n) * l_n(p), and weight(p) <= bound is
-    k <= floor(bound * L).  `kernels.min_histogram` counts the k per column
-    piece, not per point.
+    k <= floor(bound * L).  `kernels.min_histogram` counts the k per face
+    and column, not per point.
     """
     _require_compact(poly)
     bound = Fraction(bound)

@@ -12,16 +12,19 @@ its payload, leg cycles, chi, the pol part of the Poincare series and two
 Puiseux-polynomial helpers.  The face scans (every lattice point of a
 face's bounding box), the pairwise rank test of a candidate face and the
 blow-down loop that rescans the edge list are the references for the
-closed counts, the zero-pattern test and the heap that the package uses.
+closed counts, the zero-pattern test and the heap that the package uses;
+the walk along each column's lower envelope is the reference for the
+weight histogram's face cones.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import ceil, floor, gcd
 
 from newtonsing import kernels
-from newtonsing.errors import ClassificationFailed, NewtonsingError
+from newtonsing.errors import ClassificationFailed, NewtonsingError, NotRationalHomologySphere
 from newtonsing.graph import PlumbingGraph
 from newtonsing.lattice import _xgcd, content, cross, dot, vec_add, vec_scale, vec_sub
 from newtonsing.newton import (
@@ -411,6 +414,39 @@ def plane_points(normal, value, lo, hi):
     return points
 
 
+def min_histogram_walk(rows, cap, lo, hi):
+    """Counter of min_i rows[i].p over the p in [lo, hi]^3 where that min is <= cap,
+    by walking the lower envelope of each column: the reference for
+    `kernels.min_histogram`, which counts the points of each row's face cone.
+
+    `rows` have positive last entries, so along a column (p0, p1) the min is
+    an increasing concave piecewise-linear function of p2.  Each piece starts
+    on the line of least value, ties to the least slope, and ends where a
+    line of smaller slope reaches it, at cap or at hi[2]; it is one `range`
+    of values.
+    """
+    pieces = []
+    l2, h2 = lo[2], hi[2]
+    for p0 in range(lo[0], hi[0] + 1):
+        for p1 in range(lo[1], hi[1] + 1):
+            # (value at p2 = l2, slope) per row
+            lines = [(a0 * p0 + a1 * p1 + a2 * l2, a2) for a0, a1, a2 in rows]
+            v, s = min(lines)
+            p2 = l2
+            while v <= cap:
+                # a line of slope r < s is at most v + s*d once d >= ceil(gap / (s - r))
+                n = min(h2 - p2 + 1, (cap - v) // s + 1)
+                for u, r in lines:
+                    if r < s:
+                        n = min(n, -(-(u + r * (p2 - l2) - v) // (s - r)))
+                pieces.append(range(v, v + s * n, s))
+                p2 += n
+                if p2 > h2:
+                    break
+                v, s = min([(u + r * (p2 - l2), r) for u, r in lines])
+    return Counter(chain.from_iterable(pieces))
+
+
 def positive_diagram_points(poly: NewtonPolyhedron):
     """Lattice points with all coordinates positive on the union of compact
     faces, by a scan of every face's bounding box."""
@@ -470,7 +506,7 @@ def minimal_model_scan(g: PlumbingGraph) -> tuple:
         incident = [e for e in edges if v in e]
         others = [e[0] if e[1] == v else e[1] for e in incident]
         if len(others) == 2 and others[0] == others[1]:
-            raise NewtonsingError("blow-down would create a loop edge")
+            raise NotRationalHomologySphere("blow-down would create a loop edge: the graph has a cycle")
         edges = [e for e in edges if v not in e]
         for u in others:
             b[u] -= 1

@@ -301,6 +301,17 @@ def test_domain_error_exit_code(tmp_path, capsys):
     assert json.loads(out)["error"] == "NotIsolated"
 
 
+@pytest.mark.parametrize("command", [["graph", "--minimal"], ["verify"], ["pg"]])
+def test_cycle_in_the_raw_oka_graph_is_not_rhs(tmp_path, capsys, command):
+    """Making this non-convenient support convenient blows down its raw Oka
+    graph, whose cycle 0-1-5-6-2 would close into a loop edge; every
+    subcommand reports the same typed error."""
+    path = write_doc(tmp_path, [(0, 0, 6), (0, 5, 0), (1, 1, 2), (2, 0, 1)])
+    code, out = run_cli(capsys, path, *command)
+    assert code == 1
+    assert json.loads(out)["error"] == "NotRationalHomologySphere"
+
+
 def test_usage_errors(tmp_path, capsys):
     code, _ = run_cli(capsys, str(tmp_path / "missing.json"), "pg")
     assert code == 2
@@ -368,7 +379,15 @@ def test_verify_all(tmp_path, capsys):
     assert all(report["result"]["checks"].values())
 
 
-@pytest.mark.parametrize("error", [AssertionError("broken invariant"), RecursionError("too deep")])
+@pytest.mark.parametrize(
+    "error",
+    [
+        AssertionError("broken invariant"),
+        RecursionError("too deep"),
+        IndexError("list index out of range"),
+        ZeroDivisionError("division by zero"),
+    ],
+)
 def test_internal_errors_are_json_reports(tmp_path, capsys, monkeypatch, error):
     def broken(model, args):
         raise error

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from newtonsing import cli, invariants, newton
+from newtonsing import cli, invariants, kernels, newton
 from newtonsing.errors import NoCompactFace, NotIsolated
 from newtonsing.invariants import SingularityModel
 from newtonsing.lattice import content, cross, vec_sub
@@ -31,6 +31,7 @@ from tests.conftest import FRONT_PAGE, brieskorn, corpus_supports
 from tests.oracles import (
     coefficient,
     interior_points,
+    min_histogram_walk,
     poincare_pol_part,
     positive_diagram_points,
     spans_face,
@@ -320,6 +321,26 @@ def test_weight_histogram_matches_brute_force_on_several_faces(points, bound, fa
     assert poincare_newton(poly, bound) == poincare
     assert saito_spectrum(poly) == spectrum
     assert poincare_pol_part(poly) == pol
+
+
+def test_face_cones_match_the_envelope_walk(monkeypatch):
+    """`kernels.min_histogram` equals the walk along each column's lower
+    envelope on the weight boxes of the corpus at bounds 1, 3, 8 and 20, and
+    of every generated isolated polyhedron at bounds 1, 3 and 8 (at 20 some
+    of their boxes pass the weight-box budget and the rest hold millions of
+    points), inside the positive octant and out of it: boxes past the
+    brute-force scan's reach."""
+    calls = []
+    kernel = kernels.min_histogram
+    monkeypatch.setattr(kernels, "min_histogram", lambda *args: calls.append(args) or kernel(*args))
+    corpus = [newton_polyhedron(s) for s in corpus_supports()]
+    generated = [poly for _, poly in _isolated_polyhedra() if poly.compact_faces]
+    cases = [(poly, bound) for poly in corpus for bound in (1, 3, 8, 20)]
+    cases += [(poly, bound) for poly in generated for bound in (1, 3, 8)]
+    for (poly, bound), positive in product(cases, (True, False)):
+        histogram, _ = newton._weight_histogram(poly, bound, positive)
+        assert histogram == min_histogram_walk(*calls[-1]), (poly, bound, positive)
+    assert len(calls) == 2 * len(cases) and any(len(rows) > 2 for rows, *_ in calls)
 
 
 def test_poincare_via_sequence_matches_newton_at_bound_20(front_page_model):
