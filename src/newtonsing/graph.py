@@ -27,10 +27,11 @@ class PlumbingGraph:
     """Vertices carry selfintersection -b_v and genus g_v; edges may repeat.
 
     With check=True the graph must be connected and negative definite.  A
-    tree is certified by `_subtree_dets` and its `data` is computed when
-    first read; any other graph is eliminated at once.  Either way a form
-    that is not definite raises the dense elimination's NotNegativeDefinite,
-    which names the first pivot that fails.
+    tree is certified by `_subtree_dets`, once per graph, and its `data` is
+    computed from the same pass when first read; any other graph is
+    eliminated at once.  Either way a form that is not definite raises the
+    dense elimination's NotNegativeDefinite, which names the first pivot
+    that fails.
     """
 
     def __init__(self, b, genus, edges, check=True):
@@ -60,6 +61,14 @@ class PlumbingGraph:
     def data(self) -> "IntersectionData":
         """The graph's exact intersection data, eliminated once."""
         return intersection_data(self)
+
+    @cached_property
+    def _leaf_first(self) -> tuple:
+        """(order, dets) of a tree: `_bfs_order` from vertex 0 and its
+        `_subtree_dets`, computed once and read by every certificate and by
+        `intersection_data`."""
+        order = _bfs_order(self, 0)
+        return order, _subtree_dets(self, order)
 
     @cached_property
     def arms(self) -> dict:
@@ -96,7 +105,7 @@ class PlumbingGraph:
     def _check(self):
         """Raise unless the graph is connected and negative definite."""
         self._check_connected()
-        if not self.is_tree() or _subtree_dets(self, _bfs_order(self, 0)) is None:
+        if not self.is_tree() or self._leaf_first[1] is None:
             self.data  # the dense elimination raises NotNegativeDefinite
 
     def _check_connected(self):
@@ -237,8 +246,7 @@ def intersection_data(g: PlumbingGraph) -> IntersectionData:
     if not g.is_tree():
         data = _bareiss(g)
     else:
-        order = _bfs_order(g, 0)
-        dets = _subtree_dets(g, order)
+        order, dets = g._leaf_first
         if dets is None:
             _bareiss(g)
             raise AssertionError("leaf-first certificate and elimination disagree")

@@ -6,12 +6,13 @@ assignments, one coefficient per call (positivity of the dual cycles bounds
 the search), and, as a second path, read off one truncated product for a
 list of targets.  The counting function walks the same terms through their
 cycles, whose chain coordinates are pinned by the node values and end
-exponents.  That walk is one enumeration for every tree: a graph without
-nodes is rooted at an end, and its chain is read by the same walker as a
-node's arms (`PlumbingGraph.arm`).  It is also one enumeration for every
-list of targets: q at each asked cycle is summed at the leaves of one walk
-over the least box containing all of their boxes.  The sets P_i come from
-raw halfspace tests in Z^3.
+exponents.  That walk is one loop over a precomputed task list (the root
+value, one integer record per chain slot, one close task per node) for
+every tree: a graph without nodes is rooted at an end, and its chain is
+read like a node's arms (`PlumbingGraph.arm`).  It is also one walk for
+every list of targets: q at each asked cycle is summed at the leaves of
+one walk over the least box containing all of their boxes.  The sets P_i
+come from raw halfspace tests in Z^3.
 """
 
 from dataclasses import dataclass
@@ -150,9 +151,15 @@ def counting_q(g: PlumbingGraph, lps, max_states=10_000_000) -> list:
     Since the dual cycles are a basis, every zeta term is indexed by its
     cycle l with exponents a_v = -(l, E_v); so the sum runs over lattice
     cycles directly.  Cycles in the support have a_v = 0 along every chain,
-    so they are determined by the node values and the end exponents; the
-    enumeration walks that reduced tree, with one divisibility condition
-    per bamboo pinning the chain interior.
+    so they are determined by the node values and one value per slot (a
+    node's neighbour): the first chain coefficient f next to the node, which
+    ranges over consecutive integers.  Along the chain a_v = 0 propagates f,
+    and the far value (the end exponent of a leg, the far node's value of a
+    bamboo) is alpha*f - beta*m_n.  The node's pending 0 <= a_n <= deg - 2
+    brackets each f by the congruence floors ceil(beta*m_n / alpha) and the
+    box ceilings of its slots still open.  `_walk_tasks` lists the root
+    value, one record per slot and one close task per node, and `_walk`
+    runs them depth-first in one loop.
 
     One walk serves every target.  Every support cycle lies in the Lipman
     cone, so the box `_coordinate_bounds(lp)` contains each support cycle l
@@ -169,191 +176,121 @@ def counting_q(g: PlumbingGraph, lps, max_states=10_000_000) -> list:
     boxes = [b for b in (_coordinate_bounds(g.data.scaled_duals, t) for t in targets) if b is not None]
     if not boxes:
         return [0] * len(targets)
-    return _ReducedCount(g, targets, [max(col) for col in zip(*boxes)], max_states).run()
+    ub = [max(col) for col in zip(*boxes)]
+    return _walk(g, _walk_tasks(g, ub), ub, targets, max_states)
 
 
-class _ReducedCount:
-    """Enumeration of the zeta support over the reduced tree.
-
-    Support cycles have a_v = 0 along chains, so a cycle is fixed by the
-    node values and one value per incident bamboo: the first chain
-    coefficient f next to the node, which ranges over consecutive integers
-    (for a leg, the end exponent is alpha*f - beta*m_n; for a bamboo to
-    another node, the far value is alpha*f - beta*m_n).  The pending
-    0 <= a_n <= deg-2 constraint of the node brackets each f by the
-    congruence floors and box ceilings of the still-open slots.  A graph
-    without nodes is rooted at an end (or its one vertex) and has one leg.
-    """
-
-    def __init__(self, g, targets, ub, max_states):
-        self.g = g
-        self.targets = targets
-        self.ub = ub
-        self.max_states = max_states
-        self.states = 0
-        self.totals = [0] * len(targets)
-        self.values = [None] * g.nv
-        self.root = (g.nodes or g.ends or (0,))[0]
-        arms = g.arms if g.nodes else {self.root: [g.arm(self.root, u) for u in g.neighbors[self.root]]}
-        # (chain, alpha, beta, far node) per directed (branch vertex, first
-        # vertex), read from the graph's arms
-        self.edge_from = {
-            (n, u): (chain, alphas[0], alphas[1], far)
-            for n, n_arms in arms.items()
-            for u, (chain, far, alphas) in zip(g.neighbors[n], n_arms)
-        }
-
-    def _plan(self):
-        """Task list: branch the root, then per node branch each slot but the
-        one back toward its parent, entering each newly reached node before
-        the node's next slot, then close the node."""
-        tasks = [("root", self.root)]
-        stack = [(self.root, iter(self._slots(self.root, None)))]
-        while stack:
-            n, slots = stack[-1]
-            u = next(slots, None)
-            if u is None:
-                stack.pop()
-                tasks.append(("close", n))
-                continue
-            tasks.append(("slot", n, u))
-            far = self.edge_from[(n, u)][3]
-            if far is not None:
-                stack.append((far, iter(self._slots(far, n))))
-        return tasks
-
-    def _slots(self, n, parent):
-        """Neighbours of n whose chains do not lead back to the parent node."""
-        return [
-            u for u in self.g.neighbors[n]
-            if parent is None or self.edge_from[(n, u)][3] != parent
-        ]
-
-    def _bump(self):
-        self.states += 1
-        if self.states > self.max_states:
-            raise BudgetExceeded(
-                "counting function enumeration exceeded its state budget"
-            )
-
-    def _congruence_floor(self, n, u):
-        _, alpha, beta, _ = self.edge_from[(n, u)]
-        return -(-beta * self.values[n] // alpha)
-
-    def _slot_interval(self, n, u):
-        """Allowed first values toward u given the node's open slots."""
-        g = self.g
-        m = self.values[n]
-        assigned = 0
-        fut_min = fut_max = 0
-        for x in g.neighbors[n]:
-            if x == u:
-                continue
-            if self.values[x] is not None:
-                assigned += self.values[x]
-            else:
-                fut_min += self._congruence_floor(n, x)
-                fut_max += self.ub[x]
-        slack = g.b[n] * m - assigned
-        lo = self._congruence_floor(n, u)
-        if g.degree[n] >= 2:
-            # a_n <= deg - 2; an end's factor is 1 for every a_n >= 0
-            lo = max(lo, slack - fut_max - (g.degree[n] - 2))
-        hi = min(self.ub[u], slack - fut_min)
-        _, alpha, beta, far = self.edge_from[(n, u)]
+def _walk_tasks(g: PlumbingGraph, ub) -> list:
+    """The walk's tasks in order: the root vertex, then per node a slot
+    record for each neighbour whose chain leads away from the node's parent,
+    each newly reached node's tasks right after the slot reaching it, then
+    the node's close task (n,).  A graph without nodes is rooted at an end
+    (or its one vertex) and has one leg."""
+    root = (g.nodes or g.ends or (0,))[0]
+    arms = g.arms if g.nodes else {root: [g.arm(root, u) for u in g.neighbors[root]]}
+    tasks = [root]
+    stack = [(root, _slot_records(g, arms, ub, root, -1))]
+    while stack:
+        n, slots = stack[-1]
+        if not slots:
+            stack.pop()
+            tasks.append((n,))
+            continue
+        tasks.append(slots.pop())
+        far = tasks[-1][5]
         if far is not None:
-            # far node value alpha*f - beta*m must fit its own box
-            hi = min(hi, (beta * m + self.ub[far]) // alpha)
-        return lo, hi
+            stack.append((far, _slot_records(g, arms, ub, far, n)))
+    return tasks
 
-    def _fill_chain(self, n, u, f):
-        """Set the chain toward u from first value f; False when a value
-        leaves the box or drops negative.  Returns the list of set ids."""
-        chain, alpha, beta, far = self.edge_from[(n, u)]
-        written = []
-        prev, cur = self.values[n], f
-        for v in chain:
-            if cur < 0 or cur > self.ub[v]:
-                self._unset(written)
-                return None
-            self.values[v] = cur
-            written.append(v)
-            prev, cur = cur, self.g.b[v] * cur - prev
-        if far is not None:
-            m_far = alpha * f - beta * self.values[n]
-            if m_far < 0 or m_far > self.ub[far]:
-                self._unset(written)
-                return None
-            if chain:
-                # consistency of the propagated chain with the far value
-                if cur != m_far:
-                    raise AssertionError("bamboo propagation mismatch")
-            self.values[far] = m_far
-            written.append(far)
-        return written
 
-    def _unset(self, written):
-        for v in written:
-            self.values[v] = None
+def _slot_records(g: PlumbingGraph, arms, ub, n, parent) -> list:
+    """Slot records of node n entered from `parent` (-1 at the root), last
+    slot first: (n, first vertex, (v, b_v) along the chain, alpha, beta, far
+    node, the neighbours of n set before the slot, (alpha, beta) of each
+    slot still open after it, the sum of their first vertices' box
+    ceilings)."""
+    edges = list(zip(g.neighbors[n], arms[n]))
+    done = [u for u, arm in edges if arm[1] == parent]
+    slots = [(u, arm) for u, arm in edges if arm[1] != parent]
+    records = []
+    for k, (u, (chain, far, alphas)) in enumerate(slots):
+        rest = slots[k + 1 :]
+        chain = tuple((v, g.b[v]) for v in chain)
+        open_ = tuple(arm[2][:2] for _, arm in rest)
+        records.append((n, u, chain, *alphas[:2], far, tuple(done), open_, sum(ub[x] for x, _ in rest)))
+        done.append(u)
+    return records[::-1]
 
-    def _node_factor(self, n):
-        a = self.g.b[n] * self.values[n] - sum(
-            self.values[u] for u in self.g.neighbors[n]
-        )
-        if a < 0:
-            return 0
-        return _vertex_factor(self.g.degree[n], a)
 
-    def _choices(self, task):
-        """Set each value of a branching task in turn, yielding True after
-        each; restore the values when the task is exhausted."""
-        if task[0] == "root":
-            n = task[1]
-            for value in range(self.ub[n] + 1):
-                self._bump()
-                self.values[n] = value
-                yield True
-            self.values[n] = None
+def _walk(g: PlumbingGraph, tasks, ub, targets, max_states) -> list:
+    """Depth-first over `tasks`, one (task index, next value, last value,
+    weight) frame per open branching task; each value tried is one state.
+    A slot value f sets the chain from its first vertex and the far node,
+    and fails when one of them leaves the box.  A close task multiplies the
+    weight by the node's factor, never 0: the last slot's bracket puts a_n
+    in [0, deg - 2] at a node and a_n >= 0 at an end.  Each vertex is
+    written by one task and read only by later tasks of the same path, so
+    no value is ever unset.  Each leaf is a support cycle l of the box, and
+    its z_l counts toward every target that l is not >=."""
+    b, degree, neighbors = g.b, g.degree, g.neighbors
+    values = [0] * g.nv
+    totals = [0] * len(targets)
+    states = 0
+    stack = [(0, 0, ub[tasks[0]], 1)]
+    while stack:
+        i, f, last, weight = stack[-1]
+        if f > last:
+            stack.pop()
+            continue
+        stack[-1] = (i, f + 1, last, weight)
+        states += 1
+        if states > max_states:
+            raise BudgetExceeded("counting function enumeration exceeded its state budget")
+        if i == 0:
+            values[tasks[0]] = f
         else:
-            _, n, u = task
-            lo, hi = self._slot_interval(n, u)
-            for f in range(lo, hi + 1):
-                self._bump()
-                written = self._fill_chain(n, u, f)
-                if written is not None:
-                    yield True
-                    self._unset(written)
-
-    def run(self):
-        """Depth-first over the task list, with one `_choices` generator per
-        open branching task on an explicit stack; a close task multiplies
-        the weight by the node's factor.  Each leaf is a support cycle l of
-        the box, and its z_l counts toward every target that l is not >=."""
-        tasks = self._plan()
-        stack = []  # (choices, index of the next task, weight)
-        idx, weight = 0, 1
-        while True:
-            while idx < len(tasks):
-                task = tasks[idx]
-                if task[0] != "close":
-                    stack.append((self._choices(task), idx + 1, weight))
+            n, _, chain, alpha, beta, far = tasks[i][:6]
+            m = values[n]
+            m_far = alpha * f - beta * m
+            if far is not None and (m_far < 0 or m_far > ub[far]):
+                continue
+            prev, cur, fits = m, f, True
+            for v, b_v in chain:
+                if cur < 0 or cur > ub[v]:
+                    fits = False
                     break
-                f = self._node_factor(task[1])
-                if not f:
-                    break
-                weight *= f
-                idx += 1
-            else:
-                for i, t in enumerate(self.targets):
-                    if any(map(lt, self.values, t)):
-                        self.totals[i] += weight
-            while stack:
-                choices, idx, weight = stack[-1]
-                if next(choices, False):
-                    break
-                stack.pop()
-            else:
-                return self.totals
+                values[v] = cur
+                prev, cur = cur, b_v * cur - prev
+            if not fits:
+                continue
+            if far is not None:
+                if chain and cur != m_far:
+                    raise AssertionError("bamboo propagation mismatch")
+                values[far] = m_far
+        i += 1
+        while i < len(tasks):
+            n = tasks[i][0]
+            if len(tasks[i]) == 1:
+                weight *= _vertex_factor(degree[n], b[n] * values[n] - sum(values[u] for u in neighbors[n]))
+                i += 1
+                continue
+            _, u, _, alpha, beta, far, done, open_, open_ub = tasks[i]
+            m = values[n]
+            slack = b[n] * m - sum(values[x] for x in done)
+            lo = -(-beta * m // alpha)
+            if degree[n] >= 2:
+                # a_n <= deg - 2; an end's factor is 1 for every a_n >= 0
+                lo = max(lo, slack - open_ub - (degree[n] - 2))
+            hi = min(ub[u], slack - sum(-(-beta_x * m // alpha_x) for alpha_x, beta_x in open_))
+            if far is not None:
+                hi = min(hi, (beta * m + ub[far]) // alpha)
+            stack.append((i, lo, hi, weight))
+            break
+        else:
+            for k, t in enumerate(targets):
+                if any(map(lt, values, t)):
+                    totals[k] += weight
+    return totals
 
 
 @dataclass

@@ -14,7 +14,9 @@ face's bounding box), the pairwise rank test of a candidate face and the
 blow-down loop that rescans the edge list are the references for the
 closed counts, the zero-pattern test and the heap that the package uses;
 the walk along each column's lower envelope is the reference for the
-weight histogram's face cones.
+weight histogram's face cones, and the counting walk with one generator
+per open slot (`ReducedCount`) the leaf-for-leaf, state-for-state
+reference for `series.counting_q`'s one loop.
 """
 
 from collections import Counter
@@ -22,9 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 from math import ceil, floor, gcd
+from operator import lt
 
 from newtonsing import kernels
-from newtonsing.errors import ClassificationFailed, NewtonsingError, NotRationalHomologySphere
+from newtonsing.errors import BudgetExceeded, ClassificationFailed, NewtonsingError, NotRationalHomologySphere
 from newtonsing.graph import PlumbingGraph
 from newtonsing.lattice import _xgcd, content, cross, dot, vec_add, vec_scale, vec_sub
 from newtonsing.newton import (
@@ -37,6 +40,7 @@ from newtonsing.newton import (
     _weight_histogram,
     convex_hull,
 )
+from newtonsing.series import _vertex_factor
 
 
 class NotEmpty(NewtonsingError):
@@ -524,3 +528,189 @@ def minimal_model_scan(g: PlumbingGraph) -> tuple:
         [genus[v] for v in kept],
         [[renum[u], renum[w]] for u, w in edges],
     ), kept
+
+
+class ReducedCount:
+    """Enumeration of the zeta support over the reduced tree, with one
+    generator per open slot: the reference for `series.counting_q`'s walk,
+    leaf for leaf and state for state (`states` after `run`).
+
+    Support cycles have a_v = 0 along chains, so a cycle is fixed by the
+    node values and one value per incident bamboo: the first chain
+    coefficient f next to the node, which ranges over consecutive integers
+    (for a leg, the end exponent is alpha*f - beta*m_n; for a bamboo to
+    another node, the far value is alpha*f - beta*m_n).  The pending
+    0 <= a_n <= deg-2 constraint of the node brackets each f by the
+    congruence floors and box ceilings of the still-open slots.  A graph
+    without nodes is rooted at an end (or its one vertex) and has one leg.
+    """
+
+    def __init__(self, g, targets, ub, max_states):
+        self.g = g
+        self.targets = targets
+        self.ub = ub
+        self.max_states = max_states
+        self.states = 0
+        self.totals = [0] * len(targets)
+        self.values = [None] * g.nv
+        self.root = (g.nodes or g.ends or (0,))[0]
+        arms = g.arms if g.nodes else {self.root: [g.arm(self.root, u) for u in g.neighbors[self.root]]}
+        # (chain, alpha, beta, far node) per directed (branch vertex, first
+        # vertex), read from the graph's arms
+        self.edge_from = {
+            (n, u): (chain, alphas[0], alphas[1], far)
+            for n, n_arms in arms.items()
+            for u, (chain, far, alphas) in zip(g.neighbors[n], n_arms)
+        }
+
+    def _plan(self):
+        """Task list: branch the root, then per node branch each slot but the
+        one back toward its parent, entering each newly reached node before
+        the node's next slot, then close the node."""
+        tasks = [("root", self.root)]
+        stack = [(self.root, iter(self._slots(self.root, None)))]
+        while stack:
+            n, slots = stack[-1]
+            u = next(slots, None)
+            if u is None:
+                stack.pop()
+                tasks.append(("close", n))
+                continue
+            tasks.append(("slot", n, u))
+            far = self.edge_from[(n, u)][3]
+            if far is not None:
+                stack.append((far, iter(self._slots(far, n))))
+        return tasks
+
+    def _slots(self, n, parent):
+        """Neighbours of n whose chains do not lead back to the parent node."""
+        return [
+            u for u in self.g.neighbors[n]
+            if parent is None or self.edge_from[(n, u)][3] != parent
+        ]
+
+    def _bump(self):
+        self.states += 1
+        if self.states > self.max_states:
+            raise BudgetExceeded(
+                "counting function enumeration exceeded its state budget"
+            )
+
+    def _congruence_floor(self, n, u):
+        _, alpha, beta, _ = self.edge_from[(n, u)]
+        return -(-beta * self.values[n] // alpha)
+
+    def _slot_interval(self, n, u):
+        """Allowed first values toward u given the node's open slots."""
+        g = self.g
+        m = self.values[n]
+        assigned = 0
+        fut_min = fut_max = 0
+        for x in g.neighbors[n]:
+            if x == u:
+                continue
+            if self.values[x] is not None:
+                assigned += self.values[x]
+            else:
+                fut_min += self._congruence_floor(n, x)
+                fut_max += self.ub[x]
+        slack = g.b[n] * m - assigned
+        lo = self._congruence_floor(n, u)
+        if g.degree[n] >= 2:
+            # a_n <= deg - 2; an end's factor is 1 for every a_n >= 0
+            lo = max(lo, slack - fut_max - (g.degree[n] - 2))
+        hi = min(self.ub[u], slack - fut_min)
+        _, alpha, beta, far = self.edge_from[(n, u)]
+        if far is not None:
+            # far node value alpha*f - beta*m must fit its own box
+            hi = min(hi, (beta * m + self.ub[far]) // alpha)
+        return lo, hi
+
+    def _fill_chain(self, n, u, f):
+        """Set the chain toward u from first value f; False when a value
+        leaves the box or drops negative.  Returns the list of set ids."""
+        chain, alpha, beta, far = self.edge_from[(n, u)]
+        written = []
+        prev, cur = self.values[n], f
+        for v in chain:
+            if cur < 0 or cur > self.ub[v]:
+                self._unset(written)
+                return None
+            self.values[v] = cur
+            written.append(v)
+            prev, cur = cur, self.g.b[v] * cur - prev
+        if far is not None:
+            m_far = alpha * f - beta * self.values[n]
+            if m_far < 0 or m_far > self.ub[far]:
+                self._unset(written)
+                return None
+            if chain:
+                # consistency of the propagated chain with the far value
+                if cur != m_far:
+                    raise AssertionError("bamboo propagation mismatch")
+            self.values[far] = m_far
+            written.append(far)
+        return written
+
+    def _unset(self, written):
+        for v in written:
+            self.values[v] = None
+
+    def _node_factor(self, n):
+        a = self.g.b[n] * self.values[n] - sum(
+            self.values[u] for u in self.g.neighbors[n]
+        )
+        if a < 0:
+            return 0
+        return _vertex_factor(self.g.degree[n], a)
+
+    def _choices(self, task):
+        """Set each value of a branching task in turn, yielding True after
+        each; restore the values when the task is exhausted."""
+        if task[0] == "root":
+            n = task[1]
+            for value in range(self.ub[n] + 1):
+                self._bump()
+                self.values[n] = value
+                yield True
+            self.values[n] = None
+        else:
+            _, n, u = task
+            lo, hi = self._slot_interval(n, u)
+            for f in range(lo, hi + 1):
+                self._bump()
+                written = self._fill_chain(n, u, f)
+                if written is not None:
+                    yield True
+                    self._unset(written)
+
+    def run(self):
+        """Depth-first over the task list, with one `_choices` generator per
+        open branching task on an explicit stack; a close task multiplies
+        the weight by the node's factor.  Each leaf is a support cycle l of
+        the box, and its z_l counts toward every target that l is not >=."""
+        tasks = self._plan()
+        stack = []  # (choices, index of the next task, weight)
+        idx, weight = 0, 1
+        while True:
+            while idx < len(tasks):
+                task = tasks[idx]
+                if task[0] != "close":
+                    stack.append((self._choices(task), idx + 1, weight))
+                    break
+                f = self._node_factor(task[1])
+                if not f:
+                    break
+                weight *= f
+                idx += 1
+            else:
+                for i, t in enumerate(self.targets):
+                    if any(map(lt, self.values, t)):
+                        self.totals[i] += weight
+            while stack:
+                choices, idx, weight = stack[-1]
+                if next(choices, False):
+                    break
+                stack.pop()
+            else:
+                return self.totals

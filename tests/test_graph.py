@@ -271,6 +271,21 @@ def test_commands_that_read_no_intersection_data_eliminate_nothing(monkeypatch):
     assert eliminated == [model.minimal]
 
 
+def test_pg_sw_and_verify_run_one_leaf_first_pass_per_graph(monkeypatch):
+    # the constructor's certificate, minimal_model's check of a graph that
+    # nothing blows down and intersection_data share one pass
+    passes = []
+    original = graph_module._subtree_dets
+    monkeypatch.setattr(graph_module, "_subtree_dets", lambda g, order: passes.append(g) or original(g, order))
+    for support in corpus_supports():
+        for command in ("pg", "sw", "verify"):
+            model = SingularityModel(support)
+            args = cli.build_parser().parse_args(["-", command])
+            cli._HANDLERS[command](model, args)
+    assert passes
+    assert max(sum(h is g for h in passes) for g in passes) == 1
+
+
 def test_no_definite_tree_reaches_bareiss(monkeypatch):
     eliminated = _count_eliminations(monkeypatch)
     dense = []

@@ -6,7 +6,7 @@ import weakref
 import pytest
 from hypothesis import assume, given, settings
 
-from newtonsing.errors import BudgetExceeded, KindMismatch, NotTree
+from newtonsing.errors import BudgetExceeded, KindMismatch, NotNegativeDefinite, NotTree
 from newtonsing.graph import PlumbingGraph, wt_cycle
 from newtonsing.invariants import SingularityModel
 from newtonsing.newton import Support
@@ -19,7 +19,11 @@ from newtonsing.series import (
     zeta_coefficient_convolution,
 )
 from tests.conftest import FRONT_PAGE, ZETA_HEAVY, brieskorn, model_for
+from tests.oracles import ReducedCount
 from tests.test_newton import convenient_supports
+
+# node-free graphs: chains by their b values, single vertices among them
+CHAINS = [[2], [3], [2, 2], [2, 2, 2], [3, 2, 3], [2, 3, 2, 4], [5, 2], [1], [1, 3], [2, 2, 2, 2], [2, 2, 2, 2, 2]]
 
 
 def test_zeta_trivial_and_single_vertex():
@@ -171,10 +175,7 @@ def test_zeta_paths_stop_at_their_budget():
         zeta_coefficient_convolution(m.minimal, [top])
 
 
-@pytest.mark.parametrize(
-    "b",
-    [[2], [3], [2, 2], [2, 2, 2], [3, 2, 3], [2, 3, 2, 4], [5, 2], [1], [1, 3], [2, 2, 2, 2], [2, 2, 2, 2, 2]],
-)
+@pytest.mark.parametrize("b", CHAINS)
 def test_counting_q_on_chains_matches_zeta_sum(b):
     # node-free graphs are rooted at an end; compare the count with the sum
     # of zeta coefficients over the integral cycles of the bounding box that
@@ -262,3 +263,67 @@ def test_shared_walks_match_single_targets_on_generated_supports(support):
     m = SingularityModel(support)
     assume(m.polyhedron.compact_faces and m.is_rhs and m.minimal.nv > 0)
     assert_shared_walks_match_single_targets(m, random.Random(str(support.points)))
+
+
+def compare_walk_with_oracle(g, targets, budget=10**6):
+    """Assert that the walk and the generator walk of `oracles.ReducedCount`
+    give equal totals and an equal state count: the walk answers at exactly
+    the oracle's count and raises BudgetExceeded one state below it.  When
+    the oracle passes `budget`, the walk must too.  Returns whether the
+    oracle finished within `budget`."""
+    targets = [tuple(t) for t in targets]
+    boxes = [b for b in (_coordinate_bounds(g.data.scaled_duals, t) for t in targets) if b is not None]
+    if not boxes:
+        assert counting_q(g, targets) == [0] * len(targets)
+        return True
+    oracle = ReducedCount(g, targets, [max(col) for col in zip(*boxes)], budget)
+    try:
+        totals = oracle.run()
+    except BudgetExceeded:
+        with pytest.raises(BudgetExceeded, match="state budget"):
+            counting_q(g, targets, max_states=budget)
+        return False
+    assert counting_q(g, targets, max_states=oracle.states) == totals
+    with pytest.raises(BudgetExceeded, match="state budget"):
+        counting_q(g, targets, max_states=oracle.states - 1)
+    return True
+
+
+def test_walk_matches_oracle_on_corpus(corpus):
+    rng = random.Random(37)
+    for m in corpus:
+        g, zk = m.minimal, m.zk_minimal
+        if 0 < g.nv <= 14:
+            for targets in ([zk], m.sequence("I").cycles(), shared_walk_targets(g, zk, rng)):
+                assert compare_walk_with_oracle(g, targets)
+
+
+@given(convenient_supports())
+@settings(max_examples=40)
+def test_walk_matches_oracle_on_generated_supports(support):
+    m = SingularityModel(support)
+    assume(m.polyhedron.compact_faces and m.is_rhs and m.minimal.nv > 0)
+    g, zk = m.minimal, m.zk_minimal
+    for targets in ([zk], shared_walk_targets(g, zk, random.Random(str(support.points)))):
+        assert compare_walk_with_oracle(g, targets)
+
+
+def test_walk_matches_oracle_on_random_definite_trees():
+    rng = random.Random(41)
+    graphs = [PlumbingGraph(b, [0] * len(b), [(i, i + 1) for i in range(len(b) - 1)]) for b in CHAINS]
+    while len(graphs) < len(CHAINS) + 60:
+        nv = rng.randint(1, 7)
+        edges = [(rng.randrange(v), v) for v in range(1, nv)]
+        degree = [sum(v in e for e in edges) for v in range(nv)]
+        try:
+            graphs.append(PlumbingGraph([max(1, d + rng.choice((0, 1, 1, 2))) for d in degree], [0] * nv, edges))
+        except NotNegativeDefinite:
+            pass
+    completed = []
+    for g in graphs:
+        cycle = tuple(rng.randint(0, 2) for _ in range(g.nv))
+        for targets in ([cycle], shared_walk_targets(g, cycle, rng)):
+            # a few boxes hold far more states than the budget: those only
+            # check that both walks stop at it
+            completed.append(compare_walk_with_oracle(g, targets, budget=20_000) and bool(g.nodes))
+    assert sum(bool(g.nodes) for g in graphs) >= 25 and sum(completed) >= 50
