@@ -1,23 +1,25 @@
-"""Brute-force zeta/counting function coefficients and the step point sets.
+"""Zeta/counting function coefficients and the step point sets.
 
-These are the independent oracles.  Coefficients of
-Z_0(t) = prod_v (1 - t^{E_v^*})^{deg v - 2} are enumerated from exponent
-assignments, one coefficient per call (positivity of the dual cycles bounds
-the search), and, as a second path, read off one truncated product for a
-list of targets.  The counting function walks the same terms through their
-cycles, whose chain coordinates are pinned by the node values and end
-exponents.  That walk is one loop over a precomputed task list (the root
-value, one integer record per chain slot, one close task per node) for
-every tree: a graph without nodes is rooted at an end, and its chain is
-read like a node's arms (`PlumbingGraph.arm`).  It is also one walk for
-every list of targets: q at each asked cycle is summed at the leaves of
-one walk over the least box containing all of their boxes.  The sets P_i
-come from raw halfspace tests in Z^3.
+These are the independent oracles.  The coefficient of t^lp in
+Z_0(t) = prod_v (1 - t^{E_v^*})^{deg v - 2} is read off lp's exponents
+a_v = -(lp, E_v), as the dual cycles are a basis, and, as a second path,
+off one truncated product over the dual cycles for a list of targets.  The
+counting function walks the same terms through their cycles, whose chain
+coordinates are pinned by the node values and end exponents.  That walk is
+one loop over a precomputed task list (the root value, one integer record
+per chain slot, one close task per node) for every tree: a graph without
+nodes is rooted at an end, and its chain is read like a node's arms
+(`PlumbingGraph.arm`).  It is also one walk for every list of targets: q
+at each asked cycle is summed at the leaves of one walk over the box of
+the targets' componentwise max, and on a nondecreasing list one bisection
+per leaf places it.  The sets P_i come from raw halfspace tests in Z^3.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb
-from operator import lt
+from operator import add, le, lt, sub
 
 from . import kernels
 from .errors import BudgetExceeded, KindMismatch, NotTree
@@ -25,9 +27,9 @@ from .graph import OkaGraph, PlumbingGraph
 from .lattice import dot
 from .sequences import SequenceResult
 
-# Budget of one zeta call: the stack pops of `zeta_coefficient`'s search, or
-# the shifted terms that `zeta_coefficient_convolution`'s product forms.
-# `verify` on the recorded workloads needs at most about 4,700.
+# Budget of one `zeta_coefficient_convolution` call: the shifted terms its
+# product forms and the lookups that read its last factor off.  `verify` on
+# the recorded workloads needs at most 1,374.
 ZETA_TERMS = 10**5
 _ZETA_BUDGET = f"zeta budget exceeded: the expansion forms more than {ZETA_TERMS} terms"
 
@@ -47,57 +49,39 @@ def _vertex_factor(degree, exponent):
     return exponent + 1  # k == -2, single-vertex graph
 
 
-def _max_exponent(degree, remaining, dual):
-    """Largest viable exponent for this vertex against the remaining budget."""
-    cap = min(rem // e for rem, e in zip(remaining, dual))
-    k = degree - 2
-    if k >= 0:
-        cap = min(cap, k)
-    return cap
-
-
 def zeta_coefficient(g: PlumbingGraph, lp) -> int:
-    """Coefficient of t^lp in Z_0(t), by exponent-assignment enumeration.
+    """Coefficient of t^lp in Z_0(t), read off lp's exponents.
 
-    Raises BudgetExceeded past ZETA_TERMS stack pops.
+    The dual cycles are a basis, so the one exponent assignment that can
+    reach lp is a_v = -(lp, E_v) = b_v lp_v - sum of lp over v's
+    neighbours.  The coefficient is the product of the vertex factors at
+    those exponents, and 0 when one of them is negative.  This reads Q (b
+    and the edges), not the dual cycles.
     """
     _require_tree(g)
-    duals, scale = g.data.scaled_duals, g.data.group_order
-    target = [x * scale for x in lp]
-    if any(x < 0 for x in target):
-        return 0
-    total = 0
-    # depth-first over exponent assignments, vertex by vertex: (vertex,
-    # remaining budget, signed weight), children pushed last-first so they
-    # are visited in increasing exponent
-    stack = [(0, target, 1)]
-    pops = 0
-    while stack:
-        pops += 1
-        if pops > ZETA_TERMS:
-            raise BudgetExceeded(_ZETA_BUDGET)
-        v, remaining, sign_weight = stack.pop()
-        if v == g.nv:
-            if all(x == 0 for x in remaining):
-                total += sign_weight
-            continue
-        dual = duals[v]
-        for a in reversed(range(_max_exponent(g.degree[v], remaining, dual) + 1)):
-            factor = _vertex_factor(g.degree[v], a)
-            if factor:
-                stack.append((v + 1, [r - a * e for r, e in zip(remaining, dual)], sign_weight * factor))
+    total = 1
+    for v in range(g.nv):
+        a = -g.dot_E(lp, v)
+        if a < 0:
+            return 0
+        total *= _vertex_factor(g.degree[v], a)
     return total
 
 
 def zeta_coefficient_convolution(g: PlumbingGraph, lps) -> list:
     """Coefficients of t^lp in Z_0(t) for every lp in `lps`, read off one
-    truncated polynomial product (the second path).
+    truncated polynomial product (the second path, which reads the dual
+    cycles).
 
     The product is truncated at the componentwise max of the targets.  That
     is exact at every target: dual entries are positive and exponents are
     >= 0, so each factor only raises coordinates, and a coefficient at c
-    only sums terms whose partial products stay <= c.  Raises
-    BudgetExceeded past ZETA_TERMS shifted terms.
+    only sums terms whose partial products stay <= c.  Degree-2 vertices
+    are skipped, as their factor is 1.  Each partial term takes its
+    exponents up to the most that keeps it under the truncation, and the
+    last factor is not expanded: at each target its coefficient sums the
+    partial terms at target - a E_v^*.  Raises BudgetExceeded past
+    ZETA_TERMS terms formed and lookups made.
     """
     _require_tree(g)
     duals, scale = g.data.scaled_duals, g.data.group_order
@@ -107,28 +91,45 @@ def zeta_coefficient_convolution(g: PlumbingGraph, lps) -> list:
         return [0] * len(targets)
     top = [max(col) for col in zip(*inside)]
     acc = {(0,) * g.nv: 1}
+    # a tree has an end or is one vertex, so some factor is not 1
+    factors = [v for v in range(g.nv) if g.degree[v] != 2]
     terms = 0
-    for v in range(g.nv):
-        dual = duals[v]
+    for v in factors[:-1]:
+        dual, factor = duals[v], _factor_table(g.degree[v], top, duals[v])
         nxt = {}
         for key, coeff in acc.items():
-            a = 0
-            while True:
-                terms += 1
-                if terms > ZETA_TERMS:
-                    raise BudgetExceeded(_ZETA_BUDGET)
-                shifted = tuple(k + a * e for k, e in zip(key, dual))
-                if any(s > t for s, t in zip(shifted, top)):
-                    break
-                factor = _vertex_factor(g.degree[v], a)
-                if factor:
-                    nxt[shifted] = nxt.get(shifted, 0) + coeff * factor
-                k_v = g.degree[v] - 2
-                if k_v >= 0 and a >= k_v:
-                    break
-                a += 1
+            most = min(len(factor) - 1, *((t - k) // e for t, k, e in zip(top, key, dual)))
+            terms += most + 1
+            if terms > ZETA_TERMS:
+                raise BudgetExceeded(_ZETA_BUDGET)
+            shifted = key
+            for a in range(most + 1):
+                nxt[shifted] = nxt.get(shifted, 0) + coeff * factor[a]
+                shifted = tuple(map(add, shifted, dual))
         acc = nxt
-    return [acc.get(t, 0) for t in targets]
+    v = factors[-1]
+    dual, factor = duals[v], _factor_table(g.degree[v], top, duals[v])
+    out = []
+    for t in targets:
+        most = min(len(factor) - 1, *(x // e for x, e in zip(t, dual)))
+        terms += max(most + 1, 0)
+        if terms > ZETA_TERMS:
+            raise BudgetExceeded(_ZETA_BUDGET)
+        total, below = 0, t
+        for a in range(most + 1):
+            total += factor[a] * acc.get(below, 0)
+            below = tuple(map(sub, below, dual))
+        out.append(total)
+    return out
+
+
+def _factor_table(degree, top, dual) -> list:
+    """Vertex factors for every exponent a with a E_v^* <= top; at most
+    deg - 2 at a vertex of degree >= 2."""
+    most = min(x // e for x, e in zip(top, dual))
+    if degree >= 2:
+        most = min(most, degree - 2)
+    return [_vertex_factor(degree, a) for a in range(most + 1)]
 
 
 def _coordinate_bounds(duals, lp):
@@ -163,21 +164,27 @@ def counting_q(g: PlumbingGraph, lps, max_states=10_000_000) -> list:
 
     One walk serves every target.  Every support cycle lies in the Lipman
     cone, so the box `_coordinate_bounds(lp)` contains each support cycle l
-    that is not >= lp.  The walk runs over the componentwise max of the
-    targets' boxes, which contains all of those cycles for every target at
-    once; summing z_l over its leaves l that are not >= lp is therefore
-    exact for each lp, and each leaf is tested against every target.  A
-    target with no positive entry has no such l (support cycles are >= 0)
-    and gets 0.  `max_states` bounds the visited states of that one walk,
-    which raises BudgetExceeded rather than churn on pathological inputs.
+    that is not >= lp.  The walk runs over the box of the componentwise max
+    of the targets, which is the componentwise max of their boxes (each
+    witness of the max takes its value from a target it is a witness of,
+    and the box is monotone in lp): it contains all of those cycles for
+    every target at once, so summing z_l over its leaves l that are not
+    >= lp is exact for each lp.  When the targets are nondecreasing, as
+    kind I's cycles are, the targets a leaf is not >= form a suffix of the
+    list: one bisection per leaf finds where it starts, the leaf's weight
+    goes to a difference array there, and prefix sums give every q.  Any
+    other list tests each leaf against every target.  A target with no
+    positive entry has no such l (support cycles are >= 0) and gets 0.
+    `max_states` bounds the visited states of that one walk, which raises
+    BudgetExceeded rather than churn on pathological inputs.
     """
     _require_tree(g)
     targets = [tuple(lp) for lp in lps]
-    boxes = [b for b in (_coordinate_bounds(g.data.scaled_duals, t) for t in targets) if b is not None]
-    if not boxes:
+    ub = _coordinate_bounds(g.data.scaled_duals, [max(col) for col in zip(*targets)])
+    if ub is None:
         return [0] * len(targets)
-    ub = [max(col) for col in zip(*boxes)]
-    return _walk(g, _walk_tasks(g, ub), ub, targets, max_states)
+    ascending = all(all(map(le, s, t)) for s, t in zip(targets, targets[1:]))
+    return _walk(g, _walk_tasks(g, ub), ub, targets, ascending, max_states)
 
 
 def _walk_tasks(g: PlumbingGraph, ub) -> list:
@@ -222,7 +229,7 @@ def _slot_records(g: PlumbingGraph, arms, ub, n, parent) -> list:
     return records[::-1]
 
 
-def _walk(g: PlumbingGraph, tasks, ub, targets, max_states) -> list:
+def _walk(g: PlumbingGraph, tasks, ub, targets, ascending, max_states) -> list:
     """Depth-first over `tasks`, one (task index, next value, last value,
     weight) frame per open branching task; each value tried is one state.
     A slot value f sets the chain from its first vertex and the far node,
@@ -231,10 +238,15 @@ def _walk(g: PlumbingGraph, tasks, ub, targets, max_states) -> list:
     in [0, deg - 2] at a node and a_n >= 0 at an end.  Each vertex is
     written by one task and read only by later tasks of the same path, so
     no value is ever unset.  Each leaf is a support cycle l of the box, and
-    its z_l counts toward every target that l is not >=."""
+    its z_l counts toward every target that l is not >=: on a chain of
+    targets, through a difference array at the first of them."""
     b, degree, neighbors = g.b, g.degree, g.neighbors
     values = [0] * g.nv
-    totals = [0] * len(targets)
+    totals = [0] * (len(targets) + ascending)
+
+    def short_of(t):
+        return any(map(lt, values, t))
+
     states = 0
     stack = [(0, 0, ub[tasks[0]], 1)]
     while stack:
@@ -287,10 +299,13 @@ def _walk(g: PlumbingGraph, tasks, ub, targets, max_states) -> list:
             stack.append((i, lo, hi, weight))
             break
         else:
-            for k, t in enumerate(targets):
-                if any(map(lt, values, t)):
-                    totals[k] += weight
-    return totals
+            if ascending:
+                totals[bisect_left(targets, True, key=short_of)] += weight
+            else:
+                for k, t in enumerate(targets):
+                    if short_of(t):
+                        totals[k] += weight
+    return list(accumulate(totals[:-1])) if ascending else totals
 
 
 @dataclass
@@ -298,10 +313,6 @@ class PartitionReport:
     point_sets: list  # list of sets of lattice points, one per node step
     outside_points: set  # Z^3_{>=0} minus the polyhedron of the reached cycle
     sizes_match: list  # per step: |P_i| == a_i
-
-
-def _in_polyhedron(ell, cycle, p):
-    return all(dot(f, p) >= m for f, m in zip(ell, cycle))
 
 
 def enumerate_P(og: OkaGraph, seq: SequenceResult) -> PartitionReport:
@@ -320,15 +331,16 @@ def enumerate_P(og: OkaGraph, seq: SequenceResult) -> PartitionReport:
     outside = kernels.collect_violating(rows, bounds, [0, 0, 0], kernels.violating_top(rows, bounds))
     sets = [set() for _ in range(len(cycles) - 1)]
     for p in outside:
+        values = [dot(f, p) for f in ell]
         # last index i with p inside polyhedron(Z_i); memberships are
         # monotone along the sequence, so bisect
         lo_i, hi_i = 0, len(cycles) - 1
         while lo_i < hi_i:
             mid = (lo_i + hi_i + 1) // 2
-            if _in_polyhedron(ell, cycles[mid], p):
-                lo_i = mid
-            else:
+            if any(map(lt, values, cycles[mid])):
                 hi_i = mid - 1
+            else:
+                lo_i = mid
         sets[lo_i].add(tuple(p))
     sizes = [len(s) == st.a for s, st in zip(sets, seq.steps)]
     return PartitionReport(sets, set(map(tuple, outside)), sizes)

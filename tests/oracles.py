@@ -14,9 +14,12 @@ face's bounding box), the pairwise rank test of a candidate face and the
 blow-down loop that rescans the edge list are the references for the
 closed counts, the zero-pattern test and the heap that the package uses;
 the walk along each column's lower envelope is the reference for the
-weight histogram's face cones, and the counting walk with one generator
-per open slot (`ReducedCount`) the leaf-for-leaf, state-for-state
-reference for `series.counting_q`'s one loop.
+weight histogram's face cones, the counting walk with one generator per
+open slot (`ReducedCount`), which tests each leaf against every target,
+the leaf-for-leaf, state-for-state reference for `series.counting_q`'s one
+loop and its bisection on a chain of targets, and the depth-first search
+over exponent assignments (`zeta_search`) the reference for
+`series.zeta_coefficient`'s closed form.
 """
 
 from collections import Counter
@@ -714,3 +717,43 @@ class ReducedCount:
                 stack.pop()
             else:
                 return self.totals
+
+
+def _max_exponent(degree, remaining, dual):
+    """Largest viable exponent for this vertex against the remaining budget."""
+    cap = min(rem // e for rem, e in zip(remaining, dual))
+    k = degree - 2
+    if k >= 0:
+        cap = min(cap, k)
+    return cap
+
+
+def zeta_search(g: PlumbingGraph, lp, max_pops=10**5) -> int:
+    """Coefficient of t^lp in Z_0(t), by depth-first search over exponent
+    assignments (positivity of the dual cycles bounds it): the reference
+    for `series.zeta_coefficient`'s closed form.  Raises BudgetExceeded past
+    `max_pops` stack pops."""
+    duals, scale = g.data.scaled_duals, g.data.group_order
+    target = [x * scale for x in lp]
+    if any(x < 0 for x in target):
+        return 0
+    total = 0
+    # vertex by vertex: (vertex, remaining budget, signed weight), children
+    # pushed last-first so they are visited in increasing exponent
+    stack = [(0, target, 1)]
+    pops = 0
+    while stack:
+        pops += 1
+        if pops > max_pops:
+            raise BudgetExceeded("zeta search exceeded its budget")
+        v, remaining, sign_weight = stack.pop()
+        if v == g.nv:
+            if all(x == 0 for x in remaining):
+                total += sign_weight
+            continue
+        dual = duals[v]
+        for a in reversed(range(_max_exponent(g.degree[v], remaining, dual) + 1)):
+            factor = _vertex_factor(g.degree[v], a)
+            if factor:
+                stack.append((v + 1, [r - a * e for r, e in zip(remaining, dual)], sign_weight * factor))
+    return total

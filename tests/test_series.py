@@ -6,6 +6,7 @@ import weakref
 import pytest
 from hypothesis import assume, given, settings
 
+from newtonsing import series
 from newtonsing.errors import BudgetExceeded, KindMismatch, NotNegativeDefinite, NotTree
 from newtonsing.graph import PlumbingGraph, wt_cycle
 from newtonsing.invariants import SingularityModel
@@ -19,7 +20,7 @@ from newtonsing.series import (
     zeta_coefficient_convolution,
 )
 from tests.conftest import FRONT_PAGE, ZETA_HEAVY, brieskorn, model_for
-from tests.oracles import ReducedCount
+from tests.oracles import ReducedCount, zeta_search
 from tests.test_newton import convenient_supports
 
 # node-free graphs: chains by their b values, single vertices among them
@@ -166,13 +167,50 @@ def test_q_budget_error():
         counting_q(m.minimal, [m.zk_minimal], max_states=10_000)
 
 
-def test_zeta_paths_stop_at_their_budget():
+def test_zeta_paths_stop_at_their_budget(monkeypatch):
+    # the product stops at its budget; the closed form needs none, and
+    # agrees with the product run past it
     m = model_for(Support(ZETA_HEAVY[0]))
     top = [x + 1 for x in m.zk_minimal]
     with pytest.raises(BudgetExceeded, match="zeta budget"):
-        zeta_coefficient(m.minimal, top)
-    with pytest.raises(BudgetExceeded, match="zeta budget"):
         zeta_coefficient_convolution(m.minimal, [top])
+    monkeypatch.setattr(series, "ZETA_TERMS", 10**6)
+    assert [zeta_coefficient(m.minimal, top)] == zeta_coefficient_convolution(m.minimal, [top])
+
+
+def zeta_targets(g, zk, rng):
+    """0, Z_K, Z_K + E, random cycles below Z_K + E, each E_v, and cycles
+    with negative entries."""
+    top = [x + 1 for x in zk]
+    targets = [(0,) * g.nv, tuple(zk), tuple(top)]
+    targets += [tuple(rng.randint(0, max(x, 0)) for x in top) for _ in range(4)]
+    targets += [tuple(int(u == v) for u in range(g.nv)) for v in range(g.nv)]
+    targets += [(-1,) * g.nv, tuple(x - 2 * (v == 0) for v, x in enumerate(top))]
+    return targets
+
+
+def assert_zeta_paths_match_search(g, zk, rng):
+    targets = zeta_targets(g, zk, rng)
+    searched = [zeta_search(g, lp) for lp in targets]
+    assert [zeta_coefficient(g, lp) for lp in targets] == searched
+    assert zeta_coefficient_convolution(g, targets) == searched
+
+
+def test_zeta_paths_match_search_on_corpus(corpus):
+    rng = random.Random(43)
+    for m in corpus:
+        if 0 < m.minimal.nv <= 14:
+            assert_zeta_paths_match_search(m.minimal, m.zk_minimal, rng)
+
+
+def test_zeta_paths_match_search_on_chains_and_trees():
+    # CHAINS hold the single vertices (k = -2); Z_K is rounded up where it
+    # is not integral
+    rng = random.Random(47)
+    for g in random_definite_trees(random.Random(41)):
+        # Z_K = sum_v (b_v - 2) E_v^*
+        scaled = [sum((g.b[v] - 2) * row[w] for v, row in enumerate(g.data.scaled_duals)) for w in range(g.nv)]
+        assert_zeta_paths_match_search(g, [-(-x // g.data.group_order) for x in scaled], rng)
 
 
 @pytest.mark.parametrize("b", CHAINS)
@@ -308,8 +346,9 @@ def test_walk_matches_oracle_on_generated_supports(support):
         assert compare_walk_with_oracle(g, targets)
 
 
-def test_walk_matches_oracle_on_random_definite_trees():
-    rng = random.Random(41)
+def random_definite_trees(rng):
+    """The chains of CHAINS, then 60 random negative definite trees of at
+    most 7 vertices."""
     graphs = [PlumbingGraph(b, [0] * len(b), [(i, i + 1) for i in range(len(b) - 1)]) for b in CHAINS]
     while len(graphs) < len(CHAINS) + 60:
         nv = rng.randint(1, 7)
@@ -319,6 +358,12 @@ def test_walk_matches_oracle_on_random_definite_trees():
             graphs.append(PlumbingGraph([max(1, d + rng.choice((0, 1, 1, 2))) for d in degree], [0] * nv, edges))
         except NotNegativeDefinite:
             pass
+    return graphs
+
+
+def test_walk_matches_oracle_on_random_definite_trees():
+    rng = random.Random(41)
+    graphs = random_definite_trees(rng)
     completed = []
     for g in graphs:
         cycle = tuple(rng.randint(0, 2) for _ in range(g.nv))
@@ -327,3 +372,18 @@ def test_walk_matches_oracle_on_random_definite_trees():
             # check that both walks stop at it
             completed.append(compare_walk_with_oracle(g, targets, budget=20_000) and bool(g.nodes))
     assert sum(bool(g.nodes) for g in graphs) >= 25 and sum(completed) >= 50
+
+
+@given(convenient_supports())
+@settings(max_examples=40)
+def test_chain_targets_match_the_all_targets_loop(support):
+    """Kind I's cycles, with a leading target that has no positive entry
+    and every other cycle repeated, stay a nondecreasing chain: the walk's
+    bisection per leaf must give the oracle's all-targets totals."""
+    m = SingularityModel(support)
+    assume(m.polyhedron.compact_faces and m.is_rhs and m.minimal.nv > 0)
+    g = m.minimal
+    cycles = m.sequence("I").cycles()
+    targets = [(-1,) * g.nv] + [c for i, c in enumerate(cycles) for _ in range(1 + i % 2)]
+    assert all(x <= y for s, t in zip(targets, targets[1:]) for x, y in zip(s, t))
+    assert compare_walk_with_oracle(g, targets)
