@@ -129,10 +129,15 @@ def _cmd_graph(model, args):
     return payload, {}
 
 
+def _zk_nodes(model):
+    """Z_K's node values on the minimal model; Z_K is their fill (kind I's end)."""
+    return [model.zk_minimal[n] for n in model.minimal.nodes]
+
+
 def _cmd_pg(model, args):
     res = model.pg()
     count = model.pg_lattice_count()
-    q = counting_q(model.minimal, [model.zk_minimal])[0]
+    q = counting_q(model.minimal, [_zk_nodes(model)])[0]
     oracles = {
         "lattice_count_agrees": count == res.value,
         "counting_function_agrees": q == res.value,
@@ -158,7 +163,7 @@ def _cmd_poincare(model, args):
 
 def _cmd_sw(model, args):
     res = model.sw()
-    q = counting_q(model.minimal, [model.zk_minimal])[0]
+    q = counting_q(model.minimal, [_zk_nodes(model)])[0]
     return (
         {
             "value": res.value,
@@ -204,8 +209,8 @@ def _verify_series(model, checks):
     g = model.minimal
     zk = model.zk_minimal
     seq = model.sequence("I")
-    # kind I's cycles run from 0 to Z_K (`SingularityModel.sequence`)
-    q = counting_q(g, seq.cycles())
+    # kind I's node values run from 0 to those of Z_K (`SingularityModel.sequence`)
+    q = counting_q(g, [s.z_nodes for s in seq.steps] + [_zk_nodes(model)])
     checks["series/q_zero"] = q[0] == 0
     checks["series/q_zk_equals_pg"] = q[-1] == model.pg().value
     checks["series/q_stepwise"] = all(

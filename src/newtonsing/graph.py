@@ -53,7 +53,6 @@ class PlumbingGraph:
         self.neighbors = tuple(tuple(sorted(n)) for n in nbr)
         self.degree = tuple(len(n) for n in self.neighbors)
         self.nodes = tuple(v for v in range(self.nv) if self.degree[v] >= 3)
-        self.ends = tuple(v for v in range(self.nv) if self.degree[v] == 1)
         if check:
             self._check()
 

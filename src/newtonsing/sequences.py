@@ -5,11 +5,12 @@ target cycle; `run_sequence` then produces the node steps (Z_i, v(i), a_i,
 r_i).  The connecting Laufer steps contribute nothing to the sums, and the
 sequence tracks node values only: along each chain from a node n toward o
 Laufer's completion is the interpolation ceil((beta z_n + z_o) / alpha)
-(`PlumbingGraph.arms`), so (Z_i, E_n) is read off the node values, and a
-full cycle is filled chain by chain only when a reader asks for it
-(`SequenceResult.cycles`).  The kind-III target x(Z_K - E) is such a fill
-too.  `laufer_x` runs the Laufer operator itself; the tests use it as the
-oracle for `fill_cycle`, and no production path calls it.
+(`PlumbingGraph.arms`), so (Z_i, E_n) is read off the node values.  Every
+Z_i is the chain fill of its node values, and its readers compare it at
+the nodes only (see `series.counting_q`), so no step's full cycle is ever
+filled: `fill_cycle` fills the reached cycle and the kind-III target
+x(Z_K - E).  `laufer_x` runs the Laufer operator itself; the tests use it
+as the oracle for `fill_cycle`, and no production path calls it.
 """
 
 from dataclasses import dataclass
@@ -78,10 +79,6 @@ class SequenceResult:
     @cached_property
     def total(self) -> int:
         return sum(s.a for s in self.steps)
-
-    def cycles(self):
-        """Z_0 = 0, ..., Z_k: the cycle before each step, then the end."""
-        return [fill_cycle(self.graph, s.z_nodes) for s in self.steps] + [self.reached]
 
 
 @dataclass

@@ -6,13 +6,16 @@ a_v = -(lp, E_v), as the dual cycles are a basis, and, as a second path,
 off one truncated product over the dual cycles for a list of targets.  The
 counting function walks the same terms through their cycles, whose chain
 coordinates are pinned by the node values and end exponents.  That walk is
-one loop over a precomputed task list (the root value, one integer record
-per chain slot, one close task per node) for every tree: a graph without
-nodes is rooted at an end, and its chain is read like a node's arms
-(`PlumbingGraph.arm`).  It is also one walk for every list of targets: q
-at each asked cycle is summed at the leaves of one walk over the box of
-the targets' componentwise max, and on a nondecreasing list one bisection
-per leaf places it.  The sets P_i come from raw halfspace tests in Z^3.
+one loop over a precomputed task list (the root node's value, one integer
+record per chain slot, one close task per node).  Both readers of the
+sequences compare Lipman-cone cycles with chain fills x(z), the least cycle
+with node values z and (x, E_v) <= 0 off the nodes, and such a cycle l is
+>= x(z) exactly when l_n >= z_n at every node: so each target is a vector
+of node values, and cycles are compared at the nodes only.  q at each
+asked fill is summed at the leaves of one walk over the box of the
+targets' componentwise max, and on a nondecreasing list one bisection per
+leaf places it.  The sets P_i come from raw halfspace tests in Z^3 at the
+node rows.
 """
 
 from bisect import bisect_left
@@ -132,22 +135,10 @@ def _factor_table(degree, top, dual) -> list:
     return [_vertex_factor(degree, a) for a in range(most + 1)]
 
 
-def _coordinate_bounds(duals, lp):
-    """Box certainly containing every cycle of the Lipman cone that stays
-    below lp in some coordinate: dual cycle entries are positive, so
-    l_w <= max_v (m_w(E_v^*) / m_w'(E_v^*)) l_w'.  On a tree the max is at
-    v = w: G = -Q^-1 is the covariance of a Gaussian with tree-structured
-    precision, so for x the projection of v onto the path [w, w'],
-    G_vw / G_vw' = G_xw / G_xw' <= G_ww / G_ww', as G_xw^2 <= G_ww G_xx."""
-    witnesses = [w for w in range(len(lp)) if lp[w] > 0]
-    if not witnesses:
-        return None
-    return [max(row[w] * (lp[wp] - 1) // row[wp] for wp in witnesses) for w, row in enumerate(duals)]
-
-
-def counting_q(g: PlumbingGraph, lps, max_states=10_000_000) -> list:
-    """q_lp = sum of z_l over l in lp + L with l - lp not effective, for
-    every lp in `lps`, from one enumeration.
+def counting_q(g: PlumbingGraph, targets, max_states=10_000_000) -> list:
+    """q at the chain fill x(z) of every node-value vector z in `targets`
+    (in `g.nodes` order), from one enumeration: the sum of z_l over l in
+    x(z) + L with l - x(z) not effective.
 
     Since the dual cycles are a basis, every zeta term is indexed by its
     cycle l with exponents a_v = -(l, E_v); so the sum runs over lattice
@@ -162,41 +153,48 @@ def counting_q(g: PlumbingGraph, lps, max_states=10_000_000) -> list:
     value, one record per slot and one close task per node, and `_walk`
     runs them depth-first in one loop.
 
-    One walk serves every target.  Every support cycle lies in the Lipman
-    cone, so the box `_coordinate_bounds(lp)` contains each support cycle l
-    that is not >= lp.  The walk runs over the box of the componentwise max
-    of the targets, which is the componentwise max of their boxes (each
-    witness of the max takes its value from a target it is a witness of,
-    and the box is monotone in lp): it contains all of those cycles for
-    every target at once, so summing z_l over its leaves l that are not
-    >= lp is exact for each lp.  When the targets are nondecreasing, as
-    kind I's cycles are, the targets a leaf is not >= form a suffix of the
-    list: one bisection per leaf finds where it starts, the leaf's weight
-    goes to a difference array there, and prefix sums give every q.  Any
-    other list tests each leaf against every target.  A target with no
-    positive entry has no such l (support cycles are >= 0) and gets 0.
+    A support cycle l has (l, E_v) <= 0 everywhere, so l >= x(z) exactly
+    when l_n >= z_n at every node: min(l, x(z)) has z's node values and
+    (., E_v) <= 0 off the nodes, so it is >= x(z) by the fill's minimality.
+    Leaves are compared with the targets at the nodes only.  A leaf with
+    l_n < z_n lies in the Lipman cone, so l_w <= max_v (G_vw / G_vn) l_n
+    with G = -Q^-1, and on a tree the max is at v = w (G is the covariance
+    of a Gaussian with tree-structured precision: for x the projection of
+    v onto the path [w, n], G_vw / G_vn = G_xw / G_xn <= G_ww / G_wn, as
+    G_xw^2 <= G_ww G_xx).  So the box ub_w = max over nodes n with z_n > 0
+    of G_ww (z_n - 1) // G_wn, at the componentwise max z of the targets,
+    holds every leaf that is not >= some target's fill.  When the targets
+    are nondecreasing, as kind I's node values are, the targets a leaf is
+    not >= form a suffix of the list: one bisection per leaf finds where it
+    starts, the leaf's weight goes to a difference array there, and prefix
+    sums give every q.  Any other list tests each leaf against every
+    target.  A target with no positive entry has no such l (support cycles
+    are >= 0) and gets 0, and a graph without nodes has only the fill 0, so
+    every q there is 0.
     `max_states` bounds the visited states of that one walk, which raises
     BudgetExceeded rather than churn on pathological inputs.
     """
     _require_tree(g)
-    targets = [tuple(lp) for lp in lps]
-    ub = _coordinate_bounds(g.data.scaled_duals, [max(col) for col in zip(*targets)])
-    if ub is None:
+    targets = [tuple(z) for z in targets]
+    if any(len(z) != len(g.nodes) for z in targets):
+        raise ValueError(f"counting_q takes one value per node ({len(g.nodes)}) for each target")
+    top = [max(col) for col in zip(*targets)]
+    witnesses = [(n, z) for n, z in zip(g.nodes, top) if z > 0]
+    if not witnesses:
         return [0] * len(targets)
+    ub = [max(row[w] * (z - 1) // row[n] for n, z in witnesses) for w, row in enumerate(g.data.scaled_duals)]
     ascending = all(all(map(le, s, t)) for s, t in zip(targets, targets[1:]))
     return _walk(g, _walk_tasks(g, ub), ub, targets, ascending, max_states)
 
 
 def _walk_tasks(g: PlumbingGraph, ub) -> list:
-    """The walk's tasks in order: the root vertex, then per node a slot
+    """The walk's tasks in order: the first node, then per node a slot
     record for each neighbour whose chain leads away from the node's parent,
     each newly reached node's tasks right after the slot reaching it, then
-    the node's close task (n,).  A graph without nodes is rooted at an end
-    (or its one vertex) and has one leg."""
-    root = (g.nodes or g.ends or (0,))[0]
-    arms = g.arms if g.nodes else {root: [g.arm(root, u) for u in g.neighbors[root]]}
+    the node's close task (n,)."""
+    root = g.nodes[0]
     tasks = [root]
-    stack = [(root, _slot_records(g, arms, ub, root, -1))]
+    stack = [(root, _slot_records(g, ub, root, -1))]
     while stack:
         n, slots = stack[-1]
         if not slots:
@@ -206,17 +204,17 @@ def _walk_tasks(g: PlumbingGraph, ub) -> list:
         tasks.append(slots.pop())
         far = tasks[-1][5]
         if far is not None:
-            stack.append((far, _slot_records(g, arms, ub, far, n)))
+            stack.append((far, _slot_records(g, ub, far, n)))
     return tasks
 
 
-def _slot_records(g: PlumbingGraph, arms, ub, n, parent) -> list:
+def _slot_records(g: PlumbingGraph, ub, n, parent) -> list:
     """Slot records of node n entered from `parent` (-1 at the root), last
     slot first: (n, first vertex, (v, b_v) along the chain, alpha, beta, far
     node, the neighbours of n set before the slot, (alpha, beta) of each
     slot still open after it, the sum of their first vertices' box
     ceilings)."""
-    edges = list(zip(g.neighbors[n], arms[n]))
+    edges = list(zip(g.neighbors[n], g.arms[n]))
     done = [u for u, arm in edges if arm[1] == parent]
     slots = [(u, arm) for u, arm in edges if arm[1] != parent]
     records = []
@@ -235,17 +233,17 @@ def _walk(g: PlumbingGraph, tasks, ub, targets, ascending, max_states) -> list:
     A slot value f sets the chain from its first vertex and the far node,
     and fails when one of them leaves the box.  A close task multiplies the
     weight by the node's factor, never 0: the last slot's bracket puts a_n
-    in [0, deg - 2] at a node and a_n >= 0 at an end.  Each vertex is
-    written by one task and read only by later tasks of the same path, so
-    no value is ever unset.  Each leaf is a support cycle l of the box, and
-    its z_l counts toward every target that l is not >=: on a chain of
-    targets, through a difference array at the first of them."""
-    b, degree, neighbors = g.b, g.degree, g.neighbors
+    in [0, deg - 2].  Each vertex is written by one task and read only by
+    later tasks of the same path, so no value is ever unset.  Each leaf is
+    a support cycle l of the box, and its z_l counts toward every target
+    it falls short of at some node: on a chain of targets, through a
+    difference array at the first of them."""
+    b, degree, neighbors, nodes = g.b, g.degree, g.neighbors, g.nodes
     values = [0] * g.nv
     totals = [0] * (len(targets) + ascending)
 
-    def short_of(t):
-        return any(map(lt, values, t))
+    def short_of(z):
+        return any(map(lt, leaf, z))
 
     states = 0
     stack = [(0, 0, ub[tasks[0]], 1)]
@@ -289,21 +287,19 @@ def _walk(g: PlumbingGraph, tasks, ub, targets, ascending, max_states) -> list:
             _, u, _, alpha, beta, far, done, open_, open_ub = tasks[i]
             m = values[n]
             slack = b[n] * m - sum(values[x] for x in done)
-            lo = -(-beta * m // alpha)
-            if degree[n] >= 2:
-                # a_n <= deg - 2; an end's factor is 1 for every a_n >= 0
-                lo = max(lo, slack - open_ub - (degree[n] - 2))
+            lo = max(-(-beta * m // alpha), slack - open_ub - (degree[n] - 2))
             hi = min(ub[u], slack - sum(-(-beta_x * m // alpha_x) for alpha_x, beta_x in open_))
             if far is not None:
                 hi = min(hi, (beta * m + ub[far]) // alpha)
             stack.append((i, lo, hi, weight))
             break
         else:
+            leaf = [values[n] for n in nodes]
             if ascending:
                 totals[bisect_left(targets, True, key=short_of)] += weight
             else:
-                for k, t in enumerate(targets):
-                    if short_of(t):
+                for k, z in enumerate(targets):
+                    if short_of(z):
                         totals[k] += weight
     return list(accumulate(totals[:-1])) if ascending else totals
 
@@ -320,27 +316,25 @@ def enumerate_P(og: OkaGraph, seq: SequenceResult) -> PartitionReport:
 
     The sequence must live on the Oka graph (functional data is needed).
     A kind-II sequence is its first period, so its sets partition the
-    points outside the polyhedron of wt(f).
+    points outside the polyhedron of wt(f).  A point p's values
+    (l_v(p))_v are the exceptional part of div(x^p), a cycle of the Lipman
+    cone, and every Z_i is a chain fill, so p lies in polyhedron(Z_i)
+    exactly when l_n(p) >= (Z_i)_n at every node (see `counting_q`): only
+    the node rows are scanned and compared.
     """
     if seq.graph is not og.graph:
         raise KindMismatch("sequence was not computed on this Oka graph")
-    cycles = seq.cycles()
-    final = cycles[-1]
-    ell = og.ell
-    rows, bounds = list(ell), list(final)
+    nodes, steps = og.graph.nodes, seq.steps
+    rows = [og.ell[n] for n in nodes]
+    bounds = [seq.reached[n] for n in nodes]
     outside = kernels.collect_violating(rows, bounds, [0, 0, 0], kernels.violating_top(rows, bounds))
-    sets = [set() for _ in range(len(cycles) - 1)]
+    sets = [set() for _ in steps]
     for p in outside:
-        values = [dot(f, p) for f in ell]
-        # last index i with p inside polyhedron(Z_i); memberships are
-        # monotone along the sequence, so bisect
-        lo_i, hi_i = 0, len(cycles) - 1
-        while lo_i < hi_i:
-            mid = (lo_i + hi_i + 1) // 2
-            if any(map(lt, values, cycles[mid])):
-                hi_i = mid - 1
-            else:
-                lo_i = mid
-        sets[lo_i].add(tuple(p))
-    sizes = [len(s) == st.a for s, st in zip(sets, seq.steps)]
-    return PartitionReport(sets, set(map(tuple, outside)), sizes)
+        values = [dot(f, p) for f in rows]
+        # memberships are monotone along the sequence, and p lies in
+        # polyhedron(Z_0 = 0) but not in that of the reached cycle: p
+        # belongs to the step before the first Z_i it falls short of
+        first_short = bisect_left(steps, True, key=lambda s: any(map(lt, values, s.z_nodes)))
+        sets[first_short - 1].add(p)
+    sizes = [len(s) == st.a for s, st in zip(sets, steps)]
+    return PartitionReport(sets, set(outside), sizes)

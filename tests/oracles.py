@@ -19,7 +19,11 @@ open slot (`ReducedCount`), which tests each leaf against every target,
 the leaf-for-leaf, state-for-state reference for `series.counting_q`'s one
 loop and its bisection on a chain of targets, and the depth-first search
 over exponent assignments (`zeta_search`) the reference for
-`series.zeta_coefficient`'s closed form.
+`series.zeta_coefficient`'s closed form.  A sequence's full cycles
+(`cycles`), the box that bounds every Lipman-cone cycle below a full
+target in some coordinate (`coordinate_bounds`) and the point sets P_i
+from every row of the Oka graph (`enumerate_P_full_rows`) are the
+references for the package's comparisons at the nodes only.
 """
 
 from collections import Counter
@@ -43,7 +47,8 @@ from newtonsing.newton import (
     _weight_histogram,
     convex_hull,
 )
-from newtonsing.series import _vertex_factor
+from newtonsing.sequences import fill_cycle
+from newtonsing.series import PartitionReport, _vertex_factor
 
 
 class NotEmpty(NewtonsingError):
@@ -533,6 +538,48 @@ def minimal_model_scan(g: PlumbingGraph) -> tuple:
     ), kept
 
 
+def cycles(seq) -> list:
+    """Z_0 = 0, ..., Z_k of a sequence: the chain fill of the node values
+    before each step, then the reached cycle."""
+    return [fill_cycle(seq.graph, s.z_nodes) for s in seq.steps] + [seq.reached]
+
+
+def coordinate_bounds(duals, lp):
+    """Box certainly containing every cycle of the Lipman cone that stays
+    below the full cycle lp in some coordinate, with every coordinate a
+    witness: dual cycle entries are positive, so
+    l_w <= max_v (m_w(E_v^*) / m_w'(E_v^*)) l_w', and on a tree the max is
+    at v = w.  None when lp has no positive entry."""
+    witnesses = [w for w in range(len(lp)) if lp[w] > 0]
+    if not witnesses:
+        return None
+    return [max(row[w] * (lp[wp] - 1) // row[wp] for wp in witnesses) for w, row in enumerate(duals)]
+
+
+def enumerate_P_full_rows(og, seq) -> PartitionReport:
+    """The sets P_i from every row of og.ell: the points outside the reached
+    cycle's polyhedron, each placed by a bisection over the sequence's full
+    cycles.  The reference for `series.enumerate_P`, which reads node rows
+    and node values only."""
+    full = cycles(seq)
+    ell = list(og.ell)
+    bounds = list(full[-1])
+    outside = kernels.collect_violating(ell, bounds, [0, 0, 0], kernels.violating_top(ell, bounds))
+    sets = [set() for _ in range(len(full) - 1)]
+    for p in outside:
+        values = [dot(f, p) for f in ell]
+        lo_i, hi_i = 0, len(full) - 1
+        while lo_i < hi_i:
+            mid = (lo_i + hi_i + 1) // 2
+            if any(map(lt, values, full[mid])):
+                hi_i = mid - 1
+            else:
+                lo_i = mid
+        sets[lo_i].add(tuple(p))
+    sizes = [len(s) == st.a for s, st in zip(sets, seq.steps)]
+    return PartitionReport(sets, set(map(tuple, outside)), sizes)
+
+
 class ReducedCount:
     """Enumeration of the zeta support over the reduced tree, with one
     generator per open slot: the reference for `series.counting_q`'s walk,
@@ -546,6 +593,9 @@ class ReducedCount:
     0 <= a_n <= deg-2 constraint of the node brackets each f by the
     congruence floors and box ceilings of the still-open slots.  A graph
     without nodes is rooted at an end (or its one vertex) and has one leg.
+    Each leaf is compared with full target cycles at every vertex, so on
+    the fills of `counting_q`'s node-value targets it also checks that
+    comparing at the nodes is enough.
     """
 
     def __init__(self, g, targets, ub, max_states):
@@ -556,7 +606,8 @@ class ReducedCount:
         self.states = 0
         self.totals = [0] * len(targets)
         self.values = [None] * g.nv
-        self.root = (g.nodes or g.ends or (0,))[0]
+        ends = [v for v in range(g.nv) if g.degree[v] == 1]
+        self.root = (g.nodes or ends or (0,))[0]
         arms = g.arms if g.nodes else {self.root: [g.arm(self.root, u) for u in g.neighbors[self.root]]}
         # (chain, alpha, beta, far node) per directed (branch vertex, first
         # vertex), read from the graph's arms

@@ -71,7 +71,7 @@ def test_criterion_2_four_way_pg_agreement():
         pg = m.pg()
         assert pg.via_minimal == pg.via_diagram == pg.value
         assert m.pg_lattice_count() == pg.value
-        assert counting_q(m.minimal, [m.zk_minimal]) == [pg.value]
+        assert counting_q(m.minimal, [[m.zk_minimal[n] for n in m.minimal.nodes]]) == [pg.value]
     assert model_for(brieskorn(2, 3, 5)).pg().value == 0
     assert model_for(brieskorn(2, 3, 7)).pg().value == 1
     elapsed = time.perf_counter() - started
@@ -90,8 +90,8 @@ def test_criterion_3_stepwise_sw_identity():
         if not (0 < g.nv <= 14):
             continue
         seq = m.sequence("I")
-        cycles = seq.cycles()
-        q_values = counting_q(g, cycles)
+        # Z_i and Z_K are the fills of their node values, which counting_q takes
+        q_values = counting_q(g, [s.z_nodes for s in seq.steps] + [[m.zk_minimal[n] for n in g.nodes]])
         for i, step in enumerate(seq.steps):
             assert q_values[i + 1] - q_values[i] == step.a
         checked += 1

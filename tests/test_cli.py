@@ -16,9 +16,11 @@ from newtonsing import cli, graph, invariants, kernels
 from newtonsing.cli import main
 from newtonsing.invariants import SingularityModel
 from newtonsing.newton import Support, make_convenient, newton_polyhedron
+from newtonsing.sequences import fill_cycle
 from newtonsing.series import counting_q, zeta_coefficient_convolution
 from tests.conftest import FRONT_PAGE, ZETA_HEAVY, corpus_supports
-from tests.oracles import from_payload
+from tests.oracles import cycles, from_payload
+from tests.test_newton import random_supports
 
 
 def write_doc(tmp_path, monomials, name=None):
@@ -455,10 +457,13 @@ def test_verify_series_runs_one_counting_walk_and_one_product(tmp_path, capsys, 
     assert code == 0
     assert json.loads(out)["result"]["passed"]
     m = SingularityModel(Support(FRONT_PAGE))
-    zk = m.zk_minimal
-    cycles = [tuple(c) for c in m.sequence("I").cycles()]
-    assert len(cycles) > 2 and cycles[0] == (0,) * len(zk) and cycles[-1] == zk
-    assert q_calls == [cycles]
+    zk, nodes = m.zk_minimal, m.minimal.nodes
+    # kind I's node values before each step, then Z_K's: the fills of the
+    # chain's targets are kind I's cycles
+    chain = [s.z_nodes for s in m.sequence("I").steps] + [tuple(zk[n] for n in nodes)]
+    assert len(chain) > 2 and chain[0] == (0,) * len(nodes) and 0 < len(nodes) < len(zk)
+    assert q_calls == [chain]
+    assert [fill_cycle(m.minimal, z) for z in chain] == cycles(m.sequence("I"))
     assert zeta_calls == [[(0,) * len(zk), zk, tuple(x + 1 for x in zk)]]
 
 
@@ -495,3 +500,28 @@ def test_production_path_never_runs_the_laufer_walk(tmp_path, capsys, monkeypatc
         for command in ("pg", "spectrum", "poincare", "sw", "verify"):
             code, out = run_cli(capsys, path, command)
             assert code == 0, (support.points, command, out)
+
+
+def test_permuting_coordinates_keeps_every_report(tmp_path, capsys):
+    """Metamorphic: renaming x, y and z leaves pg, spectrum, poincare, sw
+    and verify unchanged (the exit code, the result, the oracles and the
+    error type; only the input echo and the error message, which prints
+    the support, differ).  This checks the polyhedron and the Oka front end
+    against themselves, on generated supports of every outcome."""
+
+    def reports(points):
+        path = write_doc(tmp_path, points)
+        out = []
+        for command in ("pg", "spectrum", "poincare", "sw", "verify"):
+            code, text = run_cli(capsys, path, command)
+            report = json.loads(text)
+            out.append((code, report.get("result"), report.get("oracles"), report.get("error")))
+        return out
+
+    outcomes = set()
+    for support in random_supports(53, 40):
+        expected = reports(support.points)
+        for perm in ((1, 0, 2), (2, 1, 0), (1, 2, 0)):
+            assert reports([tuple(p[i] for i in perm) for p in support.points]) == expected, (support, perm)
+        outcomes.add(expected[0][3])
+    assert {None, "NotTree", "NoCompactFace", "NotIsolated", "NotRationalHomologySphere"} <= outcomes

@@ -140,7 +140,9 @@ def test_duals_positive_on_corpus(corpus):
 
 def assert_ratio_peaks_on_the_diagonal(duals):
     """The lemma behind `counting_q`'s box on a tree: the largest ratio
-    m_w(E_v^*) / m_w'(E_v^*) over v is the one at v = w."""
+    m_w(E_v^*) / m_w'(E_v^*) over v is the one at v = w.  The box reads it
+    with w' a node, where a leaf falls short of a target's fill; the
+    full-witness box of `oracles.coordinate_bounds` reads it at every w'."""
     for w in range(len(duals)):
         for wp in range(len(duals)):
             best = max(Fraction(row[w], row[wp]) for row in duals)

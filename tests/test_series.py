@@ -1,7 +1,10 @@
+import contextlib
 import gc
 import itertools
+from collections import Counter
 import random
 import weakref
+from operator import add, le
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,20 +14,28 @@ from newtonsing.errors import BudgetExceeded, KindMismatch, NotNegativeDefinite,
 from newtonsing.graph import PlumbingGraph, wt_cycle
 from newtonsing.invariants import SingularityModel
 from newtonsing.newton import Support
-from newtonsing.sequences import kind1_context, run_sequence
-from newtonsing.series import (
-    _coordinate_bounds,
-    counting_q,
-    enumerate_P,
-    zeta_coefficient,
-    zeta_coefficient_convolution,
-)
+from newtonsing.errors import NewtonsingError
+from newtonsing.newton import is_convenient
+from newtonsing.sequences import fill_cycle, kind1_context, run_sequence
+from newtonsing.series import _vertex_factor, counting_q, enumerate_P, zeta_coefficient, zeta_coefficient_convolution
 from tests.conftest import FRONT_PAGE, ZETA_HEAVY, brieskorn, model_for
-from tests.oracles import ReducedCount, zeta_search
-from tests.test_newton import convenient_supports
+from tests.oracles import ReducedCount, coordinate_bounds, enumerate_P_full_rows, zeta_search
+from tests.test_newton import convenient_supports, random_supports
 
 # node-free graphs: chains by their b values, single vertices among them
 CHAINS = [[2], [3], [2, 2], [2, 2, 2], [3, 2, 3], [2, 3, 2, 4], [5, 2], [1], [1, 3], [2, 2, 2, 2], [2, 2, 2, 2, 2]]
+
+
+def at_nodes(g, cycle):
+    """A cycle's values at the nodes: what `counting_q` takes per target."""
+    return tuple(cycle[n] for n in g.nodes)
+
+
+def node_chain(m):
+    """Kind I's node values before each step, then Z_K's: the targets
+    `verify`'s series suite passes."""
+    g = m.minimal
+    return [s.z_nodes for s in m.sequence("I").steps] + [at_nodes(g, m.zk_minimal)]
 
 
 def test_zeta_trivial_and_single_vertex():
@@ -73,18 +84,33 @@ def test_not_tree_rejected():
 def test_q_basics():
     m = model_for(brieskorn(2, 3, 7))
     g = m.minimal
-    assert counting_q(g, [(0,) * g.nv]) == [0]
-    assert counting_q(g, [m.zk_minimal]) == [1]  # p_g
+    assert counting_q(g, [(0,) * len(g.nodes)]) == [0]
+    assert counting_q(g, [at_nodes(g, m.zk_minimal)]) == [1]  # p_g
     assert counting_q(g, []) == []
+
+
+def test_counting_q_rejects_targets_that_are_not_node_values():
+    # a full cycle is not cut down to its first entries
+    m = model_for(Support(FRONT_PAGE))
+    g, zk = m.minimal, m.zk_minimal
+    assert 0 < len(g.nodes) < g.nv
+    with pytest.raises(ValueError, match="one value per node"):
+        counting_q(g, [zk])
+    with pytest.raises(ValueError, match="one value per node"):
+        counting_q(g, [at_nodes(g, zk), at_nodes(g, zk)[:-1]])
+    chain = PlumbingGraph([2, 2], [0, 0], [(0, 1)])
+    with pytest.raises(ValueError, match="one value per node"):
+        counting_q(chain, [(1, 1)])
+    assert counting_q(chain, [(), ()]) == [0, 0]
 
 
 def test_q_stepwise_smoke():
     m = model_for(brieskorn(3, 5, 7))
     g = m.minimal
     seq = m.sequence("I")
-    cycles = seq.cycles()
+    chain = node_chain(m)
     for i, step in enumerate(seq.steps):
-        after, before = counting_q(g, [cycles[i + 1], cycles[i]])
+        after, before = counting_q(g, [chain[i + 1], chain[i]])
         assert after - before == step.a
 
 
@@ -112,7 +138,7 @@ def test_enumerate_P_kind2_prefix(corpus):
         assert union == rep.outside_points
         # the prefix partitions the complement of the wt(f) polyhedron
         wtf = wt_cycle(og, og.support.points)
-        assert seq.cycles()[-1] == wtf
+        assert seq.reached == wtf
 
 
 def test_enumerate_P_requires_matching_graph():
@@ -154,7 +180,7 @@ def test_q_on_many_legged_star():
     from newtonsing.newton import Support
 
     m = SingularityModel(Support([(0, 0, 9), (0, 8, 0), (1, 3, 5), (5, 0, 4), (5, 1, 6), (5, 5, 5), (8, 0, 0)]))
-    q = counting_q(m.minimal, [m.zk_minimal])
+    q = counting_q(m.minimal, [at_nodes(m.minimal, m.zk_minimal)])
     assert q == [m.pg().value] == [56]
 
 
@@ -164,7 +190,7 @@ def test_q_budget_error():
 
     m = SingularityModel(Support([(0, 0, 9), (0, 9, 0), (5, 3, 0), (9, 0, 0)]))
     with pytest.raises(BudgetExceeded, match="state budget"):
-        counting_q(m.minimal, [m.zk_minimal], max_states=10_000)
+        counting_q(m.minimal, [at_nodes(m.minimal, m.zk_minimal)], max_states=10_000)
 
 
 def test_zeta_paths_stop_at_their_budget(monkeypatch):
@@ -213,38 +239,87 @@ def test_zeta_paths_match_search_on_chains_and_trees():
         assert_zeta_paths_match_search(g, [-(-x // g.data.group_order) for x in scaled], rng)
 
 
+def zeta_sum_below(g, target):
+    """q at a full target cycle by brute force over the terms of
+    Z_0(t) = prod_v (1 - t^{E_v^*})^{deg v - 2}: every exponent vector a
+    whose vertex factors are not 0 and whose cycle l = sum_v a_v E_v^*
+    stays in the target's full-witness box (`oracles.coordinate_bounds`),
+    which holds every Lipman-cone cycle not >= the target.  The integral l
+    that are not >= the target sum to q."""
+    box = coordinate_bounds(g.data.scaled_duals, target)
+    if box is None:
+        return 0
+    duals, scale = g.data.scaled_duals, g.data.group_order
+    top = [x * scale for x in box]
+    total = 0
+    stack = [(0, (0,) * g.nv, 1)]
+    while stack:
+        v, l, weight = stack.pop()
+        if v == g.nv:
+            if all(x % scale == 0 for x in l) and any(x < t * scale for x, t in zip(l, target)):
+                total += weight
+            continue
+        a = 0
+        while all(map(le, l, top)):
+            if factor := _vertex_factor(g.degree[v], a):
+                stack.append((v + 1, l, weight * factor))
+            elif g.degree[v] >= 2:
+                break  # (1 - t)^(deg - 2) has no term past a = deg - 2
+            a += 1
+            l = tuple(map(add, l, duals[v]))
+    return total
+
+
+def assert_counting_q_matches_zeta_sum(g, targets):
+    """counting_q at every node vector of `targets` equals the brute-force
+    zeta sum below its fill, one target at a time and all in one walk."""
+    expected = [zeta_sum_below(g, fill_cycle(g, z)) for z in targets]
+    assert [counting_q(g, [z])[0] for z in targets] == expected
+    assert counting_q(g, targets) == expected
+
+
+def star_with_arm(b):
+    """A node carrying the chain b as one arm, and a (-2)- and a (-3)-curve
+    as its other two: the least node weight that keeps it definite."""
+    k = len(b)
+    edges = [(0, 1), (0, 2), (0, 3)] + [(3 + i, 4 + i) for i in range(k - 1)]
+    for weight in range(1, 8):
+        try:
+            return PlumbingGraph([weight, 2, 3, *b], [0] * (k + 3), edges)
+        except NotNegativeDefinite:
+            pass
+    raise AssertionError(f"no definite node weight for the arm {b}")
+
+
 @pytest.mark.parametrize("b", CHAINS)
 def test_counting_q_on_chains_matches_zeta_sum(b):
-    # node-free graphs are rooted at an end; compare the count with the sum
-    # of zeta coefficients over the integral cycles of the bounding box that
-    # lie below the target in some coordinate
-    g = PlumbingGraph(b, [0] * len(b), [(i, i + 1) for i in range(len(b) - 1)])
-    bounds = {t: _coordinate_bounds(g.data.scaled_duals, t) for t in itertools.product(range(4), repeat=g.nv)}
-    top = [max(ub[v] for ub in bounds.values() if ub) for v in range(g.nv)]
-    # zeta terms lie in the Lipman cone: a_v = -(l, E_v) >= 0 at every vertex
-    cone = (
-        lp
-        for lp in itertools.product(*(range(u + 1) for u in top))
-        if all(g.dot_E(lp, v) <= 0 for v in range(g.nv))
-    )
-    terms = [(lp, z) for lp in cone if (z := zeta_coefficient(g, lp))]
-    for target, ub in bounds.items():
-        expected = sum(
-            z
-            for lp, z in terms
-            if ub is not None
-            and all(x <= u for x, u in zip(lp, ub))
-            and any(x < t for x, t in zip(lp, target))
-        )
-        assert counting_q(g, [target]) == [expected]
+    # a chain has no node, so its only fill is 0 and q is 0 there; as the
+    # arm of a node, q at the fills of the node values 0..3 is the sum of
+    # zeta coefficients over the Lipman-cone cycles not >= the fill
+    chain = PlumbingGraph(b, [0] * len(b), [(i, i + 1) for i in range(len(b) - 1)])
+    assert counting_q(chain, [(), ()]) == [0, 0]
+    assert_counting_q_matches_zeta_sum(star_with_arm(b), [(0,), (1,), (2,), (3,)])
+
+
+def test_counting_q_matches_zeta_sum_on_random_trees():
+    trees = [g for g in random_definite_trees(random.Random(41)) if g.nodes]
+    for g in trees:
+        # node values up to 2, at most one of them 2: the brute force's box
+        # grows fast with the node values
+        targets = [z for z in itertools.product(range(3), repeat=len(g.nodes)) if z.count(2) <= 1]
+        assert_counting_q_matches_zeta_sum(g, targets)
+    assert len(trees) >= 25
 
 
 def test_counting_q_budget_on_a_chain():
-    # the chain's first value is bracketed by the end's congruence floor and
-    # a_n >= 0, so 3,740 states suffice where a box scan of two free values
-    # needs 10,795
-    g = PlumbingGraph([2, 2, 2], [0, 0, 0], [(0, 1), (1, 2)])
-    assert counting_q(g, [(43, 43, 43)], max_states=10_000) == [1849]
+    # a node with the chains [2, 2, 2], [2, 2] and [2] as legs (E6): each
+    # leg's first value is bracketed by its end's congruence floor and the
+    # node's 0 <= a_n <= 1, so 376 states suffice where a scan of the
+    # 7-dimensional box holds 9,836,640,000 cycles
+    g = PlumbingGraph([2] * 7, [0] * 7, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (0, 6)])
+    assert counting_q(g, [(40,)], max_states=376) == [67]
+    with pytest.raises(BudgetExceeded, match="state budget"):
+        counting_q(g, [(40,)], max_states=375)
 
 
 def test_counting_leaves_no_reference_cycles():
@@ -257,7 +332,7 @@ def test_counting_leaves_no_reference_cycles():
     try:
         g = PlumbingGraph(m.minimal.b, m.minimal.genus, m.minimal.edges)
         ref = weakref.ref(g)
-        assert g.nodes and counting_q(g, [zk]) == [m.pg().value]
+        assert g.nodes and counting_q(g, [at_nodes(g, zk)]) == [m.pg().value]
         assert [zeta_coefficient(g, zk)] == zeta_coefficient_convolution(g, [zk])
         del g
         assert ref() is None
@@ -266,26 +341,27 @@ def test_counting_leaves_no_reference_cycles():
             gc.enable()
 
 
-def shared_walk_targets(g, zk, rng):
-    """Targets that form no chain: 0 and Z_K + E (both twice), Z_K, random
-    cycles below Z_K + E, one coordinate raised alone, and cycles with no
-    positive entry, whose box is None."""
+def shared_walk_targets(zk, rng):
+    """Node values that form no chain: 0 and zk + 1 (both twice), zk,
+    random values below zk + 1, one node raised alone, and values with no
+    positive entry, whose box is empty."""
     top = [x + 1 for x in zk]
-    targets = [(0,) * g.nv, tuple(top), tuple(zk), (0,) * g.nv, tuple(top)]
+    k = len(top)
+    targets = [(0,) * k, tuple(top), tuple(zk), (0,) * k, tuple(top)]
     targets += [tuple(rng.randint(0, x) for x in top) for _ in range(6)]
-    targets += [tuple(top[v] * (w == v) for w in range(g.nv)) for v in (0, g.nv - 1)]
-    targets += [(-1,) * g.nv, tuple(-x for x in top)]
-    assert _coordinate_bounds(g.data.scaled_duals, targets[-1]) is None
+    targets += [tuple(top[v] * (w == v) for w in range(k)) for v in {0, k - 1} if k]
+    targets += [(-1,) * k, tuple(-x for x in top)]
     return targets
 
 
 def assert_shared_walks_match_single_targets(m, rng):
     g, zk = m.minimal, m.zk_minimal
-    targets = shared_walk_targets(g, zk, rng)
-    assert counting_q(g, targets) == [counting_q(g, [lp])[0] for lp in targets]
-    conv = zeta_coefficient_convolution(g, targets)
-    assert conv == [zeta_coefficient_convolution(g, [lp])[0] for lp in targets]
-    assert conv == [zeta_coefficient(g, lp) for lp in targets]
+    targets = shared_walk_targets(at_nodes(g, zk), rng)
+    assert counting_q(g, targets) == [counting_q(g, [z])[0] for z in targets]
+    cycles = zeta_targets(g, zk, rng)
+    conv = zeta_coefficient_convolution(g, cycles)
+    assert conv == [zeta_coefficient_convolution(g, [lp])[0] for lp in cycles]
+    assert conv == [zeta_coefficient(g, lp) for lp in cycles]
 
 
 def test_shared_walks_match_single_targets_on_corpus(corpus):
@@ -303,18 +379,32 @@ def test_shared_walks_match_single_targets_on_generated_supports(support):
     assert_shared_walks_match_single_targets(m, random.Random(str(support.points)))
 
 
+def node_box(g, targets):
+    """The walk's box: ub_w = max over nodes n with z_n > 0 of
+    G_ww (z_n - 1) // G_wn at the componentwise max z of the targets, or
+    None when no node value is positive."""
+    witnesses = [(n, z) for n, z in zip(g.nodes, map(max, zip(*targets))) if z > 0]
+    if not witnesses:
+        return None
+    return [max(row[w] * (z - 1) // row[n] for n, z in witnesses) for w, row in enumerate(g.data.scaled_duals)]
+
+
 def compare_walk_with_oracle(g, targets, budget=10**6):
-    """Assert that the walk and the generator walk of `oracles.ReducedCount`
-    give equal totals and an equal state count: the walk answers at exactly
-    the oracle's count and raises BudgetExceeded one state below it.  When
-    the oracle passes `budget`, the walk must too.  Returns whether the
-    oracle finished within `budget`."""
-    targets = [tuple(t) for t in targets]
-    boxes = [b for b in (_coordinate_bounds(g.data.scaled_duals, t) for t in targets) if b is not None]
-    if not boxes:
+    """Assert that the walk and the generator walk of `oracles.ReducedCount`,
+    run on the targets' full fills over the walk's node box, give equal
+    totals and an equal state count: the walk answers at exactly the
+    oracle's count and raises BudgetExceeded one state below it.  The
+    oracle over the fills' full-witness box, which compares at every vertex
+    of a larger box, must give the same totals when it finishes within
+    `budget`.  When the oracle passes `budget` on the node box, the walk
+    must too.  Returns whether it finished within `budget`."""
+    targets = [tuple(z) for z in targets]
+    box = node_box(g, targets)
+    if box is None:
         assert counting_q(g, targets) == [0] * len(targets)
         return True
-    oracle = ReducedCount(g, targets, [max(col) for col in zip(*boxes)], budget)
+    fills = [fill_cycle(g, z) for z in targets]
+    oracle = ReducedCount(g, fills, box, budget)
     try:
         totals = oracle.run()
     except BudgetExceeded:
@@ -324,15 +414,19 @@ def compare_walk_with_oracle(g, targets, budget=10**6):
     assert counting_q(g, targets, max_states=oracle.states) == totals
     with pytest.raises(BudgetExceeded, match="state budget"):
         counting_q(g, targets, max_states=oracle.states - 1)
+    full = [b for b in (coordinate_bounds(g.data.scaled_duals, t) for t in fills) if b is not None]
+    wide = ReducedCount(g, fills, [max(col) for col in zip(*full)], budget)
+    with contextlib.suppress(BudgetExceeded):
+        assert wide.run() == totals
     return True
 
 
 def test_walk_matches_oracle_on_corpus(corpus):
     rng = random.Random(37)
     for m in corpus:
-        g, zk = m.minimal, m.zk_minimal
+        g, zk = m.minimal, at_nodes(m.minimal, m.zk_minimal)
         if 0 < g.nv <= 14:
-            for targets in ([zk], m.sequence("I").cycles(), shared_walk_targets(g, zk, rng)):
+            for targets in ([zk], node_chain(m), shared_walk_targets(zk, rng)):
                 assert compare_walk_with_oracle(g, targets)
 
 
@@ -341,8 +435,8 @@ def test_walk_matches_oracle_on_corpus(corpus):
 def test_walk_matches_oracle_on_generated_supports(support):
     m = SingularityModel(support)
     assume(m.polyhedron.compact_faces and m.is_rhs and m.minimal.nv > 0)
-    g, zk = m.minimal, m.zk_minimal
-    for targets in ([zk], shared_walk_targets(g, zk, random.Random(str(support.points)))):
+    g, zk = m.minimal, at_nodes(m.minimal, m.zk_minimal)
+    for targets in ([zk], shared_walk_targets(zk, random.Random(str(support.points)))):
         assert compare_walk_with_oracle(g, targets)
 
 
@@ -366,24 +460,49 @@ def test_walk_matches_oracle_on_random_definite_trees():
     graphs = random_definite_trees(rng)
     completed = []
     for g in graphs:
-        cycle = tuple(rng.randint(0, 2) for _ in range(g.nv))
-        for targets in ([cycle], shared_walk_targets(g, cycle, rng)):
+        if not g.nodes:
+            # a graph without nodes has only the fill 0
+            assert counting_q(g, [()]) == [0]
+            continue
+        z = tuple(rng.randint(0, 2) for _ in g.nodes)
+        for targets in ([z], shared_walk_targets(z, rng)):
             # a few boxes hold far more states than the budget: those only
             # check that both walks stop at it
-            completed.append(compare_walk_with_oracle(g, targets, budget=20_000) and bool(g.nodes))
+            completed.append(compare_walk_with_oracle(g, targets, budget=20_000))
     assert sum(bool(g.nodes) for g in graphs) >= 25 and sum(completed) >= 50
 
 
 @given(convenient_supports())
 @settings(max_examples=40)
 def test_chain_targets_match_the_all_targets_loop(support):
-    """Kind I's cycles, with a leading target that has no positive entry
-    and every other cycle repeated, stay a nondecreasing chain: the walk's
-    bisection per leaf must give the oracle's all-targets totals."""
+    """Kind I's node values, with a leading target that has no positive
+    entry and every other one repeated, stay a nondecreasing chain: the
+    walk's bisection per leaf must give the oracle's all-targets totals."""
     m = SingularityModel(support)
-    assume(m.polyhedron.compact_faces and m.is_rhs and m.minimal.nv > 0)
+    assume(m.polyhedron.compact_faces and m.is_rhs and m.minimal.nodes)
     g = m.minimal
-    cycles = m.sequence("I").cycles()
-    targets = [(-1,) * g.nv] + [c for i, c in enumerate(cycles) for _ in range(1 + i % 2)]
+    targets = [(-1,) * len(g.nodes)] + [z for i, z in enumerate(node_chain(m)) for _ in range(1 + i % 2)]
     assert all(x <= y for s, t in zip(targets, targets[1:]) for x, y in zip(s, t))
     assert compare_walk_with_oracle(g, targets)
+
+
+def test_enumerate_P_reads_node_rows_only():
+    """On generated supports, non-convenient ones among them, the sets P_i
+    from the node rows and node values equal the full-row reference, for
+    kind I on the Oka graph (as `verify` runs it), II and III."""
+    seen = Counter()
+    for support in random_supports(31, 300):
+        m = SingularityModel(support)
+        try:
+            m.require_rhs()
+            og = m.oka
+            seqs = [run_sequence(kind1_context(og.graph, m.zk_oka)), m.sequence("II"), m.sequence("III")]
+        except NewtonsingError:
+            continue
+        for seq in seqs:
+            report = enumerate_P(og, seq)
+            assert report == enumerate_P_full_rows(og, seq), (support, seq.kind)
+            seen["points", seq.kind] += len(report.outside_points)
+        seen["convenient", is_convenient(support)] += 1
+    assert seen["convenient", True] >= 50 and seen["convenient", False] >= 30, seen
+    assert all(seen["points", kind] for kind in ("I", "II", "III")), seen

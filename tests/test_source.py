@@ -79,3 +79,17 @@ def test_every_definition_is_referenced():
             ):
                 unreferenced.append(f"{module}:{node.lineno} {name}")
     assert unreferenced == []
+
+
+def test_chain_fills_stay_in_the_sequences_module():
+    """`fill_cycle` is called only inside `sequences.py` (the reached cycle
+    and the kind-III target): the readers of a sequence compare its cycles
+    at the nodes, so no step's full cycle is filled elsewhere."""
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) == "fill_cycle" or getattr(node.func, "attr", None) == "fill_cycle")
+    ]
+    assert calls and all(call.startswith("sequences.py:") for call in calls), calls
