@@ -76,6 +76,16 @@ class PlumbingGraph:
             raise NotTree("chains between nodes need a tree graph")
         return {n: tuple(self.arm(n, u) for u in self.neighbors[n]) for n in self.nodes}
 
+    @cached_property
+    def node_chains(self) -> tuple:
+        """Per position i in self.nodes: (b_n, ((alpha, beta, far) per arm)),
+        with far the position of the arm's far node, or None on a leg."""
+        pos = {n: i for i, n in enumerate(self.nodes)}
+        return tuple(
+            (self.b[n], tuple((a[0], a[1], None if far is None else pos[far]) for _, far, a in self.arms[n]))
+            for n in self.nodes
+        )
+
     def arm(self, n, u) -> tuple:
         """(chain, far, alphas) read from vertex n toward its neighbour u.
 
@@ -309,6 +319,11 @@ class OkaGraph:
     node_ids: dict  # compact face normal -> vertex id
     star_attach: dict  # vertex id -> star normal it abuts
 
+    @cached_property
+    def wtf(self) -> tuple:
+        """wt(f): at each vertex the minimum of its functional over the support."""
+        return wt_cycle(self, self.support.points)
+
 
 def oka_graph(poly: NewtonPolyhedron) -> OkaGraph:
     """Resolution graph from the Newton diagram by Oka's algorithm.
@@ -415,9 +430,8 @@ def x1x2x3_cycle(og: OkaGraph) -> tuple:
 def merle_teissier_ZK(og: OkaGraph) -> tuple:
     """Z_K = E + wt(f) - wt(x1 x2 x3) on the Oka graph (Oka 1987), integral by
     construction; `check_canonical` certifies it."""
-    wtf = wt_cycle(og, og.support.points)
     wtxyz = x1x2x3_cycle(og)
-    return tuple(1 + a - b for a, b in zip(wtf, wtxyz))
+    return tuple(1 + a - b for a, b in zip(og.wtf, wtxyz))
 
 
 def minimal_model(g: PlumbingGraph) -> tuple:

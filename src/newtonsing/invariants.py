@@ -16,7 +16,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import floor, lcm
+from itertools import count
+from math import floor
 
 from .errors import NewtonsingError, NoCompactFace, NotRationalHomologySphere
 from .graph import (
@@ -71,6 +72,7 @@ class SingularityModel:
 
     def __init__(self, support: Support):
         self.support = support
+        self._contexts = {}
         self._sequences = {}
         self._blown_down = None  # (minimal, kept) that make_convenient handed back
 
@@ -121,19 +123,24 @@ class SingularityModel:
         minimal = self.minimal  # sets self.kept
         return check_canonical(minimal, [self.zk_oka[v] for v in self.kept])
 
+    def _context(self, kind: str):
+        """The kind's sequence context, built once and shared by both tie-breaks."""
+        if kind not in self._contexts:
+            if kind == "I":
+                self._contexts[kind] = kind1_context(self.minimal, self.zk_minimal)
+            elif kind == "II":
+                self._contexts[kind] = kind2_context(self.oka)
+            elif kind == "III":
+                self._contexts[kind] = kind3_context(self.oka)
+            else:
+                raise ValueError(kind)
+        return self._contexts[kind]
+
     def sequence(self, kind: str, tie_break="min") -> SequenceResult:
         self.require_rhs()
         key = (kind, tie_break)
         if key not in self._sequences:
-            if kind == "I":
-                ctx = kind1_context(self.minimal, self.zk_minimal)
-            elif kind == "II":
-                ctx = kind2_context(self.oka)
-            elif kind == "III":
-                ctx = kind3_context(self.oka)
-            else:
-                raise ValueError(kind)
-            seq = run_sequence(ctx, tie_break=tie_break)
+            seq = run_sequence(self._context(kind), tie_break=tie_break)
             # kind III's target is a chain fill by construction
             if kind != "III" and seq.reached != seq.target:
                 raise NewtonsingError("sequence did not reach its target cycle")
@@ -150,12 +157,16 @@ class SingularityModel:
         return PgResult(one, one, three)
 
     def spectrum(self, tie_break="min") -> Counter:
-        """Multiset of spectrum values in (-1, 0], as r_i - 1 per step."""
-        out = Counter()
-        for step in self.sequence("III", tie_break=tie_break).steps:
-            if step.a:
-                out[step.r - 1] += step.a
-        return out
+        """Multiset of spectrum values in (-1, 0], as r_i - 1 per step with
+        a_i > 0, counted by the ratio's integer numerator over the
+        sequence's denominator."""
+        seq = self.sequence("III", tie_break=tie_break)
+        counts = Counter()
+        for k, a in zip(seq.numerators(), seq.increments()):
+            if a:
+                counts[k] += a
+        den = seq.denominator
+        return Counter({Fraction(k - den, den): a for k, a in counts.items()})
 
     def saito_spectrum(self) -> Counter:
         self.require_rhs()
@@ -167,8 +178,9 @@ class SingularityModel:
         Step i of the first period recurs in period j with ratio r_i + j and
         a = max(0, c_i - j*d_i), c_i = 1 - (Z_i, E_v), d_i = (wt(f), E_v)
         (see `kind2_context`).  Every ratio z_n / wt(f)_n is k_i / den with
-        den the lcm of the ratio denominators, so the series is kept in the
-        integer numerators k_i + j*den <= floor(max_exponent * den).
+        den the lcm of the node denominators, so the series is kept in the
+        integer numerators k_i + j*den <= floor(max_exponent * den);
+        `PuiseuxPoly` reduces them by their common gcd with den.
         """
         bound = Fraction(max_exponent)
         if bound <= 0:
@@ -177,16 +189,15 @@ class SingularityModel:
         weight_box(self.oka.polyhedron, bound)  # the scan's budget bounds the periods too
         seq = self.sequence("II", tie_break=tie_break)
         g = seq.graph
-        den = lcm(*(step.r.denominator for step in seq.steps))
+        den = seq.denominator
         cap = floor(bound * den)
-        slope = {n: g.dot_E(seq.target, n) for n in g.nodes}
-        terms = Counter()
-        for step in seq.steps:
-            k = step.r.numerator * (den // step.r.denominator)
-            c = 1 - step.pairing
-            d = slope[step.v]
-            for j in range((cap - k) // den + 1):
-                terms[k + j * den] += max(0, c - j * d)
+        slope = [g.dot_E(seq.target, n) for n in g.nodes]
+        terms = {}
+        for k, i, pairing in zip(seq.numerators(), seq.steps, seq.pairings):
+            # period j adds max(0, c - j*d) at k + j*den; its zeros add nothing
+            for key, a in zip(range(k, cap + 1, den), count(1 - pairing, -slope[i])):
+                if a > 0:
+                    terms[key] = terms.get(key, 0) + a
         return PuiseuxPoly(terms, den)
 
     def poincare_newton(self, max_exponent) -> PuiseuxPoly:

@@ -5,12 +5,16 @@ nonnegative last entry, the p2 with rows[i].p < bounds[i] for some i form a
 prefix of each column, so a scan costs box^2 * rows plus its output rather
 than box^3 * rows.  `min_histogram` counts min_i rows[i].p at each point
 on the first row attaining it; that row's points on a column are one
-interval of p2, counted as one arithmetic progression.  Arithmetic is on
+interval of p2, counted as one arithmetic progression.  `form_histogram`
+counts the values of one positive row without visiting a point: its
+histogram is the truncated product of the geometric series of each
+coordinate, three stride passes over one list of counts.  Arithmetic is on
 Python integers, hence exact.
 """
 
 from collections import Counter
-from itertools import chain
+from itertools import accumulate, chain, compress
+from operator import sub
 
 
 def _column_tops(rows, bounds, lo, hi):
@@ -104,6 +108,37 @@ def min_histogram(rows, cap, lo, hi):
                 if values:
                     ranges.append(values)
     return Counter(chain.from_iterable(ranges))
+
+
+def form_histogram(row, cap, lo, hi):
+    """Counter of row.p over the p in [lo, hi]^3 where row.p <= cap, for a
+    row of positive entries.
+
+    The values are row.lo + k, and the count at k is the coefficient of t^k
+    in the product over c of 1 + t^a + ... + t^(m a), with a = row[c] and
+    m = hi[c] - lo[c]; it is truncated at top = min(cap, row.hi) - row.lo,
+    which is exact, as no factor lowers a degree.  A factor is
+    (1 - t^((m + 1) a)) / (1 - t^a): a prefix sum with stride a, then the
+    prefix shifted by (m + 1) a subtracted.  The cost is O(3 * top), not the
+    box's points.
+    """
+    if any(a <= 0 for a in row):
+        raise ValueError("form_histogram needs a row of positive entries")
+    if any(h < l for l, h in zip(lo, hi)):
+        return Counter()
+    shift = sum(a * l for a, l in zip(row, lo))
+    top = min(cap, sum(a * h for a, h in zip(row, hi))) - shift
+    if top < 0:
+        return Counter()
+    counts = [1] + [0] * top
+    for a, l, h in zip(row, lo, hi):
+        for r in range(min(a, top + 1)):
+            counts[r::a] = accumulate(counts[r::a])
+        cut = (h - l + 1) * a
+        if cut <= top:
+            counts[cut:] = map(sub, counts[cut:], counts[: top + 1 - cut])
+    values = compress(range(shift, shift + top + 1), counts)
+    return Counter(dict(zip(values, filter(None, counts))))
 
 
 def laufer_complete(b, neighbors, is_node, m):

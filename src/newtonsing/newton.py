@@ -12,8 +12,10 @@ anatomy of the diagram.
 
 The spectrum and the Poincare series count lattice points by weight.  With
 L the lcm of the compact face values, L * weight(p) is an integer, so one
-integer histogram (`kernels.min_histogram`) serves both, and a series is a
-`PuiseuxPoly` of integer numerators over one denominator.
+integer histogram serves both, and a series is a `PuiseuxPoly` of integer
+numerators over one denominator.  The histogram is counted per face and
+column (`kernels.min_histogram`), or, on a diagram with one compact face,
+from the generating series of that face's form (`kernels.form_histogram`).
 """
 
 import operator
@@ -416,7 +418,12 @@ def _weight_histogram(poly, bound, positive):
     L is the lcm of the compact face values w_n, so weight(p) is k / L with
     the integer k = min_n (L // w_n) * l_n(p), and weight(p) <= bound is
     k <= floor(bound * L).  `kernels.min_histogram` counts the k per face
-    and column, not per point.
+    and column, not per point.  A diagram with one compact face is weighted
+    homogeneous: L = w, k is the one form l(p), the cap implies the weight
+    box, and `kernels.form_histogram` counts the k from the series
+    1 / prod_c (1 - t^(l_c)) in O(cap) steps.  That list of counts is used
+    while it is no longer than the box has points, which bounds both the
+    time and the memory of either kernel by the box.
     """
     _require_compact(poly)
     bound = Fraction(bound)
@@ -425,7 +432,10 @@ def _weight_histogram(poly, bound, positive):
     scaled = [tuple(denominator // f.value * a for a in f.normal) for f in faces]
     lo = [1, 1, 1] if positive else [0, 0, 0]
     hi = weight_box(poly, bound)
-    return kernels.min_histogram(scaled, floor(bound * denominator), lo, hi), denominator
+    cap = floor(bound * denominator)
+    if len(faces) == 1 and cap <= (hi[0] + 1) * (hi[1] + 1) * (hi[2] + 1):
+        return kernels.form_histogram(scaled[0], cap, lo, hi), denominator
+    return kernels.min_histogram(scaled, cap, lo, hi), denominator
 
 
 def saito_spectrum(poly: NewtonPolyhedron) -> Counter:

@@ -2,9 +2,13 @@
 
 A sequence context packages the graph, the per-node ratio data and the
 target cycle; `run_sequence` then produces the node steps (Z_i, v(i), a_i,
-r_i).  The connecting Laufer steps contribute nothing to the sums, and the
-sequence tracks node values only: along each chain from a node n toward o
-Laufer's completion is the interpolation ceil((beta z_n + z_o) / alpha)
+r_i) as two integer columns, the node each step raises and its pairing
+(Z_i, E_v), with no object per step: a_i is max(0, 1 - pairing), the ratio
+of the k-th step at a node is (k + offset) / denominator, and Z_i's node
+values count the earlier steps at each node (`SequenceResult`).  The
+connecting Laufer steps contribute nothing to the sums, and the sequence
+tracks node values only: along each chain from a node n toward o Laufer's
+completion is the interpolation ceil((beta z_n + z_o) / alpha)
 (`PlumbingGraph.arms`), so (Z_i, E_n) is read off the node values.  Every
 Z_i is the chain fill of its node values, and its readers compare it at
 the nodes only (see `series.counting_q`), so no step's full cycle is ever
@@ -14,15 +18,18 @@ as the oracle for `fill_cycle`, and no production path calls it.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from . import kernels
 from .errors import BudgetExceeded, NewtonsingError
-from .graph import OkaGraph, PlumbingGraph, wt_cycle, x1x2x3_cycle
+from .graph import OkaGraph, PlumbingGraph, x1x2x3_cycle
 
 # Budget of a computation sequence: its node steps.  Kind I on
-# (100,101,103) takes 1,009,498 of them, on (7,11,1000003) 59,000,101.
+# (100,101,103) takes 1,009,498 of them, on (7,11,1000003) 59,000,101.  On
+# a one-node graph a step takes about 1.1 µs (Python 3.11.7, shared 2-vCPU
+# Xeon VM), so the budget admits about 11 s per sequence; each further node
+# adds one ratio comparison per step.
 SEQUENCE_STEPS = 10**7
 
 
@@ -59,26 +66,62 @@ def fill_cycle(graph: PlumbingGraph, z_nodes) -> tuple:
     return tuple(z)
 
 
-@dataclass(frozen=True)
-class SeqStep:
-    z_nodes: tuple  # node values of the cycle Z_i before the step, in graph.nodes order
-    v: int  # node incremented
-    a: int  # max(0, (-Z_i, E_v) + 1)
-    r: Fraction  # ratio of the chosen node
-    pairing: int  # (Z_i, E_v)
-
-
 @dataclass
 class SequenceResult:
+    """A computation sequence as two integer columns, one entry per node step.
+
+    `steps[i]` is the position in graph.nodes of the node v(i) the step
+    raises, `pairings[i]` is (Z_i, E_v), and a_i = max(0, 1 - pairings[i]).
+    The rest is read back from the node column: the k-th step at node n has
+    ratio (k + offsets[n]) / denominators[n], and the node values of Z_i are
+    the counts of each node's steps before i.
+    """
+
     kind: str  # "I" | "II" | "III"
-    steps: list
+    steps: list  # per step: the position in graph.nodes of the node raised
+    pairings: list  # per step: (Z_i, E_v) at that node
     target: tuple
     reached: tuple
     graph: PlumbingGraph
+    offsets: tuple  # per node position: the ratio's numerator at value 0
+    denominators: tuple  # per node position: the ratio's denominator, positive
 
     @cached_property
     def total(self) -> int:
-        return sum(s.a for s in self.steps)
+        return sum(self.increments())
+
+    def increments(self):
+        """Each step's a_i = max(0, 1 - (Z_i, E_v)), one by one."""
+        return (1 - p if p < 1 else 0 for p in self.pairings)
+
+    @cached_property
+    def denominator(self) -> int:
+        """The lcm of the node denominators: every ratio is an integer over it."""
+        return lcm(*self.denominators)
+
+    def numerators(self):
+        """Each step's ratio times `denominator`, one by one."""
+        scale = [self.denominator // d for d in self.denominators]
+        following = [o * s for o, s in zip(self.offsets, scale)]
+        for i in self.steps:
+            yield following[i]
+            following[i] += scale[i]
+
+    def node_values(self) -> list:
+        """The node values of Z_i before each step, in graph.nodes order."""
+        z = [0] * len(self.graph.nodes)
+        out = []
+        for i in self.steps:
+            out.append(tuple(z))
+            z[i] += 1
+        return out
+
+    def positions(self) -> list:
+        """positions[n][k] is the step that raises node position n from k to k + 1."""
+        out = [[] for _ in self.graph.nodes]
+        for step, i in enumerate(self.steps):
+            out[i].append(step)
+        return out
 
 
 @dataclass
@@ -111,7 +154,7 @@ def kind2_context(og: OkaGraph) -> SequenceContext:
     c_i = 1 - (Z_i, E_{v_i}) and d_i = (wt(f), E_{v_i}).  The pairing is
     checked here, and the period's end in `SingularityModel.sequence`.
     """
-    wtf = wt_cycle(og, og.support.points)
+    wtf = og.wtf
     graph = og.graph
     bad = [v for v in range(graph.nv) if graph.degree[v] < 3 and graph.dot_E(wtf, v)]
     if bad:
@@ -131,7 +174,7 @@ def kind3_context(og: OkaGraph) -> SequenceContext:
     (x, E_v) <= 0 off the nodes), so the condition is checked and the walk
     is not run.
     """
-    wtf = wt_cycle(og, og.support.points)
+    wtf = og.wtf
     wtxyz = x1x2x3_cycle(og)
     zk_e = tuple(a - b for a, b in zip(wtf, wtxyz))
     nodes = og.graph.nodes
@@ -152,8 +195,9 @@ def run_sequence(ctx: SequenceContext, tie_break="min") -> SequenceResult:
 
     Only node values move.  (Z, E_n) = -b_n z_n plus, per chain of n,
     ceil((beta z_n + z_o) / alpha); a step at n changes only the pairings
-    of n and of the nodes its chains end at.  Ratios are compared by
-    cross-multiplication.
+    of n and of the nodes its chains end at (`PlumbingGraph.node_chains`).
+    Ratios are compared by cross-multiplication, and each step appends two
+    ints: the chosen node's position and its pairing.
 
     Each step raises one node value below its target by 1, so no value
     passes max(target, 0) and the sum of those maxima bounds the number of
@@ -170,12 +214,7 @@ def run_sequence(ctx: SequenceContext, tie_break="min") -> SequenceResult:
             f"sequence step budget exceeded: kind {ctx.kind} needs {needed} steps, "
             f"more than {SEQUENCE_STEPS}"
         )
-    pos = {n: i for i, n in enumerate(nodes)}
-    # per node position: (b_n, [(alpha, beta, far node position or None)])
-    local = [
-        (graph.b[n], [(alphas[0], alphas[1], None if far is None else pos[far]) for _, far, alphas in graph.arms[n]])
-        for n in nodes
-    ]
+    local = graph.node_chains
     offset = [ctx.numerator_offset[n] for n in nodes]
     denominator = [ctx.denominator[n] for n in nodes]
     z = [0] * len(nodes)
@@ -190,7 +229,7 @@ def run_sequence(ctx: SequenceContext, tie_break="min") -> SequenceResult:
 
     pairings = [pairing(i) for i in range(len(nodes))]
     reversed_ties = tie_break == "reversed"
-    steps = []
+    steps, step_pairings = [], []
     falls = False  # some ratio below the one before it
     while True:
         best = None
@@ -213,11 +252,11 @@ def run_sequence(ctx: SequenceContext, tie_break="min") -> SequenceResult:
                 best, b_num, b_den = i, num, den
         if best is None:
             break
-        if steps and b_num * last[1] < last[0] * b_den:
+        if steps and b_num * last_den < last_num * b_den:
             falls = True
-        last = b_num, b_den
-        pair = pairings[best]
-        steps.append(SeqStep(tuple(z), nodes[best], max(0, 1 - pair), Fraction(b_num, b_den), pair))
+        last_num, last_den = b_num, b_den
+        steps.append(best)
+        step_pairings.append(pairings[best])
         z[best] += 1
         pairings[best] = pairing(best)
         for _, _, o in local[best][1]:
@@ -225,4 +264,6 @@ def run_sequence(ctx: SequenceContext, tie_break="min") -> SequenceResult:
                 pairings[o] = pairing(o)
     if falls:
         raise AssertionError("sequence ratios must be nondecreasing")
-    return SequenceResult(ctx.kind, steps, ctx.target, fill_cycle(graph, z), graph)
+    denominators = tuple(d if d > 0 else 1 for d in denominator)
+    reached = fill_cycle(graph, z)
+    return SequenceResult(ctx.kind, steps, step_pairings, ctx.target, reached, graph, tuple(offset), denominators)

@@ -320,21 +320,24 @@ def enumerate_P(og: OkaGraph, seq: SequenceResult) -> PartitionReport:
     (l_v(p))_v are the exceptional part of div(x^p), a cycle of the Lipman
     cone, and every Z_i is a chain fill, so p lies in polyhedron(Z_i)
     exactly when l_n(p) >= (Z_i)_n at every node (see `counting_q`): only
-    the node rows are scanned and compared.
+    the node rows are scanned and compared.  Memberships are monotone along
+    the sequence, and p lies in polyhedron(Z_0 = 0) but not in that of the
+    reached cycle, so p belongs to the step before the first Z_i it falls
+    short of.  At node n that is the step raising n from l_n(p) to
+    l_n(p) + 1, `seq.positions()[n][l_n(p)]` when n takes more than l_n(p)
+    steps, and p belongs to the first of those over the nodes: O(nodes)
+    per point.
     """
     if seq.graph is not og.graph:
         raise KindMismatch("sequence was not computed on this Oka graph")
-    nodes, steps = og.graph.nodes, seq.steps
+    nodes = og.graph.nodes
     rows = [og.ell[n] for n in nodes]
     bounds = [seq.reached[n] for n in nodes]
     outside = kernels.collect_violating(rows, bounds, [0, 0, 0], kernels.violating_top(rows, bounds))
-    sets = [set() for _ in steps]
+    positions = seq.positions()
+    sets = [set() for _ in seq.steps]
     for p in outside:
         values = [dot(f, p) for f in rows]
-        # memberships are monotone along the sequence, and p lies in
-        # polyhedron(Z_0 = 0) but not in that of the reached cycle: p
-        # belongs to the step before the first Z_i it falls short of
-        first_short = bisect_left(steps, True, key=lambda s: any(map(lt, values, s.z_nodes)))
-        sets[first_short - 1].add(p)
-    sizes = [len(s) == st.a for s, st in zip(sets, steps)]
+        sets[min(at[l] for at, l in zip(positions, values) if l < len(at))].add(p)
+    sizes = [len(s) == a for s, a in zip(sets, seq.increments())]
     return PartitionReport(sets, set(outside), sizes)

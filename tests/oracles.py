@@ -26,7 +26,7 @@ from every row of the Oka graph (`enumerate_P_full_rows`) are the
 references for the package's comparisons at the nodes only.
 """
 
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
@@ -538,10 +538,25 @@ def minimal_model_scan(g: PlumbingGraph) -> tuple:
     ), kept
 
 
+# One node step as the tests read it: the node values of Z_i, the node v,
+# a = max(0, 1 - (Z_i, E_v)), the ratio r and the pairing (Z_i, E_v).
+Step = namedtuple("Step", "z_nodes v a r pairing")
+
+
+def steps(seq) -> list:
+    """A sequence's node steps as `Step` records, read off its two columns
+    through its own readers (`node_values`, `increments`, `numerators`)."""
+    nodes, den = seq.graph.nodes, seq.denominator
+    return [
+        Step(z, nodes[i], a, Fraction(k, den), p)
+        for z, i, a, k, p in zip(seq.node_values(), seq.steps, seq.increments(), seq.numerators(), seq.pairings)
+    ]
+
+
 def cycles(seq) -> list:
     """Z_0 = 0, ..., Z_k of a sequence: the chain fill of the node values
     before each step, then the reached cycle."""
-    return [fill_cycle(seq.graph, s.z_nodes) for s in seq.steps] + [seq.reached]
+    return [fill_cycle(seq.graph, z) for z in seq.node_values()] + [seq.reached]
 
 
 def coordinate_bounds(duals, lp):
@@ -576,7 +591,7 @@ def enumerate_P_full_rows(og, seq) -> PartitionReport:
             else:
                 lo_i = mid
         sets[lo_i].add(tuple(p))
-    sizes = [len(s) == st.a for s, st in zip(sets, seq.steps)]
+    sizes = [len(s) == st.a for s, st in zip(sets, steps(seq))]
     return PartitionReport(sets, set(map(tuple, outside)), sizes)
 
 

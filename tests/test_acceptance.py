@@ -25,6 +25,7 @@ from tests.oracles import (
     count_dilated_points,
     dilated_content,
     edge_support_function,
+    steps,
     z_legs_cycle,
 )
 from tests.test_graph import leg_toward
@@ -91,8 +92,8 @@ def test_criterion_3_stepwise_sw_identity():
             continue
         seq = m.sequence("I")
         # Z_i and Z_K are the fills of their node values, which counting_q takes
-        q_values = counting_q(g, [s.z_nodes for s in seq.steps] + [[m.zk_minimal[n] for n in g.nodes]])
-        for i, step in enumerate(seq.steps):
+        q_values = counting_q(g, seq.node_values() + [[m.zk_minimal[n] for n in g.nodes]])
+        for i, step in enumerate(steps(seq)):
             assert q_values[i + 1] - q_values[i] == step.a
         checked += 1
     assert checked >= 8
@@ -200,7 +201,7 @@ def test_criterion_9_structural():
         if mm.nv:
             assert intersection_data(g).group_order == intersection_data(mm).group_order
         for kind in ("I", "III"):
-            ratios = [s.r for s in m.sequence(kind).steps]
+            ratios = [s.r for s in steps(m.sequence(kind))]
             assert all(a <= b for a, b in zip(ratios, ratios[1:]))
         # P_i partition: kind III per-step, kind I totals
         rep3 = enumerate_P(og, m.sequence("III"))

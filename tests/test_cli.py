@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 from unittest.mock import patch
 
@@ -115,6 +116,22 @@ def test_poincare_bound_within_the_budget(tmp_path, capsys):
     path = write_doc(tmp_path, FRONT_PAGE)
     code, out = run_cli(capsys, path, "poincare", "--max-exponent", "50")
     assert code == 0
+    assert json.loads(out)["oracles"]["newton_filtration_agrees"]
+
+
+def test_one_face_poincare_counts_without_visiting_points(tmp_path, capsys, monkeypatch):
+    # x^2 + y^3 + z^5 has one compact face: 5.1 million points have weight
+    # at most 100, and the histogram is counted from the face's form
+    def no_scan(*args):
+        raise RuntimeError("a one-face histogram scanned the box")
+
+    monkeypatch.setattr(kernels, "min_histogram", no_scan)
+    path = write_doc(tmp_path, [(2, 0, 0), (0, 3, 0), (0, 0, 5)])
+    started = time.perf_counter()
+    code, out = run_cli(capsys, path, "poincare", "--max-exponent", "100")
+    assert time.perf_counter() - started < 2.0
+    assert code == 0
+    assert out.count("\n") == 1
     assert json.loads(out)["oracles"]["newton_filtration_agrees"]
 
 
@@ -460,11 +477,26 @@ def test_verify_series_runs_one_counting_walk_and_one_product(tmp_path, capsys, 
     zk, nodes = m.zk_minimal, m.minimal.nodes
     # kind I's node values before each step, then Z_K's: the fills of the
     # chain's targets are kind I's cycles
-    chain = [s.z_nodes for s in m.sequence("I").steps] + [tuple(zk[n] for n in nodes)]
+    chain = m.sequence("I").node_values() + [tuple(zk[n] for n in nodes)]
     assert len(chain) > 2 and chain[0] == (0,) * len(nodes) and 0 < len(nodes) < len(zk)
     assert q_calls == [chain]
     assert [fill_cycle(m.minimal, z) for z in chain] == cycles(m.sequence("I"))
     assert zeta_calls == [[(0,) * len(zk), zk, tuple(x + 1 for x in zk)]]
+
+
+def test_verify_builds_each_context_and_wt_f_once(tmp_path, capsys, monkeypatch):
+    # both tie-breaks of `pg` share the model's kind I and III contexts, and
+    # Z_K and kinds II and III read the Oka graph's one wt(f)
+    calls = Counter()
+    for name in ("kind1_context", "kind2_context", "kind3_context"):
+        real = getattr(invariants, name)
+        monkeypatch.setattr(invariants, name, lambda *args, real=real, name=name: calls.update([name]) or real(*args))
+    real_wt = graph.wt_cycle
+    monkeypatch.setattr(graph, "wt_cycle", lambda *args: calls.update(["wt_cycle"]) or real_wt(*args))
+    path = write_doc(tmp_path, FRONT_PAGE)
+    code, out = run_cli(capsys, path, "verify")
+    assert code == 0 and json.loads(out)["result"]["passed"]
+    assert calls == {"kind1_context": 1, "kind2_context": 1, "kind3_context": 1, "wt_cycle": 1}
 
 
 def test_graph_minimal_blows_a_completion_down_once(tmp_path, capsys, monkeypatch):

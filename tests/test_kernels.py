@@ -136,3 +136,58 @@ def test_min_histogram_cap_below_every_value():
 def test_min_histogram_rejects_nonpositive_last_entry(rows):
     with pytest.raises(ValueError):
         kernels.min_histogram(rows, 5, [0, 0, 0], [1, 1, 1])
+
+
+def _random_form_case(rng):
+    row = tuple(rng.randint(1, 6) for _ in range(3))
+    lo = [rng.choice((0, 1, rng.randint(-3, -1))) for _ in range(3)]
+    hi = [l + rng.randint(-1, 6) for l in lo]
+    return row, rng.randint(-20, 70), lo, hi
+
+
+def test_form_histogram_matches_brute_force():
+    """The one-row kernel equals the brute-force scan and `min_histogram` on
+    random positive rows, keyed by the values that occur only."""
+    rng = random.Random(71)
+    seen = Counter()
+    for _ in range(800):
+        row, cap, lo, hi = _random_form_case(rng)
+        histogram = kernels.form_histogram(row, cap, lo, hi)
+        expected = _brute_min_histogram([row], cap, lo, hi)
+        assert histogram == expected == kernels.min_histogram([row], cap, lo, hi), (row, cap, lo, hi)
+        assert all(histogram.values())
+        empty = any(h < l for l, h in zip(lo, hi))
+        low = sum(a * l for a, l in zip(row, lo))
+        seen["lo", 0] += 0 in lo
+        seen["lo", 1] += 1 in lo
+        seen["lo", "negative"] += min(lo) < 0
+        seen["empty box"] += empty
+        if empty:
+            continue
+        seen["cap below every value"] += cap < low
+        seen["cap above row.hi"] += cap > sum(a * h for a, h in zip(row, hi))
+        # hi binds when a point past hi in some coordinate would be under cap
+        binds = any(low + a * (h - l + 1) <= cap for a, l, h in zip(row, lo, hi))
+        seen["hi binds", binds] += 1
+    assert seen["lo", 0] and seen["lo", 1] and seen["lo", "negative"], seen
+    assert seen["empty box"] and seen["cap below every value"] and seen["cap above row.hi"], seen
+    assert seen["hi binds", True] and seen["hi binds", False], seen
+
+
+def test_form_histogram_far_past_the_brute_force_reach():
+    # x^2 + y^3 + z^5 at weight <= 100: 5.1 million points
+    row, cap = (15, 10, 6), 3000
+    histogram = kernels.form_histogram(row, cap, [0, 0, 0], [200, 300, 500])
+    assert sum(histogram.values()) == sum(
+        (cap - 15 * p0 - 10 * p1) // 6 + 1
+        for p0 in range(cap // 15 + 1)
+        for p1 in range((cap - 15 * p0) // 10 + 1)
+    )
+    # weight 1: x^2, y^3 and z^5
+    assert histogram[0] == 1 and histogram[30] == 3 and max(histogram) == cap
+
+
+@pytest.mark.parametrize("row", [(1, 0, 2), (1, 1, -1), (0, 0, 0)])
+def test_form_histogram_rejects_nonpositive_entries(row):
+    with pytest.raises(ValueError):
+        kernels.form_histogram(row, 5, [0, 0, 0], [1, 1, 1])

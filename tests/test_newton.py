@@ -324,15 +324,17 @@ def test_weight_histogram_matches_brute_force_on_several_faces(points, bound, fa
 
 
 def test_face_cones_match_the_envelope_walk(monkeypatch):
-    """`kernels.min_histogram` equals the walk along each column's lower
-    envelope on the weight boxes of the corpus at bounds 1, 3, 8 and 20, and
-    of every generated isolated polyhedron at bounds 1, 3 and 8 (at 20 some
-    of their boxes pass the weight-box budget and the rest hold millions of
-    points), inside the positive octant and out of it: boxes past the
-    brute-force scan's reach."""
+    """`kernels.min_histogram`, and `kernels.form_histogram` on diagrams with
+    one compact face, equal the walk along each column's lower envelope on
+    the weight boxes of the corpus at bounds 1, 3, 8 and 20, and of every
+    generated isolated polyhedron at bounds 1, 3 and 8 (at 20 some of their
+    boxes pass the weight-box budget and the rest hold millions of points),
+    inside the positive octant and out of it: boxes past the brute-force
+    scan's reach."""
     calls = []
-    kernel = kernels.min_histogram
-    monkeypatch.setattr(kernels, "min_histogram", lambda *args: calls.append(args) or kernel(*args))
+    faces, form = kernels.min_histogram, kernels.form_histogram
+    monkeypatch.setattr(kernels, "min_histogram", lambda *args: calls.append(args) or faces(*args))
+    monkeypatch.setattr(kernels, "form_histogram", lambda row, *rest: calls.append(([row], *rest)) or form(row, *rest))
     corpus = [newton_polyhedron(s) for s in corpus_supports()]
     generated = [poly for _, poly in _isolated_polyhedra() if poly.compact_faces]
     cases = [(poly, bound) for poly in corpus for bound in (1, 3, 8, 20)]
@@ -340,7 +342,26 @@ def test_face_cones_match_the_envelope_walk(monkeypatch):
     for (poly, bound), positive in product(cases, (True, False)):
         histogram, _ = newton._weight_histogram(poly, bound, positive)
         assert histogram == min_histogram_walk(*calls[-1]), (poly, bound, positive)
+        assert (len(calls[-1][0]) == 1) == (len(poly.compact_faces) == 1)
     assert len(calls) == 2 * len(cases) and any(len(rows) > 2 for rows, *_ in calls)
+
+
+def test_one_face_histogram_stays_within_the_box(monkeypatch):
+    """On one compact face the form's list of counts runs up to the cap; at
+    a bound whose cap passes the weight box's point count the histogram is
+    counted by face cones instead, with the same result."""
+    calls = []
+    form = kernels.form_histogram
+    monkeypatch.setattr(kernels, "form_histogram", lambda *args: calls.append(args) or form(*args))
+    poly = newton_polyhedron(brieskorn(7, 11, 13))
+    for bound, counted_by_form in ((Fraction(1, 50), False), (Fraction(1, 2), False), (1, True), (3, True)):
+        for positive in (True, False):
+            calls.clear()
+            histogram, denominator = newton._weight_histogram(poly, bound, positive)
+            assert denominator == 1001 and bool(calls) == counted_by_form
+            lo = [int(positive)] * 3
+            hi = newton.weight_box(poly, bound)
+            assert histogram == form((143, 91, 77), floor(bound * 1001), lo, hi)
 
 
 def test_poincare_via_sequence_matches_newton_at_bound_20(front_page_model):

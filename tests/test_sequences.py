@@ -13,9 +13,7 @@ from newtonsing.graph import wt_cycle, x1x2x3_cycle
 from newtonsing.invariants import SingularityModel
 from newtonsing.newton import PuiseuxPoly, Support
 from newtonsing.sequences import (
-    SeqStep,
     SequenceContext,
-    SequenceResult,
     fill_cycle,
     kind1_context,
     kind2_context,
@@ -24,7 +22,7 @@ from newtonsing.sequences import (
     run_sequence,
 )
 from tests.conftest import FRONT_PAGE, adjunction_solve, brieskorn, model_for
-from tests.oracles import chi, cycles, leg_vertices, z_legs_cycle
+from tests.oracles import Step, chi, cycles, leg_vertices, steps, z_legs_cycle
 from tests.test_newton import convenient_supports
 
 
@@ -86,8 +84,8 @@ def test_sequence_counts_and_ratios(corpus):
             nodes = seq.graph.nodes
             # for p_g = 0 diagrams kind III's target has negative node
             # coefficients and the sequence is empty
-            assert len(seq.steps) == sum(max(0, target[n]) for n in nodes)
-            ratios = [s.r for s in seq.steps]
+            assert len(seq.steps) == len(seq.pairings) == sum(max(0, target[n]) for n in nodes)
+            ratios = [s.r for s in steps(seq)]
             assert all(a <= b for a, b in zip(ratios, ratios[1:]))
             assert all(0 <= r <= 1 for r in ratios)
             for n in nodes:
@@ -112,12 +110,12 @@ def replay_kind2(m, bound, tie_break):
     """Kind II continued past its first period by replaying the period's node
     pattern, one Laufer completion per step, while the ratio stays at most
     bound: the continuation the closed form replaces, kept as its oracle.
-    Returns the steps and the full cycle before each."""
+    Returns the steps, as `Step` records, and the full cycle before each."""
     seq = m.sequence("II", tie_break=tie_break)
     g, wtf = seq.graph, seq.target
-    steps = list(seq.steps)
+    records = steps(seq)
     full = cycles(seq)[:-1]
-    pattern = [s.v for s in steps]
+    pattern = [s.v for s in records]
     k = len(pattern)
     z = seq.reached
     i = k
@@ -127,13 +125,13 @@ def replay_kind2(m, bound, tie_break):
         if r > bound:
             break
         pairing = g.dot_E(z, n)
-        steps.append(SeqStep(tuple(z[v] for v in g.nodes), n, max(0, -pairing + 1), r, pairing))
+        records.append(Step(tuple(z[v] for v in g.nodes), n, max(0, -pairing + 1), r, pairing))
         full.append(z)
         bumped = list(z)
         bumped[n] += 1
         z = laufer_x(g, bumped)
         i += 1
-    return steps, full
+    return records, full
 
 
 @given(
@@ -151,13 +149,13 @@ def test_kind2_periodicity(support, bound, tie_break):
     k = len(seq.steps)
     assert k == sum(wtf[n] for n in seq.graph.nodes)
     assert seq.reached == wtf
-    steps, full = replay_kind2(m, bound, tie_break)
-    for i in range(k, len(steps)):
-        assert steps[i].v == steps[i - k].v
-        assert steps[i].r == steps[i - k].r + 1
+    records, full = replay_kind2(m, bound, tie_break)
+    for i in range(k, len(records)):
+        assert records[i].v == records[i - k].v
+        assert records[i].r == records[i - k].r + 1
         assert full[i] == tuple(a + b for a, b in zip(full[i - k], wtf))
     replayed = Counter()
-    for step in steps:
+    for step in records:
         if step.a and step.r <= bound:
             replayed[step.r] += step.a
     via_sequence = m.poincare_via_sequence(bound, tie_break=tie_break)
@@ -178,8 +176,7 @@ def test_kind2_needs_a_convenient_diagram():
 def test_kind3_first_ratio_is_newton_weight():
     m = model_for(brieskorn(2, 3, 7))
     seq = m.sequence("III")
-    assert [s.r for s in seq.steps] == [Fraction(41, 42)]
-    assert seq.steps[0].a == 1
+    assert [(s.r, s.a) for s in steps(seq)] == [(Fraction(41, 42), 1)]
 
 
 def full_unit_step_path(ctx):
@@ -278,7 +275,8 @@ def test_overshoot_guard():
 
 # The Laufer-walk computation sequence, the oracle for the node-only
 # `run_sequence`: the same ratio test, with one full Laufer completion per
-# step and `LauferStep` holding each step's full cycle.
+# step, one `LauferStep` object per step holding its full cycle and its
+# ratio as a Fraction, and the cycle reached.
 
 
 @dataclass(frozen=True)
@@ -287,6 +285,12 @@ class LauferStep:
     v: int  # node incremented
     a: int  # max(0, (-Z, E_v) + 1)
     r: Fraction  # ratio of the chosen node
+
+
+@dataclass(frozen=True)
+class LauferWalk:
+    steps: list  # LauferStep per node step
+    reached: tuple
 
 
 def _ratio(ctx: SequenceContext, z, n) -> Fraction:
@@ -299,12 +303,12 @@ def _ratio(ctx: SequenceContext, z, n) -> Fraction:
     raise NewtonsingError(f"ratio test undefined at node {n}: {num}/{den}")
 
 
-def laufer_walk_sequence(ctx: SequenceContext, tie_break="min") -> SequenceResult:
+def laufer_walk_sequence(ctx: SequenceContext, tie_break="min") -> LauferWalk:
     if tie_break not in ("min", "reversed"):
         raise ValueError(tie_break)
     graph = ctx.graph
     z = tuple([0] * graph.nv)
-    steps = []
+    walk = []
     guard = 0
     while True:
         eligible = [n for n in graph.nodes if z[n] < ctx.target[n]]
@@ -320,15 +324,14 @@ def laufer_walk_sequence(ctx: SequenceContext, tie_break="min") -> SequenceResul
         pool = [n for n in pool if graph.dot_E(z, n) == top]
         n = min(pool) if tie_break == "min" else max(pool)
         a = max(0, -graph.dot_E(z, n) + 1)
-        steps.append(LauferStep(z, n, a, best))
+        walk.append(LauferStep(z, n, a, best))
         bumped = list(z)
         bumped[n] += 1
         z = laufer_x(graph, bumped)
-    result = SequenceResult(ctx.kind, steps, ctx.target, z, graph)
-    ratios = [s.r for s in result.steps]
+    ratios = [s.r for s in walk]
     if any(b < a for a, b in zip(ratios, ratios[1:])):
         raise AssertionError("sequence ratios must be nondecreasing")
-    return result
+    return LauferWalk(walk, z)
 
 
 def _outcome(run, ctx, tie_break):
@@ -339,20 +342,24 @@ def _outcome(run, ctx, tie_break):
 
 
 def assert_matches_laufer_walk(ctx, tie_break):
-    """The node-only sequence equals the Laufer walk step for step: full
-    cycles, nodes, a_i, r_i and pairings, the reached cycle, or the error.
-    Returns the error, or None."""
+    """The node-only sequence's columns equal the Laufer walk step for step:
+    nodes, a_i, r_i, pairings, node values and full cycles, the reached
+    cycle, or the error.  Returns the error, or None."""
     new = _outcome(run_sequence, ctx, tie_break)
     old = _outcome(laufer_walk_sequence, ctx, tie_break)
     if isinstance(old, tuple):
         assert new == old
         return old
-    g = ctx.graph
-    assert cycles(new) == [s.Z for s in old.steps] + [old.reached]
-    assert [(s.v, s.a, s.r) for s in new.steps] == [(s.v, s.a, s.r) for s in old.steps]
-    assert [s.pairing for s in new.steps] == [g.dot_E(s.Z, s.v) for s in old.steps]
-    assert [s.z_nodes for s in new.steps] == [tuple(s.Z[n] for n in g.nodes) for s in old.steps]
-    assert new.reached == old.reached and new.target == old.target
+    g, walk = ctx.graph, old.steps
+    assert len(new.steps) == len(new.pairings) == len(walk)
+    assert [g.nodes[i] for i in new.steps] == [s.v for s in walk]
+    assert list(new.increments()) == [s.a for s in walk] == [max(0, 1 - p) for p in new.pairings]
+    assert [Fraction(k, new.denominator) for k in new.numerators()] == [s.r for s in walk]
+    assert new.pairings == [g.dot_E(s.Z, s.v) for s in walk]
+    assert new.node_values() == [tuple(s.Z[n] for n in g.nodes) for s in walk]
+    assert cycles(new) == [s.Z for s in walk] + [old.reached]
+    assert new.total == sum(s.a for s in walk)
+    assert new.reached == old.reached and new.target == ctx.target
     assert (new.kind, new.graph) == (ctx.kind, g)
     return None
 

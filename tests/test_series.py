@@ -19,7 +19,7 @@ from newtonsing.newton import is_convenient
 from newtonsing.sequences import fill_cycle, kind1_context, run_sequence
 from newtonsing.series import _vertex_factor, counting_q, enumerate_P, zeta_coefficient, zeta_coefficient_convolution
 from tests.conftest import FRONT_PAGE, ZETA_HEAVY, brieskorn, model_for
-from tests.oracles import ReducedCount, coordinate_bounds, enumerate_P_full_rows, zeta_search
+from tests.oracles import ReducedCount, coordinate_bounds, enumerate_P_full_rows, steps, zeta_search
 from tests.test_newton import convenient_supports, random_supports
 
 # node-free graphs: chains by their b values, single vertices among them
@@ -35,7 +35,7 @@ def node_chain(m):
     """Kind I's node values before each step, then Z_K's: the targets
     `verify`'s series suite passes."""
     g = m.minimal
-    return [s.z_nodes for s in m.sequence("I").steps] + [at_nodes(g, m.zk_minimal)]
+    return m.sequence("I").node_values() + [at_nodes(g, m.zk_minimal)]
 
 
 def test_zeta_trivial_and_single_vertex():
@@ -109,7 +109,7 @@ def test_q_stepwise_smoke():
     g = m.minimal
     seq = m.sequence("I")
     chain = node_chain(m)
-    for i, step in enumerate(seq.steps):
+    for i, step in enumerate(steps(seq)):
         after, before = counting_q(g, [chain[i + 1], chain[i]])
         assert after - before == step.a
 
@@ -124,7 +124,7 @@ def test_enumerate_P_237():
     assert rep.point_sets[0] == {(0, 0, 0)} == rep.outside_points
     assert sum(len(s) for s in rep.point_sets) == 1 == m.pg().value
     # a_i = 0 <=> P_i empty
-    for st, pts in zip(seq.steps, rep.point_sets):
+    for st, pts in zip(steps(seq), rep.point_sets):
         assert (st.a == 0) == (not pts)
 
 

@@ -93,3 +93,16 @@ def test_chain_fills_stay_in_the_sequences_module():
         and (getattr(node.func, "id", None) == "fill_cycle" or getattr(node.func, "attr", None) == "fill_cycle")
     ]
     assert calls and all(call.startswith("sequences.py:") for call in calls), calls
+
+
+def test_sequences_keep_their_steps_as_columns():
+    """`sequences.py` never names `Fraction` and defines no class besides the
+    context and the result: a sequence's steps are two integer columns, with
+    no object per step, and its ratios are compared by cross-multiplication."""
+    path = Path(newtonsing.__file__).parent / "sequences.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = {name for name, _ in _read_names(tree)}
+    names.update(alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names)
+    assert "Fraction" not in names
+    classes = sorted(node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef))
+    assert classes == ["SequenceContext", "SequenceResult"]
