@@ -79,7 +79,8 @@ class PlumbingGraph:
     @cached_property
     def node_chains(self) -> tuple:
         """Per position i in self.nodes: (b_n, ((alpha, beta, far) per arm)),
-        with far the position of the arm's far node, or None on a leg."""
+        with far the position of the arm's far node, or None on a leg.
+        `node_pairing` reads a node's pairing off it."""
         pos = {n: i for i, n in enumerate(self.nodes)}
         return tuple(
             (self.b[n], tuple((a[0], a[1], None if far is None else pos[far]) for _, far, a in self.arms[n]))
@@ -180,6 +181,17 @@ class PlumbingGraph:
             lines.append(f"  v{u} -- v{v};")
         lines.append("}")
         return "\n".join(lines)
+
+
+def node_pairing(b_n, chains, z_n, z) -> int:
+    """(x(z), E_n) at a node n of value z_n, summed over `chains` (some of
+    its `node_chains` entries), for the chain fill x(z) of the node values z
+    (in graph.nodes order): -b_n z_n plus, per chain, its first value
+    ceil((beta z_n + z_o) / alpha), with z_o = 0 on a leg."""
+    total = -b_n * z_n
+    for alpha, beta, o in chains:
+        total -= (-beta * z_n - (0 if o is None else z[o])) // alpha
+    return total
 
 
 @dataclass(frozen=True)

@@ -74,7 +74,6 @@ class SingularityModel:
         self.support = support
         self._contexts = {}
         self._sequences = {}
-        self._blown_down = None  # (minimal, kept) that make_convenient handed back
 
     @cached_property
     def polyhedron(self) -> NewtonPolyhedron:
@@ -96,21 +95,34 @@ class SingularityModel:
         return oka_graph(self.polyhedron)
 
     @cached_property
+    def _convenient(self) -> tuple:
+        """(the Oka graph of the convenient diagram, its (minimal, kept)
+        pair or None): `make_convenient` hands a completion's blow-down back
+        with it."""
+        if is_convenient(self.support):
+            return self.oka_raw, None
+        return make_convenient(self.polyhedron)
+
+    @cached_property
     def oka(self):
         """Oka graph of the convenient diagram; its `.polyhedron` is that diagram's."""
-        if is_convenient(self.support):
-            return self.oka_raw
-        og, self._blown_down = make_convenient(self.polyhedron)
-        return og
+        return self._convenient[0]
+
+    @cached_property
+    def _blown_down(self) -> tuple:
+        """(minimal, kept) of the Oka graph, blown down once: a completion's
+        pair from `make_convenient`, else `minimal_model`'s."""
+        return self._convenient[1] or minimal_model(self.oka.graph)
 
     @cached_property
     def minimal(self) -> PlumbingGraph:
-        """Minimal model of the Oka graph; sets `kept`, the Oka vertex each
-        of its vertices came from.  A convenient completion was already
-        blown down by `make_convenient`, which hands its pair back."""
-        og = self.oka  # sets self._blown_down for a completion
-        graph, self.kept = self._blown_down or minimal_model(og.graph)
-        return graph
+        """Minimal model of the Oka graph."""
+        return self._blown_down[0]
+
+    @cached_property
+    def kept(self) -> tuple:
+        """kept[i] is the Oka vertex that vertex i of `minimal` came from."""
+        return self._blown_down[1]
 
     @cached_property
     def zk_oka(self) -> tuple:
@@ -120,8 +132,7 @@ class SingularityModel:
     @cached_property
     def zk_minimal(self) -> tuple:
         """Z_K of the Oka graph at the vertices that survive the blow-downs."""
-        minimal = self.minimal  # sets self.kept
-        return check_canonical(minimal, [self.zk_oka[v] for v in self.kept])
+        return check_canonical(self.minimal, [self.zk_oka[v] for v in self.kept])
 
     def _context(self, kind: str):
         """The kind's sequence context, built once and shared by both tie-breaks."""

@@ -23,7 +23,7 @@ from math import lcm
 
 from . import kernels
 from .errors import BudgetExceeded, NewtonsingError
-from .graph import OkaGraph, PlumbingGraph, x1x2x3_cycle
+from .graph import OkaGraph, PlumbingGraph, node_pairing, x1x2x3_cycle
 
 # Budget of a computation sequence: its node steps.  Kind I on
 # (100,101,103) takes 1,009,498 of them, on (7,11,1000003) 59,000,101.  On
@@ -194,8 +194,9 @@ def run_sequence(ctx: SequenceContext, tie_break="min") -> SequenceResult:
     wt(f), the end of its first period (see `kind2_context` for the rest).
 
     Only node values move.  (Z, E_n) = -b_n z_n plus, per chain of n,
-    ceil((beta z_n + z_o) / alpha); a step at n changes only the pairings
-    of n and of the nodes its chains end at (`PlumbingGraph.node_chains`).
+    ceil((beta z_n + z_o) / alpha) (`graph.node_pairing`); a step at n
+    changes only the pairings of n and of the nodes its chains end at
+    (`PlumbingGraph.node_chains`).
     Ratios are compared by cross-multiplication, and each step appends two
     ints: the chosen node's position and its pairing.
 
@@ -218,16 +219,7 @@ def run_sequence(ctx: SequenceContext, tie_break="min") -> SequenceResult:
     offset = [ctx.numerator_offset[n] for n in nodes]
     denominator = [ctx.denominator[n] for n in nodes]
     z = [0] * len(nodes)
-
-    def pairing(i):
-        b_n, chains = local[i]
-        z_n = z[i]
-        total = -b_n * z_n
-        for alpha, beta, o in chains:
-            total -= (-beta * z_n - (0 if o is None else z[o])) // alpha
-        return total
-
-    pairings = [pairing(i) for i in range(len(nodes))]
+    pairings = [node_pairing(b_n, chains, 0, z) for b_n, chains in local]
     reversed_ties = tie_break == "reversed"
     steps, step_pairings = [], []
     falls = False  # some ratio below the one before it
@@ -258,10 +250,11 @@ def run_sequence(ctx: SequenceContext, tie_break="min") -> SequenceResult:
         steps.append(best)
         step_pairings.append(pairings[best])
         z[best] += 1
-        pairings[best] = pairing(best)
-        for _, _, o in local[best][1]:
+        b_n, chains = local[best]
+        pairings[best] = node_pairing(b_n, chains, z[best], z)
+        for _, _, o in chains:
             if o is not None:
-                pairings[o] = pairing(o)
+                pairings[o] = node_pairing(*local[o], z[o], z)
     if falls:
         raise AssertionError("sequence ratios must be nondecreasing")
     denominators = tuple(d if d > 0 else 1 for d in denominator)

@@ -4,18 +4,19 @@ These are the independent oracles.  The coefficient of t^lp in
 Z_0(t) = prod_v (1 - t^{E_v^*})^{deg v - 2} is read off lp's exponents
 a_v = -(lp, E_v), as the dual cycles are a basis, and, as a second path,
 off one truncated product over the dual cycles for a list of targets.  The
-counting function walks the same terms through their cycles, whose chain
-coordinates are pinned by the node values and end exponents.  That walk is
-one loop over a precomputed task list (the root node's value, one integer
-record per chain slot, one close task per node).  Both readers of the
-sequences compare Lipman-cone cycles with chain fills x(z), the least cycle
-with node values z and (x, E_v) <= 0 off the nodes, and such a cycle l is
->= x(z) exactly when l_n >= z_n at every node: so each target is a vector
-of node values, and cycles are compared at the nodes only.  q at each
-asked fill is summed at the leaves of one walk over the box of the
-targets' componentwise max, and on a nondecreasing list one bisection per
-leaf places it.  The sets P_i come from raw halfspace tests in Z^3 at the
-node rows.
+counting function walks the same terms through their node values: a
+bamboo's values are pinned by the nodes at its ends, and a leg's free first
+value is summed into its node's factor in closed form.  That walk is one
+loop over a precomputed task list on `PlumbingGraph.node_chains`, the
+table the sequences read (the root node's value, one integer record per
+bamboo slot, one close task per node).  Both readers of the sequences
+compare Lipman-cone cycles with chain fills x(z), the least cycle with node
+values z and (x, E_v) <= 0 off the nodes, and such a cycle l is >= x(z)
+exactly when l_n >= z_n at every node: so each target is a vector of node
+values, and cycles are compared at the nodes only.  q at each fill of a
+nondecreasing chain of targets is summed at the leaves of one walk over
+the node box of the last target, and one bisection per leaf places it.
+The sets P_i come from raw halfspace tests in Z^3 at the node rows.
 """
 
 from bisect import bisect_left
@@ -26,7 +27,7 @@ from operator import add, le, lt, sub
 
 from . import kernels
 from .errors import BudgetExceeded, KindMismatch, NotTree
-from .graph import OkaGraph, PlumbingGraph
+from .graph import OkaGraph, PlumbingGraph, node_pairing
 from .lattice import dot
 from .sequences import SequenceResult
 
@@ -43,13 +44,16 @@ def _require_tree(g: PlumbingGraph):
 
 
 def _vertex_factor(degree, exponent):
-    """Coefficient of t^(exponent * E_v^*) contributed by vertex v."""
+    """Coefficient of t^exponent in (1 - t)^(degree - 2): the factor of a
+    vertex of that degree at t^(exponent * E_v^*), and that of a node with
+    its legs folded in when `degree` counts its bamboos only (each leg
+    divides the factor by 1 - t; see `counting_q`)."""
     k = degree - 2
     if k >= 0:
         return (-1) ** exponent * comb(k, exponent) if exponent <= k else 0
     if k == -1:
         return 1
-    return exponent + 1  # k == -2, single-vertex graph
+    return exponent + 1  # k == -2: a single vertex, or a node with legs only
 
 
 def zeta_coefficient(g: PlumbingGraph, lp) -> int:
@@ -137,21 +141,25 @@ def _factor_table(degree, top, dual) -> list:
 
 def counting_q(g: PlumbingGraph, targets, max_states=10_000_000) -> list:
     """q at the chain fill x(z) of every node-value vector z in `targets`
-    (in `g.nodes` order), from one enumeration: the sum of z_l over l in
-    x(z) + L with l - x(z) not effective.
+    (in `g.nodes` order, a nondecreasing chain), from one enumeration: the
+    sum of z_l over l in x(z) + L with l - x(z) not effective.
 
     Since the dual cycles are a basis, every zeta term is indexed by its
     cycle l with exponents a_v = -(l, E_v); so the sum runs over lattice
     cycles directly.  Cycles in the support have a_v = 0 along every chain,
-    so they are determined by the node values and one value per slot (a
-    node's neighbour): the first chain coefficient f next to the node, which
-    ranges over consecutive integers.  Along the chain a_v = 0 propagates f,
-    and the far value (the end exponent of a leg, the far node's value of a
-    bamboo) is alpha*f - beta*m_n.  The node's pending 0 <= a_n <= deg - 2
-    brackets each f by the congruence floors ceil(beta*m_n / alpha) and the
-    box ceilings of its slots still open.  `_walk_tasks` lists the root
-    value, one record per slot and one close task per node, and `_walk`
-    runs them depth-first in one loop.
+    so a chain's values are fixed by its two ends: by the node values along
+    a bamboo (a chain between two nodes), whose first value f next to node
+    n is (beta m_n + m_o) / alpha, and on a leg by f, whose end exponent
+    alpha f - beta m_n must be >= 0.  So the walk branches on node values
+    only.  A leg's f is free above ceil(beta m_n / alpha), and summing the
+    node's factor (1 - t)^(deg - 2) over it multiplies that factor by
+    1 / (1 - t): with its k legs folded in, node n weighs the coefficient
+    of t^s in (1 - t)^(deg - k - 2), where s = -(x(z), E_n) with every leg
+    at its floor (`_vertex_factor`, `graph.node_pairing`).  The walk reads
+    `g.node_chains`, the table the sequences read: `_walk_tasks` lists the
+    root value, one record per bamboo slot (its f fixes the far node's
+    value) and one close task per node, and `_walk` runs them depth-first
+    in one loop.
 
     A support cycle l has (l, E_v) <= 0 everywhere, so l >= x(z) exactly
     when l_n >= z_n at every node: min(l, x(z)) has z's node values and
@@ -162,146 +170,125 @@ def counting_q(g: PlumbingGraph, targets, max_states=10_000_000) -> list:
     of a Gaussian with tree-structured precision: for x the projection of
     v onto the path [w, n], G_vw / G_vn = G_xw / G_xn <= G_ww / G_wn, as
     G_xw^2 <= G_ww G_xx).  So the box ub_w = max over nodes n with z_n > 0
-    of G_ww (z_n - 1) // G_wn, at the componentwise max z of the targets,
-    holds every leaf that is not >= some target's fill.  When the targets
-    are nondecreasing, as kind I's node values are, the targets a leaf is
-    not >= form a suffix of the list: one bisection per leaf finds where it
-    starts, the leaf's weight goes to a difference array there, and prefix
-    sums give every q.  Any other list tests each leaf against every
-    target.  A target with no positive entry has no such l (support cycles
-    are >= 0) and gets 0, and a graph without nodes has only the fill 0, so
-    every q there is 0.
-    `max_states` bounds the visited states of that one walk, which raises
+    of G_ww (z_n - 1) // G_wn at the last target, the chain's
+    componentwise max, holds every cycle that counts, at every vertex; the
+    walk needs it at the nodes only.  The targets a leaf is not >= form a
+    suffix of the chain: one bisection per leaf finds where it starts, the
+    leaf's weight goes to a difference array there, and prefix sums give
+    every q.  Any other list of targets raises ValueError.  A target with
+    no positive entry has no such l (support cycles are >= 0) and gets 0,
+    and a graph without nodes has only the fill 0, so every q there is 0.
+    `max_states` bounds the node values the walk tries, and the walk raises
     BudgetExceeded rather than churn on pathological inputs.
     """
     _require_tree(g)
     targets = [tuple(z) for z in targets]
     if any(len(z) != len(g.nodes) for z in targets):
         raise ValueError(f"counting_q takes one value per node ({len(g.nodes)}) for each target")
-    top = [max(col) for col in zip(*targets)]
-    witnesses = [(n, z) for n, z in zip(g.nodes, top) if z > 0]
+    if not all(all(map(le, s, t)) for s, t in zip(targets, targets[1:])):
+        raise ValueError("counting_q takes a nondecreasing chain of targets")
+    witnesses = [(n, z) for n, z in zip(g.nodes, targets[-1]) if z > 0] if targets else []
     if not witnesses:
         return [0] * len(targets)
-    ub = [max(row[w] * (z - 1) // row[n] for n, z in witnesses) for w, row in enumerate(g.data.scaled_duals)]
-    ascending = all(all(map(le, s, t)) for s, t in zip(targets, targets[1:]))
-    return _walk(g, _walk_tasks(g, ub), ub, targets, ascending, max_states)
+    duals = g.data.scaled_duals
+    ub = [max(duals[w][w] * (z - 1) // duals[w][n] for n, z in witnesses) for w in g.nodes]
+    return _walk(g.node_chains, _walk_tasks(g.node_chains), ub, targets, max_states)
 
 
-def _walk_tasks(g: PlumbingGraph, ub) -> list:
-    """The walk's tasks in order: the first node, then per node a slot
-    record for each neighbour whose chain leads away from the node's parent,
-    each newly reached node's tasks right after the slot reaching it, then
-    the node's close task (n,)."""
-    root = g.nodes[0]
-    tasks = [root]
-    stack = [(root, _slot_records(g, ub, root, -1))]
+def _walk_tasks(local) -> list:
+    """The walk's tasks over node positions in order: the root 0, then per
+    node a slot record for each bamboo leading away from its parent, each
+    newly reached node's tasks right after the slot reaching it, then the
+    node's close task (i,)."""
+    tasks = [0]
+    stack = [(0, _slot_records(local, 0, None))]
     while stack:
-        n, slots = stack[-1]
+        i, slots = stack[-1]
         if not slots:
             stack.pop()
-            tasks.append((n,))
+            tasks.append((i,))
             continue
         tasks.append(slots.pop())
-        far = tasks[-1][5]
-        if far is not None:
-            stack.append((far, _slot_records(g, ub, far, n)))
+        far = tasks[-1][3]
+        stack.append((far, _slot_records(local, far, i)))
     return tasks
 
 
-def _slot_records(g: PlumbingGraph, ub, n, parent) -> list:
-    """Slot records of node n entered from `parent` (-1 at the root), last
-    slot first: (n, first vertex, (v, b_v) along the chain, alpha, beta, far
-    node, the neighbours of n set before the slot, (alpha, beta) of each
-    slot still open after it, the sum of their first vertices' box
-    ceilings)."""
-    edges = list(zip(g.neighbors[n], g.arms[n]))
-    done = [u for u, arm in edges if arm[1] == parent]
-    slots = [(u, arm) for u, arm in edges if arm[1] != parent]
+def _slot_records(local, i, parent) -> list:
+    """Slot records of node position i entered from `parent` (None at the
+    root), last slot first: (i, alpha, beta, far position, the chains set
+    before the slot, the bamboos still open after it).  Legs and the
+    parent's bamboo are set from the start."""
+    chains = local[i][1]
+    fixed = [c for c in chains if c[2] in (None, parent)]
+    slots = [c for c in chains if c[2] not in (None, parent)]
     records = []
-    for k, (u, (chain, far, alphas)) in enumerate(slots):
-        rest = slots[k + 1 :]
-        chain = tuple((v, g.b[v]) for v in chain)
-        open_ = tuple(arm[2][:2] for _, arm in rest)
-        records.append((n, u, chain, *alphas[:2], far, tuple(done), open_, sum(ub[x] for x, _ in rest)))
-        done.append(u)
+    for k, chain in enumerate(slots):
+        records.append((i, *chain, tuple(fixed), tuple(slots[k + 1 :])))
+        fixed.append(chain)
     return records[::-1]
 
 
-def _walk(g: PlumbingGraph, tasks, ub, targets, ascending, max_states) -> list:
+def _walk(local, tasks, ub, targets, max_states) -> list:
     """Depth-first over `tasks`, one (task index, next value, last value,
     weight) frame per open branching task; each value tried is one state.
-    A slot value f sets the chain from its first vertex and the far node,
-    and fails when one of them leaves the box.  A close task multiplies the
-    weight by the node's factor, never 0: the last slot's bracket puts a_n
-    in [0, deg - 2].  Each vertex is written by one task and read only by
-    later tasks of the same path, so no value is ever unset.  Each leaf is
-    a support cycle l of the box, and its z_l counts toward every target
-    it falls short of at some node: on a chain of targets, through a
+    A slot value f is a bamboo's first value and sets its far node to
+    alpha f - beta m, in [0, ub].  The bracket keeps the node's s = slack -
+    f - (the open bamboos' first values) in [0, d - 2] when the node has
+    d >= 2 bamboos, and >= 0 otherwise, where slack = b m - (the first
+    values of the chains already set, legs at their floors).  A close task
+    multiplies the weight by the node's factor and prunes the branch where
+    it is 0.  Each leaf is the list of node values, and its weight counts
+    toward every target it falls short of at some node, through a
     difference array at the first of them."""
-    b, degree, neighbors, nodes = g.b, g.degree, g.neighbors, g.nodes
-    values = [0] * g.nv
-    totals = [0] * (len(targets) + ascending)
+    bamboos = [sum(o is not None for *_, o in chains) for _, chains in local]
+    values = [0] * len(local)
+    totals = [0] * (len(targets) + 1)
 
     def short_of(z):
-        return any(map(lt, leaf, z))
+        return any(map(lt, values, z))
 
     states = 0
-    stack = [(0, 0, ub[tasks[0]], 1)]
+    stack = [(0, 0, ub[0], 1)]
     while stack:
-        i, f, last, weight = stack[-1]
+        k, f, last, weight = stack[-1]
         if f > last:
             stack.pop()
             continue
-        stack[-1] = (i, f + 1, last, weight)
+        stack[-1] = (k, f + 1, last, weight)
         states += 1
         if states > max_states:
             raise BudgetExceeded("counting function enumeration exceeded its state budget")
-        if i == 0:
-            values[tasks[0]] = f
+        if k == 0:
+            values[0] = f
         else:
-            n, _, chain, alpha, beta, far = tasks[i][:6]
-            m = values[n]
-            m_far = alpha * f - beta * m
-            if far is not None and (m_far < 0 or m_far > ub[far]):
-                continue
-            prev, cur, fits = m, f, True
-            for v, b_v in chain:
-                if cur < 0 or cur > ub[v]:
-                    fits = False
+            i, alpha, beta, far = tasks[k][:4]
+            values[far] = alpha * f - beta * values[i]
+        k += 1
+        while k < len(tasks):
+            task = tasks[k]
+            if len(task) == 1:
+                i = task[0]
+                s = -node_pairing(*local[i], values[i], values)
+                factor = _vertex_factor(bamboos[i], s) if s >= 0 else 0
+                if not factor:
                     break
-                values[v] = cur
-                prev, cur = cur, b_v * cur - prev
-            if not fits:
+                weight *= factor
+                k += 1
                 continue
-            if far is not None:
-                if chain and cur != m_far:
-                    raise AssertionError("bamboo propagation mismatch")
-                values[far] = m_far
-        i += 1
-        while i < len(tasks):
-            n = tasks[i][0]
-            if len(tasks[i]) == 1:
-                weight *= _vertex_factor(degree[n], b[n] * values[n] - sum(values[u] for u in neighbors[n]))
-                i += 1
-                continue
-            _, u, _, alpha, beta, far, done, open_, open_ub = tasks[i]
-            m = values[n]
-            slack = b[n] * m - sum(values[x] for x in done)
-            lo = max(-(-beta * m // alpha), slack - open_ub - (degree[n] - 2))
-            hi = min(ub[u], slack - sum(-(-beta_x * m // alpha_x) for alpha_x, beta_x in open_))
-            if far is not None:
-                hi = min(hi, (beta * m + ub[far]) // alpha)
-            stack.append((i, lo, hi, weight))
+            i, alpha, beta, far, fixed, open_ = task
+            m = values[i]
+            slack = -node_pairing(local[i][0], fixed, m, values)
+            lo = -(-beta * m // alpha)
+            hi = (beta * m + ub[far]) // alpha
+            hi = min(hi, slack + sum(-beta_x * m // alpha_x for alpha_x, beta_x, _ in open_))
+            if bamboos[i] >= 2:
+                lo = max(lo, slack - sum((beta_x * m + ub[o]) // alpha_x for alpha_x, beta_x, o in open_) - bamboos[i] + 2)
+            stack.append((k, lo, hi, weight))
             break
         else:
-            leaf = [values[n] for n in nodes]
-            if ascending:
-                totals[bisect_left(targets, True, key=short_of)] += weight
-            else:
-                for k, z in enumerate(targets):
-                    if short_of(z):
-                        totals[k] += weight
-    return list(accumulate(totals[:-1])) if ascending else totals
+            totals[bisect_left(targets, True, key=short_of)] += weight
+    return list(accumulate(totals[:-1]))
 
 
 @dataclass

@@ -15,9 +15,10 @@ blow-down loop that rescans the edge list are the references for the
 closed counts, the zero-pattern test and the heap that the package uses;
 the walk along each column's lower envelope is the reference for the
 weight histogram's face cones, the counting walk with one generator per
-open slot (`ReducedCount`), which tests each leaf against every target,
-the leaf-for-leaf, state-for-state reference for `series.counting_q`'s one
-loop and its bisection on a chain of targets, and the depth-first search
+open slot (`ReducedCount`), which branches on every leg and chain vertex
+and tests each leaf against every target at every vertex, the reference
+for the totals of `series.counting_q`'s walk over node values and its
+bisection on a chain of targets, and the depth-first search
 over exponent assignments (`zeta_search`) the reference for
 `series.zeta_coefficient`'s closed form.  A sequence's full cycles
 (`cycles`), the box that bounds every Lipman-cone cycle below a full
@@ -597,11 +598,13 @@ def enumerate_P_full_rows(og, seq) -> PartitionReport:
 
 class ReducedCount:
     """Enumeration of the zeta support over the reduced tree, with one
-    generator per open slot: the reference for `series.counting_q`'s walk,
-    leaf for leaf and state for state (`states` after `run`).
+    generator per open slot: the reference for the totals of
+    `series.counting_q`, which branches on node values only and sums each
+    leg into its node's factor (`states` after `run` counts this walk's
+    own states, leg and chain values among them).
 
     Support cycles have a_v = 0 along chains, so a cycle is fixed by the
-    node values and one value per incident bamboo: the first chain
+    node values and one value per incident chain: the first chain
     coefficient f next to the node, which ranges over consecutive integers
     (for a leg, the end exponent is alpha*f - beta*m_n; for a bamboo to
     another node, the far value is alpha*f - beta*m_n).  The pending

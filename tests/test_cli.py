@@ -79,6 +79,19 @@ def test_sw_brieskorn_235(tmp_path, capsys):
     assert report["result"]["vertex_count"] == 8
 
 
+def test_pg_and_sw_on_long_legs(tmp_path, capsys):
+    # x^9 + y^9 + z^9 + x^5 y^3: a 56-vertex minimal graph whose legs fold
+    # into their nodes' factors, so the counting oracle tries 505 node values
+    path = write_doc(tmp_path, [(0, 0, 9), (0, 9, 0), (5, 3, 0), (9, 0, 0)])
+    for command in ("pg", "sw"):
+        start = time.perf_counter()
+        code, out = run_cli(capsys, path, command)
+        assert code == 0 and time.perf_counter() - start < 2
+        report = json.loads(out)
+        assert report["oracles"] and all(report["oracles"].values())
+        assert report["result"]["pg" if command == "pg" else "value"] == 56
+
+
 def test_spectrum_and_poincare(tmp_path, capsys):
     path = write_doc(tmp_path, [(2, 0, 0), (0, 3, 0), (0, 0, 7)])
     code, out = run_cli(capsys, path, "spectrum")

@@ -27,6 +27,29 @@ def test_headline_invariants_of_a_fresh_model():
     assert coefficient(series, 0) == 1
 
 
+def test_a_fresh_model_reads_kept_and_blows_down_lazily(monkeypatch):
+    # `kept` needs no earlier read of `minimal`; spectrum and Poincare
+    # requests on a convenient support blow nothing down
+    from newtonsing import invariants
+
+    calls = []
+    real = invariants.minimal_model
+    monkeypatch.setattr(invariants, "minimal_model", lambda g: calls.append(g) or real(g))
+    m = SingularityModel(brieskorn(2, 3, 5))
+    m.saito_spectrum()
+    m.poincare_newton(2)
+    assert calls == []
+    assert m.kept == tuple(range(8)) and m.minimal is m.oka.graph and len(calls) == 1
+    m = SingularityModel(brieskorn(2, 3, 8))
+    assert m.kept == (0, 1, 2, 3) and m.minimal.nv == 4 < m.oka.graph.nv
+    assert m.zk_minimal == tuple(m.zk_oka[v] for v in m.kept)
+    # a completion's pair comes from `make_convenient`, blown down there
+    support = Support([(0, 1, 4), (0, 5, 0), (1, 1, 1), (2, 0, 0), (5, 2, 5)])
+    m = SingularityModel(support)
+    assert m.kept == (0, 1, 8) and m.minimal.nv == 3 and len(calls) == 2
+    assert (m.minimal, m.kept) == real(m.oka.graph)
+
+
 def test_sw_result_relation(corpus):
     for m in corpus:
         res = m.sw()

@@ -104,13 +104,26 @@ def test_counting_q_rejects_targets_that_are_not_node_values():
     assert counting_q(chain, [(), ()]) == [0, 0]
 
 
+def test_counting_q_takes_a_nondecreasing_chain_of_targets():
+    # production callers pass [Z_K] or kind I's node values then Z_K's;
+    # any list that is not a chain is refused, even one whose q are all 0
+    m = model_for(Support(FRONT_PAGE))
+    g = m.minimal
+    zk = at_nodes(g, m.zk_minimal)
+    first, second = (tuple(x - (i == j) for i, x in enumerate(zk)) for j in (0, 1))
+    assert counting_q(g, [first, zk, zk]) == [counting_q(g, [first])[0], m.pg().value, m.pg().value]
+    for targets in ([zk, first], [first, second], [(-1,) * len(zk), (-2,) * len(zk)]):
+        with pytest.raises(ValueError, match="nondecreasing chain"):
+            counting_q(g, targets)
+
+
 def test_q_stepwise_smoke():
     m = model_for(brieskorn(3, 5, 7))
     g = m.minimal
     seq = m.sequence("I")
     chain = node_chain(m)
     for i, step in enumerate(steps(seq)):
-        after, before = counting_q(g, [chain[i + 1], chain[i]])
+        before, after = counting_q(g, [chain[i], chain[i + 1]])
         assert after - before == step.a
 
 
@@ -185,12 +198,13 @@ def test_q_on_many_legged_star():
 
 
 def test_q_budget_error():
-    from newtonsing.invariants import SingularityModel
-    from newtonsing.newton import Support
-
+    # x^9 + y^9 + z^9 + x^5 y^3: the walk tries 505 node values, so it
+    # answers p_g at that budget and stops one state below it
     m = SingularityModel(Support([(0, 0, 9), (0, 9, 0), (5, 3, 0), (9, 0, 0)]))
+    zk = at_nodes(m.minimal, m.zk_minimal)
+    assert counting_q(m.minimal, [zk], max_states=505) == [m.pg().value] == [56]
     with pytest.raises(BudgetExceeded, match="state budget"):
-        counting_q(m.minimal, [at_nodes(m.minimal, m.zk_minimal)], max_states=10_000)
+        counting_q(m.minimal, [zk], max_states=504)
 
 
 def test_zeta_paths_stop_at_their_budget(monkeypatch):
@@ -270,12 +284,13 @@ def zeta_sum_below(g, target):
     return total
 
 
-def assert_counting_q_matches_zeta_sum(g, targets):
+def assert_counting_q_matches_zeta_sum(g, targets, chain):
     """counting_q at every node vector of `targets` equals the brute-force
-    zeta sum below its fill, one target at a time and all in one walk."""
-    expected = [zeta_sum_below(g, fill_cycle(g, z)) for z in targets]
-    assert [counting_q(g, [z])[0] for z in targets] == expected
-    assert counting_q(g, targets) == expected
+    zeta sum below its fill, one target at a time, and in one walk over
+    `chain`, a nondecreasing chain of them."""
+    expected = {z: zeta_sum_below(g, fill_cycle(g, z)) for z in targets}
+    assert {z: counting_q(g, [z])[0] for z in targets} == expected
+    assert counting_q(g, chain) == [expected[z] for z in chain]
 
 
 def star_with_arm(b):
@@ -298,7 +313,8 @@ def test_counting_q_on_chains_matches_zeta_sum(b):
     # zeta coefficients over the Lipman-cone cycles not >= the fill
     chain = PlumbingGraph(b, [0] * len(b), [(i, i + 1) for i in range(len(b) - 1)])
     assert counting_q(chain, [(), ()]) == [0, 0]
-    assert_counting_q_matches_zeta_sum(star_with_arm(b), [(0,), (1,), (2,), (3,)])
+    targets = [(0,), (1,), (2,), (3,)]
+    assert_counting_q_matches_zeta_sum(star_with_arm(b), targets, targets)
 
 
 def test_counting_q_matches_zeta_sum_on_random_trees():
@@ -306,20 +322,35 @@ def test_counting_q_matches_zeta_sum_on_random_trees():
     for g in trees:
         # node values up to 2, at most one of them 2: the brute force's box
         # grows fast with the node values
-        targets = [z for z in itertools.product(range(3), repeat=len(g.nodes)) if z.count(2) <= 1]
-        assert_counting_q_matches_zeta_sum(g, targets)
+        k = len(g.nodes)
+        targets = [z for z in itertools.product(range(3), repeat=k) if z.count(2) <= 1]
+        assert_counting_q_matches_zeta_sum(g, targets, [(0,) * k, (1,) * k, (2,) + (1,) * (k - 1)])
     assert len(trees) >= 25
 
 
 def test_counting_q_budget_on_a_chain():
-    # a node with the chains [2, 2, 2], [2, 2] and [2] as legs (E6): each
-    # leg's first value is bracketed by its end's congruence floor and the
-    # node's 0 <= a_n <= 1, so 376 states suffice where a scan of the
-    # 7-dimensional box holds 9,836,640,000 cycles
+    # a node with the chains [2, 2, 2], [2, 2] and [2] as legs (E6): the
+    # legs fold into the node's factor, so the walk tries the node values
+    # 0..39 only, where a scan of the 7-dimensional box holds 9,836,640,000
+    # cycles
     g = PlumbingGraph([2] * 7, [0] * 7, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (0, 6)])
-    assert counting_q(g, [(40,)], max_states=376) == [67]
+    assert counting_q(g, [(40,)], max_states=40) == [67]
     with pytest.raises(BudgetExceeded, match="state budget"):
-        counting_q(g, [(40,)], max_states=375)
+        counting_q(g, [(40,)], max_states=39)
+
+
+def test_legs_never_branch_on_one_node_graphs(corpus):
+    # on a one-node graph every arm is a leg, so the walk tries the node
+    # value alone: z_n states at the target z, one per value below it
+    stars = [m for m in corpus if len(m.minimal.nodes) == 1]
+    assert len(stars) >= 8
+    for m in stars:
+        g = m.minimal
+        (zk,) = at_nodes(g, m.zk_minimal)
+        for z in {zk, zk + 1, 2 * zk + 3} - {0}:
+            assert counting_q(g, [(z,)], max_states=z) == counting_q(g, [(z,)])
+            with pytest.raises(BudgetExceeded, match="state budget"):
+                counting_q(g, [(z,)], max_states=z - 1)
 
 
 def test_counting_leaves_no_reference_cycles():
@@ -342,16 +373,19 @@ def test_counting_leaves_no_reference_cycles():
 
 
 def shared_walk_targets(zk, rng):
-    """Node values that form no chain: 0 and zk + 1 (both twice), zk,
-    random values below zk + 1, one node raised alone, and values with no
-    positive entry, whose box is empty."""
+    """A nondecreasing chain of node values: two with no positive entry,
+    whose box is empty, 0 twice, six random raises of one node each up to
+    zk + 1 (the first raises one node alone), their max with zk, and
+    zk + 1 twice."""
     top = [x + 1 for x in zk]
     k = len(top)
-    targets = [(0,) * k, tuple(top), tuple(zk), (0,) * k, tuple(top)]
-    targets += [tuple(rng.randint(0, x) for x in top) for _ in range(6)]
-    targets += [tuple(top[v] * (w == v) for w in range(k)) for v in {0, k - 1} if k]
-    targets += [(-1,) * k, tuple(-x for x in top)]
-    return targets
+    targets = [tuple(-x for x in top), (-1,) * k, (0,) * k, (0,) * k]
+    z = [0] * k
+    for _ in range(6 if k else 0):
+        v = rng.randrange(k)
+        z[v] = rng.randint(z[v], top[v])
+        targets.append(tuple(z))
+    return targets + [tuple(map(max, z, zk)), tuple(top), tuple(top)]
 
 
 def assert_shared_walks_match_single_targets(m, rng):
@@ -390,30 +424,24 @@ def node_box(g, targets):
 
 
 def compare_walk_with_oracle(g, targets, budget=10**6):
-    """Assert that the walk and the generator walk of `oracles.ReducedCount`,
-    run on the targets' full fills over the walk's node box, give equal
-    totals and an equal state count: the walk answers at exactly the
-    oracle's count and raises BudgetExceeded one state below it.  The
-    oracle over the fills' full-witness box, which compares at every vertex
-    of a larger box, must give the same totals when it finishes within
-    `budget`.  When the oracle passes `budget` on the node box, the walk
-    must too.  Returns whether it finished within `budget`."""
+    """Assert that the walk over node values gives the totals of the
+    generator walk of `oracles.ReducedCount`, which branches on every leg
+    and chain vertex and compares each leaf at every vertex with the
+    targets' full fills.  The oracle runs over the walk's node box at every
+    vertex and, when that finishes within `budget`, over the fills' larger
+    full-witness box.  Returns whether the oracle finished within `budget`
+    on the node box."""
     targets = [tuple(z) for z in targets]
     box = node_box(g, targets)
     if box is None:
         assert counting_q(g, targets) == [0] * len(targets)
         return True
     fills = [fill_cycle(g, z) for z in targets]
-    oracle = ReducedCount(g, fills, box, budget)
     try:
-        totals = oracle.run()
+        totals = ReducedCount(g, fills, box, budget).run()
     except BudgetExceeded:
-        with pytest.raises(BudgetExceeded, match="state budget"):
-            counting_q(g, targets, max_states=budget)
         return False
-    assert counting_q(g, targets, max_states=oracle.states) == totals
-    with pytest.raises(BudgetExceeded, match="state budget"):
-        counting_q(g, targets, max_states=oracle.states - 1)
+    assert counting_q(g, targets) == totals
     full = [b for b in (coordinate_bounds(g.data.scaled_duals, t) for t in fills) if b is not None]
     wide = ReducedCount(g, fills, [max(col) for col in zip(*full)], budget)
     with contextlib.suppress(BudgetExceeded):
@@ -477,7 +505,8 @@ def test_walk_matches_oracle_on_random_definite_trees():
 def test_chain_targets_match_the_all_targets_loop(support):
     """Kind I's node values, with a leading target that has no positive
     entry and every other one repeated, stay a nondecreasing chain: the
-    walk's bisection per leaf must give the oracle's all-targets totals."""
+    walk's bisection per leaf must give the totals of the oracle, which
+    tests each leaf against every target."""
     m = SingularityModel(support)
     assume(m.polyhedron.compact_faces and m.is_rhs and m.minimal.nodes)
     g = m.minimal

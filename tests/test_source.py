@@ -106,3 +106,12 @@ def test_sequences_keep_their_steps_as_columns():
     assert "Fraction" not in names
     classes = sorted(node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef))
     assert classes == ["SequenceContext", "SequenceResult"]
+
+
+def test_counting_walk_reads_the_node_table():
+    """`series.py` names no `arms`: the counting walk reads
+    `PlumbingGraph.node_chains`, the per-node table the sequences read, and
+    never a chain vertex."""
+    path = Path(newtonsing.__file__).parent / "series.py"
+    names = {name for name, _ in _read_names(ast.parse(path.read_text(), filename=str(path)))}
+    assert "node_chains" in names and "arms" not in names
