@@ -4,11 +4,11 @@ Cycles are plain tuples indexed by vertex id.  Negative definiteness is
 certified (never assumed) when a graph is built: on a tree by leaf-first
 elimination, whose subtree determinants are integers and which makes no
 fill-in, on any other graph by a dense fraction-free (Bareiss) elimination.
-The intersection data, |det| and the dual cycles, is cached on the graph
-when first read: on a tree it is a product of the same subtree
-determinants, on any other graph the dense pass's adjugate.  Z_K is read
-off the Newton diagram (`merle_teissier_ZK`) and certified by the
-adjunction equalities (`check_canonical`), never solved for.
+The intersection data, |det| and on a tree the dual cycles, is cached on
+the graph when first read, each row of a tree when that row is read, as a
+product of the same subtree determinants; the dense pass keeps |det| only.
+Z_K is read off the Newton diagram (`merle_teissier_ZK`) and certified by
+the adjunction equalities (`check_canonical`), never solved for.
 """
 
 import heapq
@@ -64,9 +64,8 @@ class PlumbingGraph:
     @cached_property
     def _leaf_first(self) -> tuple:
         """(order, dets) of a tree: `_bfs_order` from vertex 0 and its
-        `_subtree_dets`, computed once and read by every certificate and by
-        `intersection_data`."""
-        order = _bfs_order(self, 0)
+        `_subtree_dets`, once, for every certificate and `intersection_data`."""
+        order = _bfs_order(self.neighbors, 0)
         return order, _subtree_dets(self, order)
 
     @cached_property
@@ -194,20 +193,35 @@ def node_pairing(b_n, chains, z_n, z) -> int:
     return total
 
 
-@dataclass(frozen=True)
 class IntersectionData:
-    """|det| of a graph's form, and scaled_duals[v][w] = |det| m_w(E_v^*)."""
+    """|det| of a graph's form and, on a definite tree, `_tree_data`'s
+    arrays: row(v)[w] = |det| m_w(E_v^*) is one walk over them, built when
+    first read, checked positive and cached; off trees `row` raises NotTree."""
 
-    group_order: int
-    scaled_duals: tuple
+    def __init__(self, group_order, tree=None):
+        self.group_order, self.tree, self.rows = group_order, tree, {}
+
+    def row(self, v) -> tuple:
+        if v not in self.rows:
+            if self.tree is None:
+                raise NotTree("dual cycles are built on trees only")
+            neighbors, parent, cofactor, edge = self.tree
+            row = [0] * len(neighbors)
+            row[v] = cofactor[v]
+            for x, p in _bfs_order(neighbors, v)[1:]:
+                row[x] = row[p] * cofactor[x] // edge[x if parent[x] == p else p]
+            if any(x <= 0 for x in row):
+                raise AssertionError("dual cycle entries must be positive")
+            self.rows[v] = tuple(row)
+        return self.rows[v]
 
 
-def _bfs_order(g: PlumbingGraph, root) -> list:
-    """(vertex, parent) pairs of the tree g in breadth-first order from
-    root, whose parent is -1."""
+def _bfs_order(neighbors, root) -> list:
+    """(vertex, parent) pairs of a tree, given by its neighbour lists, in
+    breadth-first order from root, whose parent is -1."""
     order = [(root, -1)]
     for v, parent in order:
-        order.extend((u, v) for u in g.neighbors[v] if u != parent)
+        order.extend((u, v) for u in neighbors[v] if u != parent)
     return order
 
 
@@ -241,65 +255,51 @@ def _tree_data(g: PlumbingGraph, order, det, prod) -> IntersectionData:
     the path [w, x] (Eisenbud-Neumann 1985), and |det| = D(root).  up[v], the
     branch at v's parent p away from v, follows from expanding |det| across
     the edge (v, p): |det| = D(v) up[v] - P(v) (P(p)/D(v)) up[p], up[root] = 1.
-    The diagonal at w is P(w) up[w]; a step from p to x away from w trades the
-    branch at p toward x for the other branches at x, a factor
-    P(x) up[x] / (D(c) up[c]) with c the child end of {p, x}.
+    The diagonal at w is P(w) up[w]; `IntersectionData.row(w)` steps from p
+    to x away from w, trading the branch at p toward x for the other branches
+    at x, a factor P(x) up[x] / (D(c) up[c]) with c the child end of {p, x}.
     """
     total, parent, up = det[order[0][0]], dict(order), [1] * g.nv
     for v, p in order[1:]:
         up[v] = (total + prod[v] * (prod[p] // det[v]) * up[p]) // det[v]
     cofactor = [prod[v] * up[v] for v in range(g.nv)]
     edge = [det[v] * up[v] for v in range(g.nv)]  # the edge from v to its parent
-    rows = []
-    for w in range(g.nv):
-        row = [0] * g.nv
-        row[w] = cofactor[w]
-        for x, p in _bfs_order(g, w)[1:]:
-            row[x] = row[p] * cofactor[x] // edge[x if parent[x] == p else p]
-        rows.append(tuple(row))
-    return IntersectionData(total, tuple(rows))
+    return IntersectionData(total, (g.neighbors, parent, cofactor, edge))
 
 
 def intersection_data(g: PlumbingGraph) -> IntersectionData:
-    """|det| and the scaled dual cycles of g's form: from the subtree
-    determinants (rooted at vertex 0) on a definite tree, by `_bareiss` on
-    any other graph, which on a tree names the pivot that fails."""
+    """|det| of g's form, and on a definite tree the arrays of its rows: from
+    the subtree determinants (rooted at vertex 0) on a definite tree, by
+    `_bareiss` on any other graph, which on a tree names the pivot that fails."""
     if not g.is_tree():
-        data = _bareiss(g)
-    else:
-        order, dets = g._leaf_first
-        if dets is None:
-            _bareiss(g)
-            raise AssertionError("leaf-first certificate and elimination disagree")
-        data = _tree_data(g, order, *dets)
-    if any(x <= 0 for row in data.scaled_duals for x in row):
-        raise AssertionError("dual cycle entries must be positive")
-    return data
+        return IntersectionData(_bareiss(g))
+    order, dets = g._leaf_first
+    if dets is None:
+        _bareiss(g)
+        raise AssertionError("leaf-first certificate and elimination disagree")
+    return _tree_data(g, order, *dets)
 
 
-def _bareiss(g: PlumbingGraph) -> IntersectionData:
-    """Intersection data by one fraction-free Gauss-Jordan pass over
-    [A | I] (Bareiss 1968), which ends at [det I | adj A].
+def _bareiss(g: PlumbingGraph) -> int:
+    """|det| of g's form by one forward fraction-free elimination (Bareiss
+    1968), which raises NotNegativeDefinite unless the form is definite.
 
     Pivot k is the leading principal minor of order k + 1, so the symmetric
     elimination pivot is minor_{k+1} / minor_k; all of these must be
     negative.  Every division is exact.
     """
-    n = g.nv
-    rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(g.intersection_matrix())]
+    rows = g.intersection_matrix()
     prev = 1
-    for k in range(n):
+    for k in range(g.nv):
         pivot_row = rows[k]
         p = pivot_row[k]
         if p * prev >= 0:
             raise NotNegativeDefinite(f"pivot {k} is {Fraction(p, prev)}")
-        for i in range(n):
-            if i != k:
-                f = rows[i][k]
-                rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], pivot_row)]
+        for i in range(k + 1, g.nv):
+            f = rows[i][k]
+            rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], pivot_row)]
         prev = p
-    sign = 1 if prev < 0 else -1  # the duals are -adj A / det, scaled by |det|
-    return IntersectionData(abs(prev), tuple(tuple(sign * x for x in row[n:]) for row in rows))
+    return abs(prev)
 
 
 def check_canonical(g: PlumbingGraph, z) -> tuple:
@@ -523,8 +523,8 @@ def _centers(g: PlumbingGraph) -> list:
     path.  Every automorphism fixes the set of centers, so rooting there
     keeps the code canonical.
     """
-    start = _bfs_order(g, 0)[-1][0]
-    order = _bfs_order(g, start)
+    start = _bfs_order(g.neighbors, 0)[-1][0]
+    order = _bfs_order(g.neighbors, start)
     parent = dict(order)
     path = [order[-1][0]]
     while path[-1] != start:
@@ -534,7 +534,7 @@ def _centers(g: PlumbingGraph) -> list:
 
 def _rooted_code(g: PlumbingGraph, root) -> str:
     """Code of g rooted at `root`: (b,genus|children's codes, sorted)."""
-    order = _bfs_order(g, root)
+    order = _bfs_order(g.neighbors, root)
     codes = {}
     for v, parent in reversed(order):
         subs = sorted(codes.pop(u) for u in g.neighbors[v] if u != parent)

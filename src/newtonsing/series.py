@@ -78,7 +78,7 @@ def zeta_coefficient(g: PlumbingGraph, lp) -> int:
 def zeta_coefficient_convolution(g: PlumbingGraph, lps) -> list:
     """Coefficients of t^lp in Z_0(t) for every lp in `lps`, read off one
     truncated polynomial product (the second path, which reads the dual
-    cycles).
+    cycles at the vertices of degree other than 2 only).
 
     The product is truncated at the componentwise max of the targets.  That
     is exact at every target: dual entries are positive and exponents are
@@ -91,7 +91,7 @@ def zeta_coefficient_convolution(g: PlumbingGraph, lps) -> list:
     ZETA_TERMS terms formed and lookups made.
     """
     _require_tree(g)
-    duals, scale = g.data.scaled_duals, g.data.group_order
+    scale = g.data.group_order
     targets = [tuple(x * scale for x in lp) for lp in lps]
     inside = [t for t in targets if all(x >= 0 for x in t)]
     if not inside:
@@ -102,7 +102,7 @@ def zeta_coefficient_convolution(g: PlumbingGraph, lps) -> list:
     factors = [v for v in range(g.nv) if g.degree[v] != 2]
     terms = 0
     for v in factors[:-1]:
-        dual, factor = duals[v], _factor_table(g.degree[v], top, duals[v])
+        dual, factor = _factor_table(g, v, top)
         nxt = {}
         for key, coeff in acc.items():
             most = min(len(factor) - 1, *((t - k) // e for t, k, e in zip(top, key, dual)))
@@ -114,8 +114,7 @@ def zeta_coefficient_convolution(g: PlumbingGraph, lps) -> list:
                 nxt[shifted] = nxt.get(shifted, 0) + coeff * factor[a]
                 shifted = tuple(map(add, shifted, dual))
         acc = nxt
-    v = factors[-1]
-    dual, factor = duals[v], _factor_table(g.degree[v], top, duals[v])
+    dual, factor = _factor_table(g, factors[-1], top)
     out = []
     for t in targets:
         most = min(len(factor) - 1, *(x // e for x, e in zip(t, dual)))
@@ -130,13 +129,14 @@ def zeta_coefficient_convolution(g: PlumbingGraph, lps) -> list:
     return out
 
 
-def _factor_table(degree, top, dual) -> list:
-    """Vertex factors for every exponent a with a E_v^* <= top; at most
-    deg - 2 at a vertex of degree >= 2."""
+def _factor_table(g, v, top) -> tuple:
+    """(E_v^*'s row, scaled, and v's factors for every exponent a with
+    a E_v^* <= top); at most deg - 2 exponents at a vertex of degree >= 2."""
+    dual, degree = g.data.row(v), g.degree[v]
     most = min(x // e for x, e in zip(top, dual))
     if degree >= 2:
         most = min(most, degree - 2)
-    return [_vertex_factor(degree, a) for a in range(most + 1)]
+    return dual, [_vertex_factor(degree, a) for a in range(most + 1)]
 
 
 def counting_q(g: PlumbingGraph, targets, max_states=10_000_000) -> list:
@@ -172,14 +172,14 @@ def counting_q(g: PlumbingGraph, targets, max_states=10_000_000) -> list:
     G_xw^2 <= G_ww G_xx).  So the box ub_w = max over nodes n with z_n > 0
     of G_ww (z_n - 1) // G_wn at the last target, the chain's
     componentwise max, holds every cycle that counts, at every vertex; the
-    walk needs it at the nodes only.  The targets a leaf is not >= form a
-    suffix of the chain: one bisection per leaf finds where it starts, the
-    leaf's weight goes to a difference array there, and prefix sums give
-    every q.  Any other list of targets raises ValueError.  A target with
-    no positive entry has no such l (support cycles are >= 0) and gets 0,
-    and a graph without nodes has only the fill 0, so every q there is 0.
-    `max_states` bounds the node values the walk tries, and the walk raises
-    BudgetExceeded rather than churn on pathological inputs.
+    walk needs it, and G's rows, at the nodes only.  The targets a leaf is
+    not >= form a suffix of the chain: one bisection per leaf finds where it
+    starts, the leaf's weight goes to a difference array there, and prefix
+    sums give every q.  Any other list of targets raises ValueError.  A
+    target with no positive entry has no such l (support cycles are >= 0)
+    and gets 0, and a graph without nodes has only the fill 0, so every q
+    there is 0.  `max_states` bounds the node values the walk tries, and the
+    walk raises BudgetExceeded rather than churn on pathological inputs.
     """
     _require_tree(g)
     targets = [tuple(z) for z in targets]
@@ -190,8 +190,8 @@ def counting_q(g: PlumbingGraph, targets, max_states=10_000_000) -> list:
     witnesses = [(n, z) for n, z in zip(g.nodes, targets[-1]) if z > 0] if targets else []
     if not witnesses:
         return [0] * len(targets)
-    duals = g.data.scaled_duals
-    ub = [max(duals[w][w] * (z - 1) // duals[w][n] for n, z in witnesses) for w in g.nodes]
+    rows = [g.data.row(w) for w in g.nodes]
+    ub = [max(row[w] * (z - 1) // row[n] for n, z in witnesses) for w, row in zip(g.nodes, rows)]
     return _walk(g.node_chains, _walk_tasks(g.node_chains), ub, targets, max_states)
 
 

@@ -24,7 +24,9 @@ over exponent assignments (`zeta_search`) the reference for
 (`cycles`), the box that bounds every Lipman-cone cycle below a full
 target in some coordinate (`coordinate_bounds`) and the point sets P_i
 from every row of the Oka graph (`enumerate_P_full_rows`) are the
-references for the package's comparisons at the nodes only.
+references for the package's comparisons at the nodes only.  Every dual
+cycle at once, from the Fraction inverse of the form (`scaled_duals`), is
+the reference for the rows that `IntersectionData.row` builds one by one.
 """
 
 from collections import Counter, namedtuple
@@ -50,6 +52,7 @@ from newtonsing.newton import (
 )
 from newtonsing.sequences import fill_cycle
 from newtonsing.series import PartitionReport, _vertex_factor
+from tests.conftest import fraction_gauss_jordan
 
 
 class NotEmpty(NewtonsingError):
@@ -357,6 +360,17 @@ def cf_evaluate(terms) -> Fraction:
     for b in reversed(terms[:-1]):
         value = b - 1 / value
     return value
+
+
+def scaled_duals(g: PlumbingGraph) -> tuple:
+    """Every dual cycle of g, scaled by |det|: row v holds |det| m_w(E_v^*)
+    over w, read off `conftest.fraction_gauss_jordan`'s inverse, as
+    E_v^* = -Q^-1 E_v.  Raises NotNegativeDefinite where that does."""
+    det, inv = fraction_gauss_jordan(g.intersection_matrix())
+    rows = tuple(tuple(-abs(det) * x for x in row) for row in inv)
+    if any(x.denominator != 1 for row in rows for x in row):
+        raise AssertionError("|det| Q^-1 must be integral")
+    return tuple(tuple(int(x) for x in row) for row in rows)
 
 
 def minimal_cycle(g: PlumbingGraph) -> tuple:
@@ -802,7 +816,7 @@ def zeta_search(g: PlumbingGraph, lp, max_pops=10**5) -> int:
     assignments (positivity of the dual cycles bounds it): the reference
     for `series.zeta_coefficient`'s closed form.  Raises BudgetExceeded past
     `max_pops` stack pops."""
-    duals, scale = g.data.scaled_duals, g.data.group_order
+    duals, scale = [g.data.row(v) for v in range(g.nv)], g.data.group_order
     target = [x * scale for x in lp]
     if any(x < 0 for x in target):
         return 0

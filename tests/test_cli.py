@@ -239,15 +239,14 @@ def test_verify_and_pg_keep_the_report_contract(points):
             assert code == 0 and all(report["oracles"].values()), report
 
 
-# Exponents stay at 12 or below: the Oka graph, and with it `pg`'s
-# sequences and counting walk, grows with the exponents (the budgets stop
-# those in seconds, not milliseconds), and that cost is no concern of the
-# report contract.  The faces themselves cost nothing extra:
-# `test_large_exponents_answer_in_closed_form` runs exponents of 3000.
+# Exponents stay at 24 or below, which keeps each draw cheap.  `pg`'s
+# sequences and counting walk branch on node values and read dual rows at
+# the nodes only, so larger exponents cost little more; exponents of 3000
+# are run by `test_large_exponents_answer_in_closed_form`.
 _json_scalars = (
     st.none()
     | st.booleans()
-    | st.integers(-2, 12)
+    | st.integers(-2, 24)
     | st.floats(allow_nan=False, allow_infinity=False)
     | st.text(max_size=4)
 )
@@ -256,7 +255,7 @@ _json_values = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=10,
 )
-_exponents = st.integers(0, 12)
+_exponents = st.integers(0, 24)
 _monomials = st.one_of(
     st.lists(_exponents, min_size=3, max_size=3),
     st.lists(_exponents, max_size=5),

@@ -7,9 +7,8 @@ from hypothesis import assume, given, settings
 
 from newtonsing import cli
 from newtonsing import graph as graph_module
-from newtonsing.errors import Disconnected, NotNegativeDefinite
+from newtonsing.errors import Disconnected, NotNegativeDefinite, NotTree
 from newtonsing.graph import (
-    IntersectionData,
     PlumbingGraph,
     check_canonical,
     intersection_data,
@@ -30,7 +29,7 @@ from tests.conftest import (
     fraction_gauss_jordan,
     tree_code,
 )
-from tests.oracles import from_payload, interior_points, minimal_cycle, minimal_model_scan
+from tests.oracles import from_payload, interior_points, minimal_cycle, minimal_model_scan, scaled_duals
 from tests.test_newton import GENERATED, _isolated_polyhedra, convenient_supports
 
 
@@ -110,7 +109,7 @@ def test_intersection_single_vertex():
     data = intersection_data(g)
     assert g.intersection_matrix() == [[-2]]
     assert data.group_order == 2
-    assert data.scaled_duals == ((1,),)
+    assert data.row(0) == (1,)
 
 
 def test_e8_unimodular():
@@ -123,18 +122,19 @@ def test_duals_positive_on_corpus(corpus):
     for m in corpus:
         g = m.oka.graph
         data = intersection_data(g)
-        assert data == graph_module._bareiss(g)
-        assert all(x > 0 for row in data.scaled_duals for x in row)
+        assert data.group_order == graph_module._bareiss(g)
+        duals = [data.row(v) for v in range(g.nv)]
+        assert all(x > 0 for row in duals for x in row)
         # (E_v^*, E_w) = -delta exactly, and I * I^-1 is the identity
         matrix = g.intersection_matrix()
         det, _ = fraction_gauss_jordan(matrix)
         order = data.group_order
         assert order == abs(det)
         for v in range(g.nv):
-            dual = [Fraction(x, order) for x in data.scaled_duals[v]]
+            dual = [Fraction(x, order) for x in duals[v]]
             for w in range(g.nv):
                 assert g.pairing(dual, [int(u == w) for u in range(g.nv)]) == -(v == w)
-                prod = sum(matrix[v][u] * Fraction(-data.scaled_duals[u][w], order) for u in range(g.nv))
+                prod = sum(matrix[v][u] * Fraction(-duals[u][w], order) for u in range(g.nv))
                 assert prod == (v == w)
 
 
@@ -150,21 +150,25 @@ def assert_ratio_peaks_on_the_diagonal(duals):
 
 
 def assert_elimination_matches_oracle(g):
-    """True when g is negative definite; every path must agree either way."""
+    """True when g is negative definite; every path must agree either way:
+    on |det|, and on a tree on every dual row, which no other graph has."""
     try:
-        det, inv = fraction_gauss_jordan(g.intersection_matrix())
+        det, _ = fraction_gauss_jordan(g.intersection_matrix())
     except NotNegativeDefinite as expected:
         for eliminate in (intersection_data, graph_module._bareiss, lambda g: PlumbingGraph(g.b, g.genus, g.edges)):
             with pytest.raises(NotNegativeDefinite) as caught:
                 eliminate(g)
             assert str(caught.value) == str(expected)
         return False
-    duals = tuple(tuple(int(-abs(det) * x) for x in row) for row in inv)
-    expected = IntersectionData(abs(det), duals)
-    assert intersection_data(g) == expected
-    assert graph_module._bareiss(g) == expected
-    if g.is_tree():
-        assert_ratio_peaks_on_the_diagonal(duals)
+    data = intersection_data(g)
+    assert data.group_order == graph_module._bareiss(g) == abs(det)
+    if not g.is_tree():
+        with pytest.raises(NotTree):
+            data.row(0)
+        return True
+    duals = scaled_duals(g)
+    assert tuple(data.row(v) for v in range(g.nv)) == duals
+    assert_ratio_peaks_on_the_diagonal(duals)
     return True
 
 
@@ -221,9 +225,19 @@ def test_leaf_first_certificate_matches_fraction_oracle_on_random_trees():
                 with pytest.raises(NotNegativeDefinite) as caught:
                     minimal_model(g)
                 assert str(caught.value) == str(expected)
-        assert (graph_module._subtree_dets(g, graph_module._bfs_order(g, 0)) is not None) == definite
+        assert (graph_module._subtree_dets(g, graph_module._bfs_order(g.neighbors, 0)) is not None) == definite
         verdicts.append(definite)
     assert 100 < sum(verdicts) < 300
+
+
+@given(convenient_supports())
+@settings(max_examples=40)
+def test_elimination_matches_fraction_oracle_on_generated_supports(support):
+    m = SingularityModel(support)
+    assume(m.polyhedron.compact_faces and m.is_rhs)
+    assert assert_elimination_matches_oracle(m.oka.graph)
+    if m.minimal.nv:
+        assert assert_elimination_matches_oracle(m.minimal)
 
 
 def test_tree_rows_match_bareiss_on_random_trees():
@@ -240,8 +254,10 @@ def test_tree_rows_match_bareiss_on_random_trees():
             data = intersection_data(g)
         except NotNegativeDefinite:
             continue
-        assert data == graph_module._bareiss(g)
-        assert_ratio_peaks_on_the_diagonal(data.scaled_duals)
+        assert data.group_order == graph_module._bareiss(g)
+        duals = scaled_duals(g)
+        assert tuple(data.row(v) for v in range(nv)) == duals
+        assert_ratio_peaks_on_the_diagonal(duals)
         sizes.append(nv)
     assert len(sizes) > 50 and sum(nv >= 30 for nv in sizes) > 10
 
@@ -271,6 +287,25 @@ def test_commands_that_read_no_intersection_data_eliminate_nothing(monkeypatch):
     model = SingularityModel(Support(FRONT_PAGE))
     assert model.minimal.data.group_order > 0
     assert eliminated == [model.minimal]
+
+
+def test_only_the_dual_rows_read_are_built():
+    """`pg` and `sw` read the minimal graph's dual rows at its nodes only
+    (`counting_q`'s box), `verify` also at its ends (the truncated
+    product's factors, at the vertices of degree other than 2); no other
+    row is built.  A graph that is not a tree has |det| and no rows."""
+    for support in (Support(FRONT_PAGE), brieskorn(1000, 2, 3)):
+        for command in ("pg", "sw", "verify"):
+            model = SingularityModel(support)
+            args = cli.build_parser().parse_args(["-", command])
+            cli._HANDLERS[command](model, args)
+            g = model.minimal
+            read = {v for v in range(g.nv) if g.degree[v] != 2} if command == "verify" else set(g.nodes)
+            assert g.nodes and set(g.data.rows) == read, (support, command)
+    triangle = PlumbingGraph([3, 3, 3], [0, 0, 0], [(0, 1), (1, 2), (0, 2)])
+    assert triangle.data.group_order == 16
+    with pytest.raises(NotTree):
+        triangle.data.row(0)
 
 
 def test_pg_sw_and_verify_run_one_leaf_first_pass_per_graph(monkeypatch):

@@ -19,7 +19,7 @@ from newtonsing.newton import is_convenient
 from newtonsing.sequences import fill_cycle, kind1_context, run_sequence
 from newtonsing.series import _vertex_factor, counting_q, enumerate_P, zeta_coefficient, zeta_coefficient_convolution
 from tests.conftest import FRONT_PAGE, ZETA_HEAVY, brieskorn, model_for
-from tests.oracles import ReducedCount, coordinate_bounds, enumerate_P_full_rows, steps, zeta_search
+from tests.oracles import ReducedCount, coordinate_bounds, enumerate_P_full_rows, scaled_duals, steps, zeta_search
 from tests.test_newton import convenient_supports, random_supports
 
 # node-free graphs: chains by their b values, single vertices among them
@@ -249,7 +249,7 @@ def test_zeta_paths_match_search_on_chains_and_trees():
     rng = random.Random(47)
     for g in random_definite_trees(random.Random(41)):
         # Z_K = sum_v (b_v - 2) E_v^*
-        scaled = [sum((g.b[v] - 2) * row[w] for v, row in enumerate(g.data.scaled_duals)) for w in range(g.nv)]
+        scaled = [sum((g.b[v] - 2) * g.data.row(v)[w] for v in range(g.nv)) for w in range(g.nv)]
         assert_zeta_paths_match_search(g, [-(-x // g.data.group_order) for x in scaled], rng)
 
 
@@ -260,10 +260,10 @@ def zeta_sum_below(g, target):
     stays in the target's full-witness box (`oracles.coordinate_bounds`),
     which holds every Lipman-cone cycle not >= the target.  The integral l
     that are not >= the target sum to q."""
-    box = coordinate_bounds(g.data.scaled_duals, target)
+    duals, scale = scaled_duals(g), g.data.group_order
+    box = coordinate_bounds(duals, target)
     if box is None:
         return 0
-    duals, scale = g.data.scaled_duals, g.data.group_order
     top = [x * scale for x in box]
     total = 0
     stack = [(0, (0,) * g.nv, 1)]
@@ -420,7 +420,7 @@ def node_box(g, targets):
     witnesses = [(n, z) for n, z in zip(g.nodes, map(max, zip(*targets))) if z > 0]
     if not witnesses:
         return None
-    return [max(row[w] * (z - 1) // row[n] for n, z in witnesses) for w, row in enumerate(g.data.scaled_duals)]
+    return [max(row[w] * (z - 1) // row[n] for n, z in witnesses) for w, row in enumerate(scaled_duals(g))]
 
 
 def compare_walk_with_oracle(g, targets, budget=10**6):
@@ -442,7 +442,8 @@ def compare_walk_with_oracle(g, targets, budget=10**6):
     except BudgetExceeded:
         return False
     assert counting_q(g, targets) == totals
-    full = [b for b in (coordinate_bounds(g.data.scaled_duals, t) for t in fills) if b is not None]
+    duals = scaled_duals(g)
+    full = [b for b in (coordinate_bounds(duals, t) for t in fills) if b is not None]
     wide = ReducedCount(g, fills, [max(col) for col in zip(*full)], budget)
     with contextlib.suppress(BudgetExceeded):
         assert wide.run() == totals

@@ -115,3 +115,28 @@ def test_counting_walk_reads_the_node_table():
     path = Path(newtonsing.__file__).parent / "series.py"
     names = {name for name, _ in _read_names(ast.parse(path.read_text(), filename=str(path)))}
     assert "node_chains" in names and "arms" not in names
+
+
+def test_dual_rows_are_built_one_by_one_on_trees():
+    """No module names `scaled_duals`, and `graph._bareiss` eliminates the
+    form alone, with no identity block beside it (no `i == j` test and no
+    row concatenation): a tree's dual rows are built one by one where they
+    are read, and the dense pass certifies the form and keeps |det| only."""
+    assert not [path.name for path in SOURCES if "scaled_duals" in path.read_text()]
+    path = Path(newtonsing.__file__).parent / "graph.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    (bareiss,) = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == "_bareiss"]
+    equalities = [
+        node
+        for node in ast.walk(bareiss)
+        if isinstance(node, ast.Compare) and any(isinstance(op, ast.Eq) for op in node.ops)
+    ]
+    concatenations = [
+        node
+        for node in ast.walk(bareiss)
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Add)
+        and any(isinstance(side, (ast.List, ast.ListComp)) for side in (node.left, node.right))
+    ]
+    assert "intersection_matrix" in {name for name, _ in _read_names(bareiss)}
+    assert equalities == [] and concatenations == []
