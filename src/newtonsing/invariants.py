@@ -19,6 +19,7 @@ from functools import cached_property
 from itertools import count
 from math import floor
 
+from . import kernels
 from .errors import NewtonsingError, NoCompactFace, NotRationalHomologySphere
 from .graph import (
     PlumbingGraph,
@@ -222,10 +223,16 @@ class SingularityModel:
         return SwResult(seq.total, int(zk_sq), self.minimal.nv)
 
     def pg_lattice_count(self) -> int:
-        """#(Z^3_{>=0} outside the polyhedron of Z_K - E), the point oracle."""
-        from . import kernels
+        """#(Z^3_{>=0} outside the polyhedron of Z_K - E), the point oracle.
 
+        A point p's values l_v(p) form a Lipman-cone cycle, and Z_K - E lies
+        below the chain fill of its node values (kind III's context checks
+        it), so p lies in the polyhedron exactly when l_n(p) >= (Z_K - E)_n
+        at every node, as in `series.enumerate_P`: only the node rows are
+        scanned.
+        """
         self.require_rhs()
-        ell = list(self.oka.ell)
-        zk_e = [x - 1 for x in self.zk_oka]
-        return kernels.count_violating(ell, zk_e, [0, 0, 0], kernels.violating_top(ell, zk_e))
+        self._context("III")  # checks Z_K - E against its chain fill
+        rows = [self.oka.ell[n] for n in self.oka.graph.nodes]
+        bounds = [self.zk_oka[n] - 1 for n in self.oka.graph.nodes]
+        return kernels.count_violating(rows, bounds, [0, 0, 0], kernels.violating_top(rows, bounds))

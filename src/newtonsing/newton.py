@@ -16,6 +16,9 @@ integer histogram serves both, and a series is a `PuiseuxPoly` of integer
 numerators over one denominator.  The histogram is counted per face and
 column (`kernels.min_histogram`), or, on a diagram with one compact face,
 from the generating series of that face's form (`kernels.form_histogram`).
+Neither scan takes a box: the weight cap bounds every coordinate through
+the face where a point attains its weight, and the weight box
+(`weight_box`) is only the scan's budget.
 """
 
 import operator
@@ -417,11 +420,13 @@ def _weight_histogram(poly, bound, positive):
 
     L is the lcm of the compact face values w_n, so weight(p) is k / L with
     the integer k = min_n (L // w_n) * l_n(p), and weight(p) <= bound is
-    k <= floor(bound * L).  `kernels.min_histogram` counts the k per face
-    and column, not per point.  A diagram with one compact face is weighted
-    homogeneous: L = w, k is the one form l(p), the cap implies the weight
-    box, and `kernels.form_histogram` counts the k from the series
-    1 / prod_c (1 - t^(l_c)) in O(cap) steps.  That list of counts is used
+    k <= floor(bound * L).  That cap bounds every coordinate through the
+    face where p attains its weight, so neither kernel takes a box.
+    `kernels.min_histogram` counts the k per face and column, not per
+    point.  A diagram with one compact face is weighted homogeneous: L = w,
+    k is the one form l(p), and `kernels.form_histogram` counts the k from
+    the series 1 / prod_c (1 - t^(l_c)) in O(cap) steps.  The weight box
+    serves only the budget and this choice: the list of counts is used
     while it is no longer than the box has points, which bounds both the
     time and the memory of either kernel by the box.
     """
@@ -434,8 +439,8 @@ def _weight_histogram(poly, bound, positive):
     hi = weight_box(poly, bound)
     cap = floor(bound * denominator)
     if len(faces) == 1 and cap <= (hi[0] + 1) * (hi[1] + 1) * (hi[2] + 1):
-        return kernels.form_histogram(scaled[0], cap, lo, hi), denominator
-    return kernels.min_histogram(scaled, cap, lo, hi), denominator
+        return kernels.form_histogram(scaled[0], cap, lo), denominator
+    return kernels.min_histogram(scaled, cap, lo), denominator
 
 
 def saito_spectrum(poly: NewtonPolyhedron) -> Counter:
@@ -447,21 +452,15 @@ def saito_spectrum(poly: NewtonPolyhedron) -> Counter:
 class PuiseuxPoly:
     """Finitely many terms coeff * t^exponent with rational exponents.
 
-    The exponents are stored as integer numerators over one denominator:
-    `numerators` maps k to the coefficient of t^(k / denominator).  The
-    denominator is reduced by the gcd of itself and every numerator, so equal
-    series hold equal data.  `PuiseuxPoly(terms)` takes rational exponents,
-    `PuiseuxPoly(terms, denominator)` integer numerators over a positive
-    denominator; zero coefficients are dropped either way.
+    `PuiseuxPoly(numerators, denominator)` takes integer numerators over a
+    positive denominator: `numerators` maps k to the coefficient of
+    t^(k / denominator).  The denominator is reduced by the gcd of itself
+    and every numerator, and zero coefficients are dropped, so equal series
+    hold equal data.
     """
 
-    def __init__(self, terms=None, denominator=None):
-        terms = dict(terms or {})
-        if denominator is None:
-            terms = {Fraction(e): c for e, c in terms.items()}
-            denominator = lcm(*(e.denominator for e in terms))
-            terms = {e.numerator * (denominator // e.denominator): c for e, c in terms.items()}
-        data = {k: int(c) for k, c in terms.items() if c}
+    def __init__(self, numerators, denominator):
+        data = {k: c for k, c in numerators.items() if c}
         g = gcd(denominator, *data)
         if g > 1:
             data = {k // g: c for k, c in data.items()}

@@ -35,7 +35,10 @@ from .sequences import SequenceResult
 # product forms and the lookups that read its last factor off.  `verify` on
 # the recorded workloads needs at most 1,374.
 ZETA_TERMS = 10**5
-_ZETA_BUDGET = f"zeta budget exceeded: the expansion forms more than {ZETA_TERMS} terms"
+_ZETA_BUDGET = "zeta budget exceeded: the expansion forms more than {} terms"
+
+# Budget of one `counting_q` call: the node values its walk tries.
+COUNTING_STATES = 10**7
 
 
 def _require_tree(g: PlumbingGraph):
@@ -108,7 +111,7 @@ def zeta_coefficient_convolution(g: PlumbingGraph, lps) -> list:
             most = min(len(factor) - 1, *((t - k) // e for t, k, e in zip(top, key, dual)))
             terms += most + 1
             if terms > ZETA_TERMS:
-                raise BudgetExceeded(_ZETA_BUDGET)
+                raise BudgetExceeded(_ZETA_BUDGET.format(ZETA_TERMS))
             shifted = key
             for a in range(most + 1):
                 nxt[shifted] = nxt.get(shifted, 0) + coeff * factor[a]
@@ -120,7 +123,7 @@ def zeta_coefficient_convolution(g: PlumbingGraph, lps) -> list:
         most = min(len(factor) - 1, *(x // e for x, e in zip(t, dual)))
         terms += max(most + 1, 0)
         if terms > ZETA_TERMS:
-            raise BudgetExceeded(_ZETA_BUDGET)
+            raise BudgetExceeded(_ZETA_BUDGET.format(ZETA_TERMS))
         total, below = 0, t
         for a in range(most + 1):
             total += factor[a] * acc.get(below, 0)
@@ -139,7 +142,7 @@ def _factor_table(g, v, top) -> tuple:
     return dual, [_vertex_factor(degree, a) for a in range(most + 1)]
 
 
-def counting_q(g: PlumbingGraph, targets, max_states=10_000_000) -> list:
+def counting_q(g: PlumbingGraph, targets) -> list:
     """q at the chain fill x(z) of every node-value vector z in `targets`
     (in `g.nodes` order, a nondecreasing chain), from one enumeration: the
     sum of z_l over l in x(z) + L with l - x(z) not effective.
@@ -178,8 +181,8 @@ def counting_q(g: PlumbingGraph, targets, max_states=10_000_000) -> list:
     sums give every q.  Any other list of targets raises ValueError.  A
     target with no positive entry has no such l (support cycles are >= 0)
     and gets 0, and a graph without nodes has only the fill 0, so every q
-    there is 0.  `max_states` bounds the node values the walk tries, and the
-    walk raises BudgetExceeded rather than churn on pathological inputs.
+    there is 0.  `COUNTING_STATES` bounds the node values the walk tries, and
+    the walk raises BudgetExceeded rather than churn on pathological inputs.
     """
     _require_tree(g)
     targets = [tuple(z) for z in targets]
@@ -192,7 +195,7 @@ def counting_q(g: PlumbingGraph, targets, max_states=10_000_000) -> list:
         return [0] * len(targets)
     rows = [g.data.row(w) for w in g.nodes]
     ub = [max(row[w] * (z - 1) // row[n] for n, z in witnesses) for w, row in zip(g.nodes, rows)]
-    return _walk(g.node_chains, _walk_tasks(g.node_chains), ub, targets, max_states)
+    return _walk(g.node_chains, _walk_tasks(g.node_chains), ub, targets)
 
 
 def _walk_tasks(local) -> list:
@@ -229,7 +232,7 @@ def _slot_records(local, i, parent) -> list:
     return records[::-1]
 
 
-def _walk(local, tasks, ub, targets, max_states) -> list:
+def _walk(local, tasks, ub, targets) -> list:
     """Depth-first over `tasks`, one (task index, next value, last value,
     weight) frame per open branching task; each value tried is one state.
     A slot value f is a bamboo's first value and sets its far node to
@@ -257,7 +260,7 @@ def _walk(local, tasks, ub, targets, max_states) -> list:
             continue
         stack[-1] = (k, f + 1, last, weight)
         states += 1
-        if states > max_states:
+        if states > COUNTING_STATES:
             raise BudgetExceeded("counting function enumeration exceeded its state budget")
         if k == 0:
             values[0] = f

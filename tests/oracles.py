@@ -8,7 +8,7 @@ Z^3 are expected to supply their own identification with Z^2.
 
 The rest are small views of the package's objects that only the tests read:
 the exhaustive scan for Oka's beta, continued-fraction evaluation, Artin's minimal cycle, a graph rebuilt from
-its payload, leg cycles, chi, the pol part of the Poincare series and two
+its payload, leg cycles, chi, the pol part of the Poincare series and three
 Puiseux-polynomial helpers.  The face scans (every lattice point of a
 face's bounding box), the pairwise rank test of a candidate face and the
 blow-down loop that rescans the edge list are the references for the
@@ -22,22 +22,24 @@ bisection on a chain of targets, and the depth-first search
 over exponent assignments (`zeta_search`) the reference for
 `series.zeta_coefficient`'s closed form.  A sequence's full cycles
 (`cycles`), the box that bounds every Lipman-cone cycle below a full
-target in some coordinate (`coordinate_bounds`) and the point sets P_i
-from every row of the Oka graph (`enumerate_P_full_rows`) are the
-references for the package's comparisons at the nodes only.  Every dual
-cycle at once, from the Fraction inverse of the form (`scaled_duals`), is
-the reference for the rows that `IntersectionData.row` builds one by one.
+target in some coordinate (`coordinate_bounds`), and the point sets P_i
+and the lattice count of Z_K - E from every row of the Oka graph
+(`enumerate_P_full_rows`, `lattice_count_all_rows`) are the references for
+the package's comparisons at the nodes only.  Every dual cycle at once,
+from one fraction-free Gauss-Jordan pass on the form beside the identity
+(`scaled_duals`), is the reference for the rows that `IntersectionData.row`
+builds one by one.
 """
 
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, lcm
 from operator import lt
 
 from newtonsing import kernels
-from newtonsing.errors import BudgetExceeded, ClassificationFailed, NewtonsingError, NotRationalHomologySphere
+from newtonsing.errors import BudgetExceeded, ClassificationFailed, NewtonsingError, NotNegativeDefinite, NotRationalHomologySphere
 from newtonsing.graph import PlumbingGraph
 from newtonsing.lattice import _xgcd, content, cross, dot, vec_add, vec_scale, vec_sub
 from newtonsing.newton import (
@@ -52,7 +54,6 @@ from newtonsing.newton import (
 )
 from newtonsing.sequences import fill_cycle
 from newtonsing.series import PartitionReport, _vertex_factor
-from tests.conftest import fraction_gauss_jordan
 
 
 class NotEmpty(NewtonsingError):
@@ -364,13 +365,26 @@ def cf_evaluate(terms) -> Fraction:
 
 def scaled_duals(g: PlumbingGraph) -> tuple:
     """Every dual cycle of g, scaled by |det|: row v holds |det| m_w(E_v^*)
-    over w, read off `conftest.fraction_gauss_jordan`'s inverse, as
-    E_v^* = -Q^-1 E_v.  Raises NotNegativeDefinite where that does."""
-    det, inv = fraction_gauss_jordan(g.intersection_matrix())
-    rows = tuple(tuple(-abs(det) * x for x in row) for row in inv)
-    if any(x.denominator != 1 for row in rows for x in row):
-        raise AssertionError("|det| Q^-1 must be integral")
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    over w, as E_v^* = -Q^-1 E_v.  One fraction-free Gauss-Jordan pass on
+    [Q | I] leaves [det I | adj Q], and |det| (-Q^-1) = -sign(det) adj Q.
+    Pivot k is the leading principal minor of order k + 1, and the form is
+    negative definite when every ratio of consecutive minors is negative;
+    NotNegativeDefinite names the first that is not."""
+    n = g.nv
+    rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(g.intersection_matrix())]
+    prev = 1
+    for k in range(n):
+        pivot_row = rows[k]
+        p = pivot_row[k]
+        if p * prev >= 0:
+            raise NotNegativeDefinite(f"pivot {k} is {Fraction(p, prev)}")
+        for i in range(n):
+            if i != k:
+                f = rows[i][k]
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], pivot_row)]
+        prev = p
+    sign = -1 if prev > 0 else 1
+    return tuple(tuple(sign * x for x in row[n:]) for row in rows)
 
 
 def minimal_cycle(g: PlumbingGraph) -> tuple:
@@ -409,6 +423,14 @@ def chi(graph: PlumbingGraph, zk, l) -> Fraction:
     return Fraction(-graph.pairing(l, diff), 2)
 
 
+def puiseux(terms) -> PuiseuxPoly:
+    """The series of {rational exponent: coefficient}, over the lcm of the
+    exponents' denominators."""
+    terms = {Fraction(e): c for e, c in terms.items()}
+    den = lcm(*(e.denominator for e in terms))
+    return PuiseuxPoly({e.numerator * (den // e.denominator): c for e, c in terms.items()}, den)
+
+
 def poincare_pol_part(poly: NewtonPolyhedron) -> PuiseuxPoly:
     """sum of t^(1 - weight(p)) over positive lattice points under the diagram."""
     histogram, denominator = _weight_histogram(poly, 1, positive=True)
@@ -441,17 +463,26 @@ def plane_points(normal, value, lo, hi):
     return points
 
 
-def min_histogram_walk(rows, cap, lo, hi):
-    """Counter of min_i rows[i].p over the p in [lo, hi]^3 where that min is <= cap,
-    by walking the lower envelope of each column: the reference for
-    `kernels.min_histogram`, which counts the points of each row's face cone.
+def cap_box(rows, cap, lo):
+    """Top corner of a box over lo holding every p >= lo with rows[i].p <= cap
+    for some i, for rows of positive entries."""
+    low = [sum(a * l for a, l in zip(row, lo)) for row in rows]
+    return [max((cap - v) // row[c] + lo[c] for row, v in zip(rows, low)) for c in range(3)]
 
-    `rows` have positive last entries, so along a column (p0, p1) the min is
-    an increasing concave piecewise-linear function of p2.  Each piece starts
+
+def min_histogram_walk(rows, cap, lo):
+    """Counter of min_i rows[i].p over the p >= lo where that min is <= cap,
+    by walking the lower envelope of each column of `cap_box`: the reference
+    for `kernels.min_histogram`, which counts the points of each row's face
+    cone.
+
+    `rows` have positive entries, so along a column (p0, p1) the min is an
+    increasing concave piecewise-linear function of p2.  Each piece starts
     on the line of least value, ties to the least slope, and ends where a
-    line of smaller slope reaches it, at cap or at hi[2]; it is one `range`
-    of values.
+    line of smaller slope reaches it, at cap or at the box's top; it is one
+    `range` of values.
     """
+    hi = cap_box(rows, cap, lo)
     pieces = []
     l2, h2 = lo[2], hi[2]
     for p0 in range(lo[0], hi[0] + 1):
@@ -584,6 +615,15 @@ def coordinate_bounds(duals, lp):
     if not witnesses:
         return None
     return [max(row[w] * (lp[wp] - 1) // row[wp] for wp in witnesses) for w, row in enumerate(duals)]
+
+
+def lattice_count_all_rows(model) -> int:
+    """#(Z^3_{>=0} outside the polyhedron of Z_K - E), tested at every row of
+    the Oka graph: the reference for `SingularityModel.pg_lattice_count`,
+    which scans the node rows."""
+    ell = list(model.oka.ell)
+    bounds = [x - 1 for x in model.zk_oka]
+    return kernels.count_violating(ell, bounds, [0, 0, 0], kernels.violating_top(ell, bounds))
 
 
 def enumerate_P_full_rows(og, seq) -> PartitionReport:

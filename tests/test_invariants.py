@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from newtonsing.errors import NoCompactFace, NotIsolated, NotRationalHomologySphere
+from newtonsing import kernels
+from newtonsing.errors import NewtonsingError, NoCompactFace, NotIsolated, NotRationalHomologySphere
 from newtonsing.invariants import SingularityModel
 from newtonsing.newton import Support
 from tests.conftest import brieskorn
-from tests.oracles import coefficient
+from tests.oracles import coefficient, lattice_count_all_rows
+from tests.test_newton import random_supports
 
 
 def test_error_paths():
@@ -16,6 +18,30 @@ def test_error_paths():
         SingularityModel(Support([(2, 0, 0), (0, 1, 1)])).pg()  # A_1
     with pytest.raises(NotRationalHomologySphere):
         SingularityModel(brieskorn(3, 3, 3)).pg()
+
+
+def test_lattice_count_reads_the_node_rows(corpus, monkeypatch):
+    """`pg_lattice_count` hands its scan one row per node of Oka's graph and
+    counts what the scan of every row counts, on the corpus and on
+    generated supports."""
+    generated = []
+    for support in random_supports(23, 200):
+        m = SingularityModel(support)
+        try:
+            m.pg()
+        except NewtonsingError:
+            continue
+        generated.append(m)
+    assert len(generated) >= 100
+    rows_scanned = []
+    scan = kernels.count_violating
+    monkeypatch.setattr(kernels, "count_violating", lambda rows, *rest: rows_scanned.append(len(rows)) or scan(rows, *rest))
+    for m in corpus + generated:
+        rows_scanned.clear()
+        count = m.pg_lattice_count()
+        assert rows_scanned == [len(m.oka.graph.nodes)]
+        assert count == lattice_count_all_rows(m) == m.pg().value, m.support
+    assert any(1 < len(m.oka.graph.nodes) < m.oka.graph.nv for m in generated)
 
 
 def test_headline_invariants_of_a_fresh_model():

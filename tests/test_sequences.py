@@ -11,7 +11,7 @@ from newtonsing.errors import BudgetExceeded, NewtonsingError
 from newtonsing import invariants, sequences
 from newtonsing.graph import wt_cycle, x1x2x3_cycle
 from newtonsing.invariants import SingularityModel
-from newtonsing.newton import PuiseuxPoly, Support
+from newtonsing.newton import Support
 from newtonsing.sequences import (
     SequenceContext,
     fill_cycle,
@@ -22,7 +22,7 @@ from newtonsing.sequences import (
     run_sequence,
 )
 from tests.conftest import FRONT_PAGE, adjunction_solve, brieskorn, model_for
-from tests.oracles import Step, chi, cycles, leg_vertices, steps, z_legs_cycle
+from tests.oracles import Step, chi, cycles, leg_vertices, puiseux, steps, z_legs_cycle
 from tests.test_newton import convenient_supports
 
 
@@ -159,7 +159,7 @@ def test_kind2_periodicity(support, bound, tie_break):
         if step.a and step.r <= bound:
             replayed[step.r] += step.a
     via_sequence = m.poincare_via_sequence(bound, tie_break=tie_break)
-    assert via_sequence == PuiseuxPoly(replayed)
+    assert via_sequence == puiseux(replayed)
     assert via_sequence == m.poincare_newton(bound)
 
 

@@ -197,14 +197,16 @@ def test_q_on_many_legged_star():
     assert q == [m.pg().value] == [56]
 
 
-def test_q_budget_error():
+def test_q_budget_error(monkeypatch):
     # x^9 + y^9 + z^9 + x^5 y^3: the walk tries 505 node values, so it
     # answers p_g at that budget and stops one state below it
     m = SingularityModel(Support([(0, 0, 9), (0, 9, 0), (5, 3, 0), (9, 0, 0)]))
     zk = at_nodes(m.minimal, m.zk_minimal)
-    assert counting_q(m.minimal, [zk], max_states=505) == [m.pg().value] == [56]
-    with pytest.raises(BudgetExceeded, match="state budget"):
-        counting_q(m.minimal, [zk], max_states=504)
+    monkeypatch.setattr(series, "COUNTING_STATES", 505)
+    assert counting_q(m.minimal, [zk]) == [m.pg().value] == [56]
+    monkeypatch.setattr(series, "COUNTING_STATES", 504)
+    with pytest.raises(BudgetExceeded, match="counting function enumeration exceeded its state budget"):
+        counting_q(m.minimal, [zk])
 
 
 def test_zeta_paths_stop_at_their_budget(monkeypatch):
@@ -216,6 +218,18 @@ def test_zeta_paths_stop_at_their_budget(monkeypatch):
         zeta_coefficient_convolution(m.minimal, [top])
     monkeypatch.setattr(series, "ZETA_TERMS", 10**6)
     assert [zeta_coefficient(m.minimal, top)] == zeta_coefficient_convolution(m.minimal, [top])
+
+
+def test_zeta_budget_message_names_the_budget_in_force(monkeypatch):
+    m = model_for(Support(ZETA_HEAVY[0]))
+    top = [x + 1 for x in m.zk_minimal]
+    with pytest.raises(BudgetExceeded) as caught:
+        zeta_coefficient_convolution(m.minimal, [top])
+    assert str(caught.value) == "zeta budget exceeded: the expansion forms more than 100000 terms"
+    monkeypatch.setattr(series, "ZETA_TERMS", 1000)
+    with pytest.raises(BudgetExceeded) as caught:
+        zeta_coefficient_convolution(m.minimal, [top])
+    assert str(caught.value) == "zeta budget exceeded: the expansion forms more than 1000 terms"
 
 
 def zeta_targets(g, zk, rng):
@@ -328,18 +342,20 @@ def test_counting_q_matches_zeta_sum_on_random_trees():
     assert len(trees) >= 25
 
 
-def test_counting_q_budget_on_a_chain():
+def test_counting_q_budget_on_a_chain(monkeypatch):
     # a node with the chains [2, 2, 2], [2, 2] and [2] as legs (E6): the
     # legs fold into the node's factor, so the walk tries the node values
     # 0..39 only, where a scan of the 7-dimensional box holds 9,836,640,000
     # cycles
     g = PlumbingGraph([2] * 7, [0] * 7, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (0, 6)])
-    assert counting_q(g, [(40,)], max_states=40) == [67]
+    monkeypatch.setattr(series, "COUNTING_STATES", 40)
+    assert counting_q(g, [(40,)]) == [67]
+    monkeypatch.setattr(series, "COUNTING_STATES", 39)
     with pytest.raises(BudgetExceeded, match="state budget"):
-        counting_q(g, [(40,)], max_states=39)
+        counting_q(g, [(40,)])
 
 
-def test_legs_never_branch_on_one_node_graphs(corpus):
+def test_legs_never_branch_on_one_node_graphs(corpus, monkeypatch):
     # on a one-node graph every arm is a leg, so the walk tries the node
     # value alone: z_n states at the target z, one per value below it
     stars = [m for m in corpus if len(m.minimal.nodes) == 1]
@@ -348,9 +364,13 @@ def test_legs_never_branch_on_one_node_graphs(corpus):
         g = m.minimal
         (zk,) = at_nodes(g, m.zk_minimal)
         for z in {zk, zk + 1, 2 * zk + 3} - {0}:
-            assert counting_q(g, [(z,)], max_states=z) == counting_q(g, [(z,)])
-            with pytest.raises(BudgetExceeded, match="state budget"):
-                counting_q(g, [(z,)], max_states=z - 1)
+            expected = counting_q(g, [(z,)])
+            with monkeypatch.context() as patched:
+                patched.setattr(series, "COUNTING_STATES", z)
+                assert counting_q(g, [(z,)]) == expected
+                patched.setattr(series, "COUNTING_STATES", z - 1)
+                with pytest.raises(BudgetExceeded, match="state budget"):
+                    counting_q(g, [(z,)])
 
 
 def test_counting_leaves_no_reference_cycles():
