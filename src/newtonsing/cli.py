@@ -86,10 +86,7 @@ def _cmd_diagram(model, args):
                 "vertices": [list(v) for v in f.vertices],
             }
         )
-    adjacency = [
-        [sorted(list(n) for n in key), t]
-        for key, t in sorted(poly.adjacency.items(), key=lambda kv: sorted(kv[0]))
-    ]
+    adjacency = sorted([sorted([list(a), list(b)]), t] for _, _, a, b, t in poly.edges)
     result = {
         "faces": faces,
         "adjacency": adjacency,

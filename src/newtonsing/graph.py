@@ -363,16 +363,7 @@ def oka_graph(poly: NewtonPolyhedron) -> OkaGraph:
         genus.append(0)
         return len(ell) - 1
 
-    # (compact, other, t): a compact face first, of two the smaller normal
-    pairs = []
-    for key, t in poly.adjacency.items():
-        a_vec, b_vec = key
-        if b_vec in node_ids and (a_vec not in node_ids or b_vec < a_vec):
-            a_vec, b_vec = b_vec, a_vec
-        pairs.append((a_vec, b_vec, t))
-    pairs.sort()
-
-    for a_vec, b_vec, t in pairs:
+    for _, _, a_vec, b_vec, t in poly.edges:
         b_compact = b_vec in node_ids
         string, seq = pair_data(a_vec, b_vec, 0 if b_compact else 1)[2:]
         for _ in range(t):

@@ -28,7 +28,9 @@ and the lattice count of Z_K - E from every row of the Oka graph
 the package's comparisons at the nodes only.  Every dual cycle at once,
 from one fraction-free Gauss-Jordan pass on the form beside the identity
 (`scaled_duals`), is the reference for the rows that `IntersectionData.row`
-builds one by one.
+builds one by one.  Lescop's Casson-Walker formula (`casson_walker`), read
+off the plumbing graph alone, is the reference for the SW invariant of an
+integral homology sphere link.
 """
 
 from collections import Counter, namedtuple
@@ -387,6 +389,21 @@ def scaled_duals(g: PlumbingGraph) -> tuple:
     return tuple(tuple(sign * x for x in row[n:]) for row in rows)
 
 
+def casson_walker(g: PlumbingGraph) -> Fraction:
+    """Lescop's surgery formula for the Casson-Walker invariant of the
+    plumbed link, in the normalization where it equals sw^0 of the
+    canonical spin-c structure on an integral homology sphere:
+    (sum_v -b_v + 3 |V| + sum_v (2 - delta_v) (E_v^*)^2) / 24, with
+    (E_v^*)^2 = -m_v(E_v^*) = -row(v)[v] / |H|.  Vertices of degree 2 add
+    nothing to the last sum, so only leaves and nodes read a dual row."""
+    data = g.data
+    total = Fraction(3 * g.nv - sum(g.b))
+    for v, delta in enumerate(g.degree):
+        if delta != 2:
+            total -= Fraction((2 - delta) * data.row(v)[v], data.group_order)
+    return total / 24
+
+
 def minimal_cycle(g: PlumbingGraph) -> tuple:
     """Artin's minimal cycle: the Laufer sequence from E_0 with no vertex
     held fixed.  Its fixed point does not depend on the order of increments."""
@@ -509,7 +526,7 @@ def positive_diagram_points(poly: NewtonPolyhedron):
     """Lattice points with all coordinates positive on the union of compact
     faces, by a scan of every face's bounding box."""
     found = set()
-    faces = poly.all_faces()
+    faces = poly.compact_faces + poly.noncompact_faces
     for face in poly.compact_faces:
         lo = [max(min(v[c] for v in face.vertices), 1) for c in range(3)]
         hi = [max(v[c] for v in face.vertices) for c in range(3)]
@@ -522,7 +539,7 @@ def positive_diagram_points(poly: NewtonPolyhedron):
 def interior_points(poly: NewtonPolyhedron, face) -> int:
     """Lattice points of the compact face strictly inside every other face's
     half-space, by a scan of the face's bounding box."""
-    others = [g for g in poly.all_faces() if g.normal != face.normal]
+    others = [g for g in poly.compact_faces + poly.noncompact_faces if g.normal != face.normal]
     lo = [min(v[c] for v in face.vertices) for c in range(3)]
     hi = [max(v[c] for v in face.vertices) for c in range(3)]
     points = plane_points(face.normal, face.value, lo, hi)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from newtonsing import cli, graph, invariants, kernels
+from newtonsing import cli, graph, invariants, kernels, newton
 from newtonsing.cli import main
 from newtonsing.invariants import SingularityModel
 from newtonsing.newton import Support, make_convenient, newton_polyhedron
@@ -146,6 +146,34 @@ def test_one_face_poincare_counts_without_visiting_points(tmp_path, capsys, monk
     assert code == 0
     assert out.count("\n") == 1
     assert json.loads(out)["oracles"]["newton_filtration_agrees"]
+
+
+def curved_support(r):
+    """The points (i, j, 2r^2 - i - j + floor((i - j)^2 / 2r)) for 0 <= i, j <= r^2
+    whose last coordinate is nonnegative, and 4r^2 on each axis."""
+    side = range(r * r + 1)
+    pts = [(i, j, 2 * r * r - i - j + (i - j) ** 2 // (2 * r)) for i in side for j in side]
+    return [p for p in pts if p[2] >= 0] + [(4 * r * r, 0, 0), (0, 4 * r * r, 0), (0, 0, 4 * r * r)]
+
+
+def test_polyhedron_budget_fails_fast(tmp_path, capsys, monkeypatch):
+    # 81 kept points at r = 4 give 95,043 candidate planes; 430 at r = 7
+    # give 13,435,568, and none of them is built
+    code, out = run_cli(capsys, write_doc(tmp_path, curved_support(4)), "diagram")
+    assert code == 0 and len(json.loads(out)["result"]["faces"]) == 8
+
+    def no_candidates(pts):
+        raise RuntimeError("a candidate was built past the budget")
+
+    monkeypatch.setattr(newton, "_candidate_normals", no_candidates)
+    path = write_doc(tmp_path, curved_support(7))
+    started = time.perf_counter()
+    code, out = run_cli(capsys, path, "diagram")
+    assert time.perf_counter() - started < 2.0
+    assert code == 1
+    report = json.loads(out)
+    assert report["error"] == "BudgetExceeded"
+    assert "polyhedron budget" in report["message"]
 
 
 @pytest.mark.parametrize("points", ZETA_HEAVY[:2])

@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 
@@ -562,25 +561,38 @@ def test_minimal_cycle_simple():
 
 
 def test_minimal_cycle_e8_brute_force():
+    """Artin's minimal cycle is the componentwise minimum of the nonzero
+    cycles Z >= 0 with (Z, E_v) <= 0 at every v, over all 9^8 coefficient
+    vectors in [0, 8]^8.  The search assigns the vertices in breadth-first
+    order and prunes only what no cone cycle reaches: as the unassigned
+    coefficients are >= 0, (Z, E_v) <= 0 bounds z_v below by its assigned
+    neighbours, and each assigned neighbour u bounds it above by b_u z_u
+    less u's other assigned neighbours."""
     g = e8_graph()
     z = minimal_cycle(g)
-    imat = np.array(g.intersection_matrix(), dtype=np.int64)
-    best = None
-    grids = np.array(
-        np.meshgrid(*[np.arange(9)] * 4, indexing="ij"), dtype=np.int64
-    ).reshape(4, -1).T
-    for head in grids:
-        block = np.concatenate(
-            [np.repeat(head[None, :], len(grids), axis=0), grids], axis=1
-        )
-        ok = (block @ imat <= 0).all(axis=1) & (block.sum(axis=1) > 0)
-        for cand in block[ok]:
-            cand = tuple(int(x) for x in cand)
-            if best is None:
-                best = cand
-            else:
-                best = tuple(min(a, b) for a, b in zip(best, cand))
-    assert best == z
+    order = [0]
+    for v in order:
+        order.extend(u for u in g.neighbors[v] if u not in order)
+    coeffs = [None] * g.nv
+    found = []
+
+    def search(k):
+        if k == g.nv:
+            found.append(tuple(coeffs))
+            return
+        v = order[k]
+        placed = [u for u in g.neighbors[v] if coeffs[u] is not None]
+        lo = -(-sum(coeffs[u] for u in placed) // g.b[v])
+        hi = min([8] + [g.b[u] * coeffs[u] - sum(coeffs[w] or 0 for w in g.neighbors[u]) for u in placed])
+        for x in range(lo, hi + 1):
+            coeffs[v] = x
+            search(k + 1)
+        coeffs[v] = None
+
+    search(0)
+    cone = [c for c in found if any(c)]
+    assert cone and all(g.dot_E(c, v) <= 0 for c in found for v in range(g.nv))
+    assert tuple(min(column) for column in zip(*cone)) == z
     # local pointwise minimality: dropping any component leaves the cone
     for v in range(g.nv):
         dropped = list(z)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -7,7 +8,7 @@ from newtonsing.errors import NewtonsingError, NoCompactFace, NotIsolated, NotRa
 from newtonsing.invariants import SingularityModel
 from newtonsing.newton import Support
 from tests.conftest import brieskorn
-from tests.oracles import coefficient, lattice_count_all_rows
+from tests.oracles import casson_walker, coefficient, lattice_count_all_rows
 from tests.test_newton import random_supports
 
 
@@ -81,6 +82,33 @@ def test_sw_result_relation(corpus):
         res = m.sw()
         assert res.value == m.pg().value
         assert res.sw_canonical == res.value + Fraction(res.zk_sq + res.vertex_count, 8)
+
+
+def test_sw_equals_casson_walker_on_integral_homology_spheres(corpus):
+    """On a link with |H| = 1 the canonical SW invariant is the Casson-Walker
+    invariant, read off the plumbing graph alone: on the corpus, on the
+    pairwise coprime Brieskorn triples a < b < c with a < 14, b < 16 and
+    c < 20, and on generated supports."""
+    triples = [
+        (a, b, c)
+        for a in range(2, 14)
+        for b in range(a + 1, 16)
+        for c in range(b + 1, 20)
+        if gcd(a, b) == gcd(b, c) == gcd(a, c) == 1
+    ]
+    generated = [SingularityModel(brieskorn(*abc)) for abc in triples]
+    for support in random_supports(31, 300):
+        m = SingularityModel(support)
+        try:
+            m.sw()
+        except NewtonsingError:
+            continue
+        generated.append(m)
+    spheres = [m for m in corpus if m.minimal.data.group_order == 1]
+    generated = [m for m in generated if m.minimal.data.group_order == 1]
+    assert len(triples) == 237 and spheres and len(generated) >= 300
+    for m in spheres + generated:
+        assert casson_walker(m.minimal) == m.sw().sw_canonical, m.support
 
 
 def test_poincare_constant_coefficient(corpus):

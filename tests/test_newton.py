@@ -484,7 +484,7 @@ def _outcome(build, support):
         poly = build(support)
     except Exception as exc:  # the oracle must fail the same way
         return type(exc), str(exc)
-    return poly.support, poly.compact_faces, poly.noncompact_faces, poly.adjacency
+    return poly.support, poly.compact_faces, poly.noncompact_faces, poly.edges
 
 
 def assert_polyhedron_matches_oracle(support):

@@ -140,3 +140,24 @@ def test_dual_rows_are_built_one_by_one_on_trees():
     ]
     assert "intersection_matrix" in {name for name, _ in _read_names(bareiss)}
     assert equalities == [] and concatenations == []
+
+
+def test_edge_incidence_has_one_producer():
+    """`NewtonPolyhedron.edges` is the one list of which faces meet at which
+    edge: no module defines `_diagram_edges`, `t_between` or `all_faces`
+    (as a function, class, field or assigned name), and none reads an
+    attribute named `adjacency`."""
+    defined, reads = set(), []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                defined.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                if isinstance(node.ctx, ast.Store):
+                    defined.add(node.attr)
+                elif node.attr == "adjacency":
+                    reads.append(f"{path.name}:{node.lineno}")
+    assert defined & {"_diagram_edges", "t_between", "all_faces"} == set()
+    assert reads == []
