@@ -148,12 +148,15 @@ def is_convenient(support: Support) -> bool:
 
 
 def _minimal_points(pts):
-    """The points p of pts with no other point q of pts below them (q <= p)."""
-    return [
-        p
-        for p in pts
-        if not any(q != p and q[0] <= p[0] and q[1] <= p[1] and q[2] <= p[2] for q in pts)
-    ]
+    """The points p of pts with no other point q of pts below them (q <= p).
+
+    pts is sorted without repeats (`Support.points`), so below any point
+    below p lies a point kept before p: p is tested against those only."""
+    kept = []
+    for p in pts:
+        if not any(q[0] <= p[0] and q[1] <= p[1] and q[2] <= p[2] for q in kept):
+            kept.append(p)
+    return kept
 
 
 def _candidate_normals(pts):

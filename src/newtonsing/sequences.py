@@ -1,20 +1,19 @@
 """Laufer operator and the ratio-test computation sequences.
 
-A sequence context packages the graph, the per-node ratio data and the
-target cycle; `run_sequence` then produces the node steps (Z_i, v(i), a_i,
-r_i) as two integer columns, the node each step raises and its pairing
-(Z_i, E_v), with no object per step: a_i is max(0, 1 - pairing), the ratio
-of the k-th step at a node is (k + offset) / denominator, and Z_i's node
-values count the earlier steps at each node (`SequenceResult`).  The
-connecting Laufer steps contribute nothing to the sums, and the sequence
-tracks node values only: along each chain from a node n toward o Laufer's
-completion is the interpolation ceil((beta z_n + z_o) / alpha)
-(`PlumbingGraph.arms`), so (Z_i, E_n) is read off the node values.  Every
-Z_i is the chain fill of its node values, and its readers compare it at
-the nodes only (see `series.counting_q`), so no step's full cycle is ever
-filled: `fill_cycle` fills the reached cycle and the kind-III target
-x(Z_K - E).  `laufer_x` runs the Laufer operator itself; the tests use it
-as the oracle for `fill_cycle`, and no production path calls it.
+A sequence context packages the graph, the target cycle and two integer
+node columns: the ratio at node value z is (z + offset) / denominator, every
+denominator positive.  `run_sequence` keeps each node's ratio as one integer
+key over D, the lcm of the denominators, and produces the node steps
+(Z_i, v(i), a_i, r_i) as two integer columns, the node each step raises and
+its pairing (Z_i, E_v), with no object per step (`SequenceResult`).  The
+connecting Laufer steps contribute nothing to the sums, and only node
+values move: along each chain from a node n toward o Laufer's completion is
+ceil((beta z_n + z_o) / alpha) (`PlumbingGraph.arms`), so (Z_i, E_n) is
+read off the node values.  No step's full cycle is ever filled (its readers
+compare it at the nodes, see `series.counting_q`): `fill_cycle` fills the
+reached cycle and the kind-III target x(Z_K - E).  `laufer_x` runs the
+Laufer operator itself; the tests use it as the oracle for `fill_cycle`,
+and no production path calls it.
 """
 
 from dataclasses import dataclass
@@ -85,6 +84,7 @@ class SequenceResult:
     graph: PlumbingGraph
     offsets: tuple  # per node position: the ratio's numerator at value 0
     denominators: tuple  # per node position: the ratio's denominator, positive
+    denominator: int  # the lcm of the denominators: every ratio is an integer over it
 
     @cached_property
     def total(self) -> int:
@@ -93,11 +93,6 @@ class SequenceResult:
     def increments(self):
         """Each step's a_i = max(0, 1 - (Z_i, E_v)), one by one."""
         return (1 - p if p < 1 else 0 for p in self.pairings)
-
-    @cached_property
-    def denominator(self) -> int:
-        """The lcm of the node denominators: every ratio is an integer over it."""
-        return lcm(*self.denominators)
 
     def numerators(self):
         """Each step's ratio times `denominator`, one by one."""
@@ -129,15 +124,18 @@ class SequenceContext:
     kind: str
     graph: PlumbingGraph
     target: tuple
-    numerator_offset: dict  # node -> int
-    denominator: dict  # node -> int
+    offsets: tuple  # per node position: the ratio's numerator at value 0
+    denominators: tuple  # per node position: the ratio's denominator, positive
 
 
 def kind1_context(graph: PlumbingGraph, zk) -> SequenceContext:
-    """Targets zk, the graph's Z_K; run on the minimal model (or an Oka graph)."""
-    offsets = {n: 0 for n in graph.nodes}
-    denominators = {n: zk[n] - 1 for n in graph.nodes}
-    return SequenceContext("I", graph, zk, offsets, denominators)
+    """Targets zk, the graph's Z_K; run on the minimal model (or an Oka graph).
+
+    The ratio is z_n / max(Z_K,n - 1, 1): a node with Z_K,n <= 1 is raised at
+    most once, from 0, at ratio 0 over any positive denominator.
+    """
+    nodes = graph.nodes
+    return SequenceContext("I", graph, zk, (0,) * len(nodes), tuple(max(zk[n] - 1, 1) for n in nodes))
 
 
 def kind2_context(og: OkaGraph) -> SequenceContext:
@@ -162,7 +160,7 @@ def kind2_context(og: OkaGraph) -> SequenceContext:
             f"(wt(f), E_v) != 0 at non-node vertices {bad}; kind II needs a convenient diagram"
         )
     nodes = graph.nodes
-    return SequenceContext("II", graph, wtf, {n: 0 for n in nodes}, {n: wtf[n] for n in nodes})
+    return SequenceContext("II", graph, wtf, (0,) * len(nodes), tuple(wtf[n] for n in nodes))
 
 
 def kind3_context(og: OkaGraph) -> SequenceContext:
@@ -181,24 +179,25 @@ def kind3_context(og: OkaGraph) -> SequenceContext:
     target = fill_cycle(og.graph, [zk_e[n] for n in nodes])
     if any(z > x for z, x in zip(zk_e, target)):
         raise AssertionError("Z_K - E exceeds the chain fill of its node values")
-    offsets, denominators = {n: wtxyz[n] for n in nodes}, {n: wtf[n] for n in nodes}
+    offsets, denominators = tuple(wtxyz[n] for n in nodes), tuple(wtf[n] for n in nodes)
     return SequenceContext("III", og.graph, target, offsets, denominators)
 
 
 def run_sequence(ctx: SequenceContext, tie_break="min") -> SequenceResult:
     """Node steps of the computation sequence for the context's target.
 
-    Ties in the ratio go to the node maximising (Z, E_n); remaining ties to
-    the smallest node id (largest under tie_break="reversed", which the
-    invariance tests use).  Every sequence is finite: kind II stops at
-    wt(f), the end of its first period (see `kind2_context` for the rest).
+    Each step raises the node of least ratio; ties go to the node maximising
+    (Z, E_n), remaining ties to the smallest node id (largest under
+    tie_break="reversed", which the invariance tests use).  Every sequence
+    is finite: kind II stops at wt(f), the end of its first period (see
+    `kind2_context` for the rest).
 
-    Only node values move.  (Z, E_n) = -b_n z_n plus, per chain of n,
+    Each ratio is kept as the integer key (z_n + offset_n) D / den_n, D the
+    lcm of the denominators, which a step at n raises by D / den_n.  Only
+    node values move.  (Z, E_n) = -b_n z_n plus, per chain of n,
     ceil((beta z_n + z_o) / alpha) (`graph.node_pairing`); a step at n
     changes only the pairings of n and of the nodes its chains end at
     (`PlumbingGraph.node_chains`).
-    Ratios are compared by cross-multiplication, and each step appends two
-    ints: the chosen node's position and its pairing.
 
     Each step raises one node value below its target by 1, so no value
     passes max(target, 0) and the sum of those maxima bounds the number of
@@ -206,6 +205,8 @@ def run_sequence(ctx: SequenceContext, tie_break="min") -> SequenceResult:
     """
     if tie_break not in ("min", "reversed"):
         raise ValueError(tie_break)
+    if not all(d > 0 for d in ctx.denominators):
+        raise ValueError(f"ratio denominators must be positive: {ctx.denominators}")
     graph = ctx.graph
     nodes = graph.nodes
     target = [ctx.target[n] for n in nodes]
@@ -216,47 +217,40 @@ def run_sequence(ctx: SequenceContext, tie_break="min") -> SequenceResult:
             f"more than {SEQUENCE_STEPS}"
         )
     local = graph.node_chains
-    offset = [ctx.numerator_offset[n] for n in nodes]
-    denominator = [ctx.denominator[n] for n in nodes]
+    denominator = lcm(*ctx.denominators)
+    scale = [denominator // d for d in ctx.denominators]
+    key = [o * s for o, s in zip(ctx.offsets, scale)]
     z = [0] * len(nodes)
     pairings = [node_pairing(b_n, chains, 0, z) for b_n, chains in local]
     reversed_ties = tie_break == "reversed"
     steps, step_pairings = [], []
-    falls = False  # some ratio below the one before it
     while True:
         best = None
         for i in range(len(nodes)):
             if z[i] >= target[i]:
                 continue
-            num, den = z[i] + offset[i], denominator[i]
-            if den <= 0:
-                if num:
-                    raise NewtonsingError(f"ratio test undefined at node {nodes[i]}: {num}/{den}")
-                den = 1
-            if best is None:
-                best, b_num, b_den = i, num, den
-                continue
-            lhs, rhs = num * b_den, b_num * den
-            if lhs < rhs or (
-                lhs == rhs
-                and (pairings[i] > pairings[best] or (pairings[i] == pairings[best] and reversed_ties))
+            k = key[i]
+            if (
+                best is None
+                or k < b_key
+                or (k == b_key and (pairings[i] > pairings[best] or (pairings[i] == pairings[best] and reversed_ties)))
             ):
-                best, b_num, b_den = i, num, den
+                best, b_key = i, k
         if best is None:
             break
-        if steps and b_num * last_den < last_num * b_den:
-            falls = True
-        last_num, last_den = b_num, b_den
+        if steps and b_key < last:
+            raise AssertionError("sequence ratios must be nondecreasing")
+        last = b_key
         steps.append(best)
         step_pairings.append(pairings[best])
         z[best] += 1
+        key[best] += scale[best]
         b_n, chains = local[best]
         pairings[best] = node_pairing(b_n, chains, z[best], z)
         for _, _, o in chains:
             if o is not None:
                 pairings[o] = node_pairing(*local[o], z[o], z)
-    if falls:
-        raise AssertionError("sequence ratios must be nondecreasing")
-    denominators = tuple(d if d > 0 else 1 for d in denominator)
     reached = fill_cycle(graph, z)
-    return SequenceResult(ctx.kind, steps, step_pairings, ctx.target, reached, graph, tuple(offset), denominators)
+    return SequenceResult(
+        ctx.kind, steps, step_pairings, ctx.target, reached, graph, ctx.offsets, ctx.denominators, denominator
+    )

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from newtonsing import cli, graph, invariants, kernels, newton
 from newtonsing.cli import main
 from newtonsing.invariants import SingularityModel
+from newtonsing.lattice import cross, vec_sub
 from newtonsing.newton import Support, make_convenient, newton_polyhedron
 from newtonsing.sequences import fill_cycle
 from newtonsing.series import counting_q, zeta_coefficient_convolution
@@ -363,6 +364,47 @@ def test_diagram_payload(tmp_path, capsys):
     normals = {tuple(f["normal"]) for f in report["result"]["faces"] if f["compact"]}
     assert normals == {(11, 5, 7), (6, 3, 4), (32, 12, 21), (15, 8, 6)}
     assert report["result"]["anatomy"]["central_face"] == [11, 5, 7]
+
+
+def _diagram_anatomy(tmp_path, capsys, monomials):
+    code, out = run_cli(capsys, write_doc(tmp_path, monomials), "diagram")
+    assert code == 0
+    result = json.loads(out)["result"]
+    return result["anatomy"], {tuple(f["normal"]): f["vertices"] for f in result["faces"]}
+
+
+def _meet(poly, a, b):
+    return any({normal, other} == {a, b} for _, _, normal, other, _ in poly.edges)
+
+
+def test_diagram_anatomy_of_a_trapezoid(tmp_path, capsys):
+    monomials = [(0, 0, 4), (0, 2, 0), (3, 0, 2), (3, 1, 0), (14, 0, 0)]
+    anatomy, vertices = _diagram_anatomy(tmp_path, capsys, monomials)
+    assert anatomy == {
+        "kind": "central_face",
+        "central_face": [2, 6, 3],
+        "central_shape": "trapezoid",
+        "central_edge_count": 0,
+        "arms": {"1": [[2, 22, 11]], "2": [], "3": []},
+        "degenerate_arms": [2, 3],
+    }
+    # the central face has four vertices, and two opposite sides are parallel
+    corners = vertices[2, 6, 3]
+    sides = [vec_sub(corners[(i + 1) % 4], corners[i]) for i in range(4)]
+    assert len(corners) == 4
+    assert any(cross(sides[i], sides[i + 2]) == (0, 0, 0) for i in range(2))
+
+
+def test_diagram_arm_starts_at_the_central_face(tmp_path, capsys):
+    monomials = [(0, 0, 5), (0, 1, 2), (0, 6, 0), (4, 2, 0), (5, 0, 2), (7, 0, 1), (13, 0, 0), (16, 0, 1)]
+    anatomy, _ = _diagram_anatomy(tmp_path, capsys, monomials)
+    assert anatomy["central_face"] == [3, 10, 11] and anatomy["central_shape"] == "triangle"
+    assert anatomy["arms"] == {"1": [[2, 9, 12]], "2": [[2, 2, 5]], "3": [[1, 5, 2], [3, 15, 5]]}
+    # the arm runs center outward: its first face meets the central face,
+    # its second meets the first and not the central face
+    poly = newton_polyhedron(Support(monomials))
+    assert _meet(poly, (1, 5, 2), (3, 10, 11)) and _meet(poly, (1, 5, 2), (3, 15, 5))
+    assert not _meet(poly, (3, 15, 5), (3, 10, 11))
 
 
 def test_domain_error_exit_code(tmp_path, capsys):

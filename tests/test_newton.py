@@ -556,6 +556,27 @@ def test_polyhedron_matches_oracle_on_40_points(points):
     assert compact
 
 
+def test_minimal_points_match_the_all_pairs_definition():
+    # random starts, each with a chain of points above it, so that points
+    # are dropped below kept ones and below dropped ones
+    rng = random.Random(38)
+    dropped = 0
+    for _ in range(300):
+        pts = {tuple(rng.randint(0, 6) for _ in range(3)) for _ in range(rng.randint(1, 12))}
+        for p in list(pts):
+            for _ in range(rng.randint(0, 3)):
+                p = tuple(x + rng.randint(0, 2) for x in p)
+                pts.add(p)
+        pts.discard((0, 0, 0))
+        if not pts:
+            continue
+        points = Support(pts).points
+        expected = [p for p in points if not any(q != p and all(a <= b for a, b in zip(q, p)) for q in points)]
+        assert newton._minimal_points(points) == expected
+        dropped += len(points) - len(expected)
+    assert dropped > 300
+
+
 def test_antichain_keeps_every_point():
     pts = Support(_antichain_40()).points
     assert newton._minimal_points(pts) == list(pts)

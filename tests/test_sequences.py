@@ -186,19 +186,9 @@ def full_unit_step_path(ctx):
     path = [z]
     picks = []
     while any(z[n] < ctx.target[n] for n in g.nodes):
-        eligible = [n for n in g.nodes if z[n] < ctx.target[n]]
-        best = min(
-            (Fraction(z[n] + ctx.numerator_offset[n], ctx.denominator[n]), n)
-            for n in eligible
-            if ctx.denominator[n] > 0
-        )[1] if any(ctx.denominator[n] > 0 for n in eligible) else eligible[0]
-        pool = [
-            n
-            for n in eligible
-            if ctx.denominator[n] > 0
-            and Fraction(z[n] + ctx.numerator_offset[n], ctx.denominator[n])
-            == Fraction(z[best] + ctx.numerator_offset[best], ctx.denominator[best])
-        ] or eligible
+        ratios = {n: _ratio(ctx, z, n) for n in g.nodes if z[n] < ctx.target[n]}
+        least = min(ratios.values())
+        pool = [n for n, r in ratios.items() if r == least]
         top = max(g.dot_E(z, n) for n in pool)
         n = min(p for p in pool if g.dot_E(z, p) == top)
         z = list(z)
@@ -294,13 +284,8 @@ class LauferWalk:
 
 
 def _ratio(ctx: SequenceContext, z, n) -> Fraction:
-    num = z[n] + ctx.numerator_offset[n]
-    den = ctx.denominator[n]
-    if den > 0:
-        return Fraction(num, den)
-    if num == 0:
-        return Fraction(0)
-    raise NewtonsingError(f"ratio test undefined at node {n}: {num}/{den}")
+    i = ctx.graph.nodes.index(n)
+    return Fraction(z[n] + ctx.offsets[i], ctx.denominators[i])
 
 
 def laufer_walk_sequence(ctx: SequenceContext, tie_break="min") -> LauferWalk:
@@ -395,21 +380,39 @@ def test_node_only_sequence_matches_laufer_walk_on_generated_supports(support, t
         assert_matches_laufer_walk(ctx, tie_break)
 
 
-def test_node_only_sequence_matches_laufer_walk_errors():
+def test_node_only_sequence_matches_laufer_walk_errors(monkeypatch):
     m = model_for(Support(FRONT_PAGE))
     g = m.minimal
     zk = tuple(int(x) for x in adjunction_solve(g))
-    nodes = g.nodes
-    # a node whose ratio has no positive denominator
-    ctx = SequenceContext("I", g, zk, {n: 1 for n in nodes}, {n: 0 for n in nodes})
-    assert assert_matches_laufer_walk(ctx, "min")[1].startswith("ratio test undefined at node")
+    ctx = kind1_context(g, zk)
     # node values of Z_K but a chain coefficient off by one: both walks end
     # at Z_K, which the model refuses (below)
     off = list(zk)
     off[next(v for v in range(g.nv) if g.degree[v] < 3)] += 1
-    ctx = SequenceContext("I", g, tuple(off), {n: 0 for n in nodes}, {n: zk[n] - 1 for n in nodes})
-    assert assert_matches_laufer_walk(ctx, "reversed") is None
-    assert run_sequence(ctx).reached == zk
+    off_target = replace(ctx, target=tuple(off))
+    assert assert_matches_laufer_walk(off_target, "reversed") is None
+    assert run_sequence(off_target).reached == zk
+    # a nonpositive denominator is refused before the first step: no
+    # pairing is ever read
+    monkeypatch.setattr(sequences, "node_pairing", None)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="denominators must be positive"):
+            run_sequence(replace(ctx, denominators=(bad,) + ctx.denominators[1:]))
+
+
+def test_kind1_raises_a_node_with_canonical_value_one_at_ratio_zero():
+    # on this Oka graph a node has Z_K,n = 1: Z_K,n - 1 = 0 is no
+    # denominator, and the context puts 1 in its place
+    m = model_for(Support([(0, 0, 7), (0, 1, 2), (0, 3, 0), (7, 0, 0)]))
+    g = m.oka.graph
+    ctx = kind1_context(g, m.zk_oka)
+    ones = [i for i, n in enumerate(g.nodes) if m.zk_oka[n] == 1]
+    assert ones and all(ctx.denominators[i] == 1 for i in ones)
+    for tie_break in ("min", "reversed"):
+        assert assert_matches_laufer_walk(ctx, tie_break) is None
+        seq = run_sequence(ctx, tie_break)
+        raised = [k for i, k in zip(seq.steps, seq.numerators()) if i in ones]
+        assert raised == [0] * len(ones)
 
 
 @pytest.mark.parametrize("kind", ["I", "II"])

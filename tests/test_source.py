@@ -1,7 +1,12 @@
 import ast
+import sys
+from dataclasses import fields
 from pathlib import Path
 
+import pytest
+
 import newtonsing
+from newtonsing.sequences import SequenceContext, SequenceResult
 
 SOURCES = sorted(Path(newtonsing.__file__).parent.glob("*.py"))
 BENCHMARK = sorted((Path(newtonsing.__file__).parents[2] / "perfbench").glob("*.py"))
@@ -98,7 +103,8 @@ def test_chain_fills_stay_in_the_sequences_module():
 def test_sequences_keep_their_steps_as_columns():
     """`sequences.py` never names `Fraction` and defines no class besides the
     context and the result: a sequence's steps are two integer columns, with
-    no object per step, and its ratios are compared by cross-multiplication."""
+    no object per step, and each node's ratio is one integer key over the
+    lcm of the node denominators."""
     path = Path(newtonsing.__file__).parent / "sequences.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     names = {name for name, _ in _read_names(tree)}
@@ -106,6 +112,33 @@ def test_sequences_keep_their_steps_as_columns():
     assert "Fraction" not in names
     classes = sorted(node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef))
     assert classes == ["SequenceContext", "SequenceResult"]
+
+
+def test_sequence_context_hands_over_the_result_node_columns():
+    """A context holds the ratio data as the two node columns under the
+    names the result reads them by, so `run_sequence` copies nothing."""
+    context = [field.name for field in fields(SequenceContext)]
+    assert context == ["kind", "graph", "target", "offsets", "denominators"]
+    assert set(context) <= {field.name for field in fields(SequenceResult)}
+
+
+def test_test_extra_lists_the_third_party_imports():
+    """The `test` extra in pyproject.toml names exactly the third-party
+    modules that `tests/` and `perfbench/` import: neither the standard
+    library nor the repo's own modules."""
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(newtonsing.__file__).parents[2]
+    own = {"newtonsing", "tests", "perfbench"} | {path.stem for path in BENCHMARK}
+    imported = set()
+    for path in sorted((root / "tests").rglob("*.py")) + sorted((root / "perfbench").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - own
+    extra = tomllib.loads((root / "pyproject.toml").read_text())["project"]["optional-dependencies"]["test"]
+    assert third_party == set(extra)
 
 
 def test_counting_walk_reads_the_node_table():
