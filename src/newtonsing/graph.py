@@ -16,11 +16,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import Disconnected, NoCompactFace, NotNegativeDefinite, NotRationalHomologySphere, NotTree
+from .errors import BudgetExceeded, Disconnected, NoCompactFace, NotNegativeDefinite, NotRationalHomologySphere, NotTree
 from .lattice import dot, pair_data
 from .newton import NewtonPolyhedron, Support, face_interior_points
 
 ONES = (1, 1, 1)
+
+# Budget of `oka_graph`: its vertices, checked as each chain is expanded.
+# (2,3,10^6) has 166,673 of them (`pg` 4.3 s, 261 MB); (2,3,10^8) would
+# have about 1.7e7, and x^(10^30) + y^2 + z^3 one chain of 1.7e29.
+OKA_VERTICES = 2 * 10**5
 
 
 class PlumbingGraph:
@@ -343,7 +348,8 @@ def oka_graph(poly: NewtonPolyhedron) -> OkaGraph:
     The graph reads everything off `poly`, and its `.polyhedron` and
     `.support` are `poly` and `poly.support`.  The caller owns the
     polyhedron: `SingularityModel` passes its own, and `make_convenient`
-    each candidate's.
+    each candidate's.  A graph of more than OKA_VERTICES vertices raises
+    BudgetExceeded before the chain that would pass the budget is built.
     """
     support = poly.support
     if not poly.compact_faces:
@@ -365,7 +371,10 @@ def oka_graph(poly: NewtonPolyhedron) -> OkaGraph:
 
     for _, _, a_vec, b_vec, t in poly.edges:
         b_compact = b_vec in node_ids
-        string, seq = pair_data(a_vec, b_vec, 0 if b_compact else 1)[2:]
+        try:  # the edge's t chains must fit in the budget's remainder
+            string, seq = pair_data(a_vec, b_vec, 0 if b_compact else 1, (OKA_VERTICES - len(ell)) // t)[2:]
+        except BudgetExceeded:
+            raise BudgetExceeded(f"Oka graph budget exceeded: the graph has more than {OKA_VERTICES} vertices") from None
         for _ in range(t):
             vids = tuple(new_vertex(vec, s) for vec, s in zip(seq, string))
             chain = [node_ids[a_vec], *vids]

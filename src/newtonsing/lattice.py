@@ -8,7 +8,7 @@ selfintersection numbers and the chain of primitive vectors between them.
 
 from math import gcd
 
-from .errors import EqualVectors, NonCoprime, NonPrimitiveInput
+from .errors import BudgetExceeded, EqualVectors, NonCoprime, NonPrimitiveInput
 
 IntVec3 = tuple[int, int, int]
 
@@ -82,12 +82,13 @@ def _inverse_functional(a: IntVec3) -> IntVec3:
     return (p * s, p * t, q)
 
 
-def negative_cf(alpha: int, beta: int) -> list[int]:
+def negative_cf(alpha: int, beta: int, limit=None) -> list[int]:
     """Negative continued fraction expansion [b_1, ..., b_s] of alpha/beta.
 
     Satisfies b_1 - 1/(b_2 - 1/(...)) = alpha/beta with b_j >= 2 for j >= 2,
     which makes the expansion unique.  Requires 0 < beta <= alpha and
-    gcd(alpha, beta) = 1.
+    gcd(alpha, beta) = 1.  An expansion longer than `limit` raises
+    BudgetExceeded before its next term: s can be as large as alpha.
     """
     if not (0 < beta <= alpha):
         raise ValueError(f"need 0 < beta <= alpha, got {alpha}/{beta}")
@@ -95,13 +96,15 @@ def negative_cf(alpha: int, beta: int) -> list[int]:
         raise NonCoprime(f"gcd({alpha},{beta}) != 1")
     terms = []
     while beta > 0:
+        if len(terms) == limit:
+            raise BudgetExceeded(f"negative continued fraction longer than {limit} terms")
         q = -(-alpha // beta)  # ceil
         terms.append(q)
         alpha, beta = beta, q * beta - alpha
     return terms
 
 
-def pair_data(a: IntVec3, b: IntVec3, unit_choice: int = 0):
+def pair_data(a: IntVec3, b: IntVec3, unit_choice: int = 0, limit=None):
     """(alpha, beta, selfintersection string, canonical primitive sequence).
 
     beta is the unique 0 <= beta < alpha with alpha | beta*a + b.  With
@@ -109,16 +112,17 @@ def pair_data(a: IntVec3, b: IntVec3, unit_choice: int = 0):
     beta = -u.b mod alpha, so beta costs two extended gcds; the start vector
     (beta*a + b) / alpha and the closing recursion certify it.  The string
     is empty exactly when the sequence is; for alpha = 1 with
-    unit_choice = 1 it is the single term [1].
+    unit_choice = 1 it is the single term [1] = `negative_cf(1, 1)`.  A
+    string longer than `limit` raises BudgetExceeded (`negative_cf`).
     """
     alpha = determinant_alpha(a, b)
     if alpha == 1:
         beta = unit_choice
         if unit_choice == 0:
             return alpha, beta, [], []
-        return alpha, beta, [1], [vec_add(a, b)]
+        return alpha, beta, negative_cf(1, 1, limit), [vec_add(a, b)]
     beta = -dot(_inverse_functional(a), b) % alpha
-    terms = negative_cf(alpha, beta)
+    terms = negative_cf(alpha, beta, limit)
     first = vec_add(vec_scale(beta, a), b)
     if any(x % alpha for x in first):
         raise AssertionError("canonical start vector not divisible by alpha")

@@ -1,14 +1,12 @@
 """Newton polyhedra of monomial supports in Z^3 and derived invariants.
 
 The polyhedron Gamma_+ = conv(support) + R^3_{>=0} is built in exact integer
-arithmetic from its minimal support points: every plane through three of
-them, or through two of them and a coordinate ray, or through one of them
-and two rays, gives a candidate normal, and a candidate is kept when its
-minimal set spans a face; Pick's theorem counts a face's lattice points.
-On top of it: isolatedness/convenience/rational-homology-sphere
-predicates, the weight function, the spectrum part in (-1, 0], the
-Poincare series of the induced filtration, and the central-face/arm
-anatomy of the diagram.
+arithmetic by gift wrapping (Chand and Kapur 1970): from the faces of the
+coordinate projections' Newton polygons, one pivot per edge finds the face
+across it; Pick's theorem counts a face's lattice points.  On top of it:
+isolatedness/convenience/rational-homology-sphere predicates, the weight
+function, the spectrum part in (-1, 0], the Poincare series of the
+induced filtration, and the central-face/arm anatomy of the diagram.
 
 The spectrum and the Poincare series count lattice points by weight.  With
 L the lcm of the compact face values, L * weight(p) is an integer, so one
@@ -25,8 +23,8 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import comb, floor, gcd, lcm
+from itertools import chain, combinations
+from math import floor, gcd, lcm
 
 from . import kernels
 from .errors import (
@@ -36,9 +34,7 @@ from .errors import (
     NotIsolated,
     NotRationalHomologySphere,
 )
-from .lattice import IntVec3, cross, dot, vec_sub
-
-IntVec2 = tuple[int, int]
+from .lattice import IntVec3, cross, dot, vec_scale, vec_sub
 
 _UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -46,10 +42,11 @@ _UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 # `poincare --max-exponent 50` spans 4.0e7 of them, and (2,3,5) at 200 2.4e8.
 WEIGHT_BOX_VOLUME = 10**8
 
-# Budget of `newton_polyhedron`: the candidate planes over the kept points.
-# The curved support of radius 6 gives 2,634,755 of them (1.9 s), and that
-# of radius 7 13,435,568.
-POLYHEDRON_CANDIDATES = 10**7
+# Budget of `newton_polyhedron`: the support points its wrap reads, a pass
+# per face and per pivot.  The curved support of radius 14 (38,812 points)
+# reads 7.0e5 of them, the paraboloid grid of side 30 (961 faces) 1.9e6 in
+# 0.36 s, and that of side 40 5.7e6.
+POLYHEDRON_READS = 5 * 10**6
 
 
 class Support:
@@ -147,68 +144,17 @@ def is_convenient(support: Support) -> bool:
     return True
 
 
-def _minimal_points(pts):
-    """The points p of pts with no other point q of pts below them (q <= p).
-
-    pts is sorted without repeats (`Support.points`), so below any point
-    below p lies a point kept before p: p is tested against those only."""
-    kept = []
-    for p in pts:
-        if not any(q[0] <= p[0] and q[1] <= p[1] and q[2] <= p[2] for q in kept):
-            kept.append(p)
-    return kept
-
-
-def _candidate_normals(pts):
-    """Primitive nonnegative normals of the planes spanned by points and rays.
-
-    The planes are those through three points (normal cross(q - p, r - p)),
-    through two points and a coordinate ray e_k (cross(q - p, e_k)) and
-    through one point and two rays (a unit vector).
-    """
-    raw = set(_UNITS)
-    for i, (px, py, pz) in enumerate(pts):
-        diffs = [(x - px, y - py, z - pz) for x, y, z in pts[i + 1 :]]
-        for j, (a, b, c) in enumerate(diffs):
-            raw.update(((0, c, -b), (-c, 0, a), (b, -a, 0)))
-            for d, e, f in diffs[j + 1 :]:
-                raw.add((b * f - c * e, c * d - a * f, a * e - b * d))
-    normals = set()
-    for a, b, c in raw:
-        if a < 0 or b < 0 or c < 0:
-            if a > 0 or b > 0 or c > 0:
-                continue  # no multiple of (a, b, c) is nonnegative
-            a, b, c = -a, -b, -c
-        g = gcd(a, b, c)
-        if g:
-            normals.add((a // g, b // g, c // g))
-    return normals
-
-
-def _spans_face(normal, minimal) -> bool:
-    """Whether the minimal set of a candidate normal (distinct points), with
-    the coordinate rays the normal leaves invariant, spans an affine plane.
-
-    Two zero coordinates: the two rays span it.  One zero, at k: some
-    minimal point must differ from the first in a coordinate other than k.
-    No zero: two differences from the first point must not be parallel.
-    """
-    zeros = normal.count(0)
-    if zeros == 2:
-        return True
-    x0, y0, z0 = minimal[0]
-    diffs = [(x - x0, y - y0, z - z0) for x, y, z in minimal[1:]]
-    if zeros:
-        return any(d[i] for d in diffs for i in range(3) if normal[i])
-    return any(cross(diffs[0], d) != (0, 0, 0) for d in diffs[1:])
-
-
-def _cross2(a: IntVec2, b: IntVec2) -> int:
-    return a[0] * b[1] - a[1] * b[0]
-
-
-def _sub2(a, b):
-    return (a[0] - b[0], a[1] - b[1])
+def _chain(points, i=0, j=1):
+    """Vertices of the lower hull, in coordinates (i, j), of points sorted by
+    coordinate i, from the first point to the last (monotone chain)."""
+    out = []
+    for r in points:
+        while len(out) >= 2 and (out[-1][i] - out[-2][i]) * (r[j] - out[-2][j]) <= (
+            out[-1][j] - out[-2][j]
+        ) * (r[i] - out[-2][i]):
+            out.pop()
+        out.append(r)
+    return out
 
 
 def convex_hull(points):
@@ -219,18 +165,7 @@ def convex_hull(points):
     pts = sorted(set(map(tuple, points)))
     if len(pts) <= 2:
         return pts
-
-    def chain(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2 and _cross2(_sub2(out[-1], out[-2]), _sub2(p, out[-2])) <= 0:
-                out.pop()
-            out.append(p)
-        return out
-
-    lower = chain(pts)
-    upper = chain(reversed(pts))
-    return lower[:-1] + upper[:-1]
+    return _chain(pts)[:-1] + _chain(pts[::-1])[:-1]
 
 
 def _hull_in_plane(points, normal):
@@ -244,75 +179,128 @@ def _hull_in_plane(points, normal):
     return tuple(proj[q] for q in hull2)
 
 
+def _newton_polygon(points, i, j):
+    """Vertices of the Newton polygon of points in coordinates (i, j), by
+    increasing i: the lower chain of the points below all before them."""
+    stair = []
+    for r in sorted(points, key=operator.itemgetter(i, j)):
+        if not stair or r[j] < stair[-1][j]:
+            stair.append(r)
+    return _chain(stair, i, j)
+
+
+def _pivot(points, p, q, normal, inside):
+    """Primitive normal of the face across the edge [p, q] of the face of
+    `normal`, with `inside` pointing from the edge into that face.
+
+    Of the directions w = r - p (r a support point, or p + e_k) that leave
+    the face's plane, height h = normal.w > 0, the one that turns least
+    from o, in the plane and pointing away from the face, spans the new
+    face: with s = o.w, w beats w' when s h' > h s'.
+    """
+    d = vec_sub(q, p)
+    o = cross(d, normal)
+    oa, ob, oc = vec_scale(-1, o) if dot(o, inside) > 0 else o
+    na, nb, nc = normal
+    px, py, pz = p
+    h0, s0 = na * px + nb * py + nc * pz, oa * px + ob * py + oc * pz
+    best_s, best_h, best = -1, 0, None
+    for r in chain(points, ((px + 1, py, pz), (px, py + 1, pz), (px, py, pz + 1))):
+        x, y, z = r
+        h = na * x + nb * y + nc * z - h0
+        if h > 0:
+            s = oa * x + ob * y + oc * z - s0
+            if s * best_h > h * best_s:
+                best_s, best_h, best = s, h, r
+    new = cross(d, vec_sub(best, p))
+    if dot(new, inside) < 0:
+        new = vec_scale(-1, new)
+    if min(new) < 0:
+        raise AssertionError(f"wrapped normal {new} across [{p}, {q}] has a negative entry")
+    g = gcd(*new)
+    return new[0] // g, new[1] // g, new[2] // g
+
+
 def newton_polyhedron(support: Support) -> NewtonPolyhedron:
     """All two dimensional faces of the Newton polyhedron of the support.
 
-    Points p >= q for another support point q are dropped first; the rest
-    build the same polyhedron.  Such a p lies on no compact face (there the
-    normal n > 0 gives n.p > n.q), and on a noncompact face p - q >= 0 is
-    orthogonal to n >= 0, so it lies in the span of the face's rays: no
-    face, value, vertex or edge changes, and `poly.support` stays the
-    support passed in.
-
-    Candidate normals come from `_candidate_normals` over the kept points.
-    They cover every face: a compact face holds three affinely independent
-    kept points, a noncompact face with one ray holds two kept points whose
-    difference is not along that ray, and a face with two rays has a unit
-    normal.  A candidate survives when its minimal set, together with the
-    coordinate rays it leaves invariant, spans an affine plane
-    (`_spans_face`).  With m points kept the cost is O(m^4): C(m, 3) +
-    3 C(m, 2) + 3 candidates, each checked against every kept point; no
-    step scans lattice points, so large exponents cost no more.  Past
-    POLYHEDRON_CANDIDATES candidates the support is refused before the
-    first one is built.
-
-    Each edge [p, q] of a compact face must lie on exactly one other face,
-    and the pair of faces on one lattice length t; `edges` lists it once.
+    The noncompact faces are the e_k and, for each k, one per edge of the
+    Newton polygon of the support's projection along e_k.  Their bounded
+    edges (the Newton polygon of e_k's points, the lower chain along e_k of
+    the others) seed a wrap: `_pivot` finds the face across each edge that
+    one face is known on, and a new compact face adds its edges.  Each
+    pivot and each face's points read the whole support, so the cost is
+    O(m) per face for m points; past POLYHEDRON_READS points read the
+    support is refused.  No step scans lattice points, so large exponents
+    cost no more.  `edges` lists each edge of a compact face once.
     """
     if not is_isolated(support):
         raise NotIsolated(f"{support} does not define an isolated singularity")
-    pts = _minimal_points(support.points)
-    m = len(pts)
-    candidates = comb(m, 3) + 3 * comb(m, 2) + 3
-    if candidates > POLYHEDRON_CANDIDATES:
-        raise BudgetExceeded(
-            f"polyhedron budget exceeded: {m} kept points give {candidates} candidate planes, "
-            f"more than {POLYHEDRON_CANDIDATES}"
-        )
-    compact, noncompact = [], []
-    for normal in sorted(_candidate_normals(pts)):
-        a, b, c = normal
-        levels = [a * x + b * y + c * z for x, y, z in pts]
-        value = min(levels)
-        minimal = [p for p, level in zip(pts, levels) if level == value]
-        if not _spans_face(normal, minimal):
-            continue
-        if a and b and c:
-            vertices = _hull_in_plane(minimal, normal)
-            compact.append(Face2D(normal, value, vertices, True))
-        else:
-            noncompact.append(Face2D(normal, value, (), False))
+    points = support.points
+    reads = 0
 
-    planes = [(g, *g.normal, g.value) for g in compact + noncompact]
+    def read():
+        nonlocal reads
+        reads += len(points)
+        if reads > POLYHEDRON_READS:
+            raise BudgetExceeded(
+                f"polyhedron budget exceeded: the wrap reads more than {POLYHEDRON_READS} support points"
+            )
+        return points
+
+    def plane(normal, value):
+        a, b, c = normal
+        return [r for r in read() if a * r[0] + b * r[1] + c * r[2] == value]
+
+    noncompact, work = {}, []  # work: (p, q, normal, inside) per face edge
+    for k, (i, j) in enumerate(((1, 2), (0, 2), (0, 1))):
+        unit = _UNITS[k]
+        noncompact[unit] = low = min(r[k] for r in points)
+        ring = _newton_polygon([r for r in points if r[k] == low], i, j)
+        work += [(u, v, unit, vec_sub((1, 1, 1), unit)) for u, v in zip(ring, ring[1:])]
+        ring = _newton_polygon(points, i, j)
+        for u, v in zip(ring, ring[1:]):
+            normal = [0, 0, 0]
+            normal[i], normal[j] = u[j] - v[j], v[i] - u[i]
+            g = gcd(*normal)
+            normal = (normal[0] // g, normal[1] // g, normal[2] // g)
+            noncompact[normal] = value = dot(normal, u)
+            lowest = {}
+            for r in sorted(plane(normal, value), key=operator.itemgetter(i, k)):
+                lowest.setdefault(r[i], r)
+            lower = _chain(list(lowest.values()), i, k)
+            work += [(a, b, normal, unit) for a, b in zip(lower, lower[1:])]
+
+    sides = {}  # edge -> normals of the faces found on it
+    for p, q, normal, _ in work:
+        sides.setdefault(frozenset((p, q)), []).append(normal)
+    compact = {}
+    for p, q, normal, inside in work:  # also reaches the edges appended below
+        if len(sides[frozenset((p, q))]) > 1:
+            continue
+        new = _pivot(read(), p, q, normal, inside)
+        if not all(new):  # a noncompact face's bounded edges are all seeds
+            raise AssertionError(f"wrapped normal {new} across [{p}, {q}] is not compact")
+        value = dot(new, p)
+        verts = _hull_in_plane(plane(new, value), new)
+        compact[new] = Face2D(new, value, verts, True)
+        for n, u in enumerate(verts):
+            sides.setdefault(frozenset((u, verts[n - 1])), []).append(new)
+            work.append((u, verts[n - 1], new, vec_sub(verts[n - 2], u)))
+
+    faces = [compact[normal] for normal in sorted(compact)]
     edges = {}
-    for face in compact:
+    for face in faces:
         verts = face.vertices
-        for i, (px, py, pz) in enumerate(verts):
-            q = qx, qy, qz = verts[(i + 1) % len(verts)]
-            others = [
-                g
-                for g, a, b, c, value in planes
-                if a * px + b * py + c * pz == value == a * qx + b * qy + c * qz
-                and g is not face
-            ]
-            if len(others) != 1:
-                raise AssertionError(f"edge [{verts[i]}, {q}] should lie on exactly one other face, got {others}")
-            other = others[0].normal
-            key = (other, face.normal) if others[0].compact and other < face.normal else (face.normal, other)
+        for n, (px, py, pz) in enumerate(verts):
+            q = qx, qy, qz = verts[(n + 1) % len(verts)]
+            (other,) = [g for g in sides[frozenset((verts[n], q))] if g != face.normal]
+            key = (other, face.normal) if all(other) and other < face.normal else (face.normal, other)
             t = gcd(qx - px, qy - py, qz - pz)
-            if edges.setdefault(key, (verts[i], q, *key, t))[4] != t:
+            if edges.setdefault(key, (verts[n], q, *key, t))[4] != t:
                 raise AssertionError(f"inconsistent adjacency length on {key}")
-    return NewtonPolyhedron(support, compact, noncompact, [edges[key] for key in sorted(edges)])
+    noncompact = [Face2D(normal, value, (), False) for normal, value in sorted(noncompact.items())]
+    return NewtonPolyhedron(support, faces, noncompact, [edges[key] for key in sorted(edges)])
 
 
 def make_convenient(poly: NewtonPolyhedron):

@@ -56,6 +56,21 @@ ZETA_HEAVY = [
 ]
 
 
+def curved_support(r):
+    """The points (i, j, 2r^2 - i - j + floor((i - j)^2 / 2r)) for 0 <= i, j <= r^2
+    whose last coordinate is nonnegative, and 4r^2 on each axis."""
+    side = range(r * r + 1)
+    pts = [(i, j, 2 * r * r - i - j + (i - j) ** 2 // (2 * r)) for i in side for j in side]
+    return [p for p in pts if p[2] >= 0] + [(4 * r * r, 0, 0), (0, 4 * r * r, 0), (0, 0, 4 * r * r)]
+
+
+def paraboloid_grid(s):
+    """The points (i, j, (s - i)^2 + (s - j)^2 + 2s^2) for 0 <= i, j <= s, and
+    8s^2 on each axis: a diagram of (s + 1)^2 compact faces."""
+    grid = [(i, j, (s - i) ** 2 + (s - j) ** 2 + 2 * s * s) for i in range(s + 1) for j in range(s + 1)]
+    return grid + [(8 * s * s, 0, 0), (0, 8 * s * s, 0), (0, 0, 8 * s * s)]
+
+
 def corpus_supports():
     out = [brieskorn(*abc) for abc in BRIESKORN_RHS]
     out.append(Support(FRONT_PAGE))

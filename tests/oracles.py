@@ -9,10 +9,14 @@ Z^3 are expected to supply their own identification with Z^2.
 The rest are small views of the package's objects that only the tests read:
 the exhaustive scan for Oka's beta, continued-fraction evaluation, Artin's minimal cycle, a graph rebuilt from
 its payload, leg cycles, chi, the pol part of the Poincare series and three
-Puiseux-polynomial helpers.  The face scans (every lattice point of a
-face's bounding box), the pairwise rank test of a candidate face and the
-blow-down loop that rescans the edge list are the references for the
-closed counts, the zero-pattern test and the heap that the package uses;
+Puiseux-polynomial helpers.  The candidate-plane scan
+(`reference_polyhedron`: a plane through every three minimal points or
+fewer and the rays, kept when its minimal set spans a face) is the
+reference for the polyhedron that the package wraps.  The face scans
+(every lattice point of a face's bounding box), the pairwise rank test of
+a candidate face and the blow-down loop that rescans the edge list are the
+references for the closed counts, the scan's zero-pattern test and the
+heap that the package uses;
 the walk along each column's lower envelope is the reference for the
 weight histogram's face cones, the counting walk with one generator per
 open slot (`ReducedCount`), which branches on every leg and chain vertex
@@ -41,21 +45,39 @@ from math import ceil, floor, gcd, lcm
 from operator import lt
 
 from newtonsing import kernels
-from newtonsing.errors import BudgetExceeded, ClassificationFailed, NewtonsingError, NotNegativeDefinite, NotRationalHomologySphere
+from newtonsing.errors import (
+    BudgetExceeded,
+    ClassificationFailed,
+    NewtonsingError,
+    NotIsolated,
+    NotNegativeDefinite,
+    NotRationalHomologySphere,
+)
 from newtonsing.graph import PlumbingGraph
 from newtonsing.lattice import _xgcd, content, cross, dot, vec_add, vec_scale, vec_sub
 from newtonsing.newton import (
     _UNITS,
-    IntVec2,
+    Face2D,
     NewtonPolyhedron,
     PuiseuxPoly,
-    _cross2,
-    _sub2,
+    _hull_in_plane,
     _weight_histogram,
     convex_hull,
+    is_isolated,
 )
 from newtonsing.sequences import fill_cycle
 from newtonsing.series import PartitionReport, _vertex_factor
+
+
+IntVec2 = tuple[int, int]
+
+
+def _cross2(a: IntVec2, b: IntVec2) -> int:
+    return a[0] * b[1] - a[1] * b[0]
+
+
+def _sub2(a, b):
+    return (a[0] - b[0], a[1] - b[1])
 
 
 class NotEmpty(NewtonsingError):
@@ -560,6 +582,105 @@ def spans_face(normal, minimal) -> bool:
     spanning = [vec_sub(p, minimal[0]) for p in minimal]
     rays = [e for k, e in enumerate(_UNITS) if normal[k] == 0]
     return affine_rank2(spanning + rays)
+
+
+def minimal_points(pts):
+    """The points p of pts with no other point q of pts below them (q <= p).
+
+    pts is sorted without repeats (`Support.points`), so below any point
+    below p lies a point kept before p: p is tested against those only."""
+    kept = []
+    for p in pts:
+        if not any(q[0] <= p[0] and q[1] <= p[1] and q[2] <= p[2] for q in kept):
+            kept.append(p)
+    return kept
+
+
+def candidate_normals(pts):
+    """Primitive nonnegative normals of the planes spanned by points and rays.
+
+    The planes are those through three points (normal cross(q - p, r - p)),
+    through two points and a coordinate ray e_k (cross(q - p, e_k)) and
+    through one point and two rays (a unit vector).
+    """
+    raw = set(_UNITS)
+    for i, (px, py, pz) in enumerate(pts):
+        diffs = [(x - px, y - py, z - pz) for x, y, z in pts[i + 1 :]]
+        for j, (a, b, c) in enumerate(diffs):
+            raw.update(((0, c, -b), (-c, 0, a), (b, -a, 0)))
+            for d, e, f in diffs[j + 1 :]:
+                raw.add((b * f - c * e, c * d - a * f, a * e - b * d))
+    normals = set()
+    for a, b, c in raw:
+        if a < 0 or b < 0 or c < 0:
+            if a > 0 or b > 0 or c > 0:
+                continue  # no multiple of (a, b, c) is nonnegative
+            a, b, c = -a, -b, -c
+        g = gcd(a, b, c)
+        if g:
+            normals.add((a // g, b // g, c // g))
+    return normals
+
+
+def spans_by_zeros(normal, minimal) -> bool:
+    """Whether the minimal set of a candidate normal (distinct points), with
+    the coordinate rays the normal leaves invariant, spans an affine plane.
+
+    Two zero coordinates: the two rays span it.  One zero, at k: some
+    minimal point must differ from the first in a coordinate other than k.
+    No zero: two differences from the first point must not be parallel.
+    """
+    zeros = normal.count(0)
+    if zeros == 2:
+        return True
+    x0, y0, z0 = minimal[0]
+    diffs = [(x - x0, y - y0, z - z0) for x, y, z in minimal[1:]]
+    if zeros:
+        return any(d[i] for d in diffs for i in range(3) if normal[i])
+    return any(cross(diffs[0], d) != (0, 0, 0) for d in diffs[1:])
+
+
+def reference_polyhedron(support, points=minimal_points, normals=candidate_normals):
+    """`newton.newton_polyhedron` by the candidate-plane scan, with no budget.
+
+    Every candidate normal from `normals(points(support.points))` is kept
+    when its minimal set spans a face (`spans_by_zeros`); each edge of a
+    compact face must then lie on exactly one other face, found by scanning
+    every face's plane.  Points above another point lie on no compact face
+    and on a noncompact face only in the span of its rays, so
+    `minimal_points` changes nothing; with m points kept the cost is
+    O(m^4).
+    """
+    if not is_isolated(support):
+        raise NotIsolated(f"{support} does not define an isolated singularity")
+    pts = points(support.points)
+    compact, noncompact = [], []
+    for normal in sorted(normals(pts)):
+        levels = [dot(normal, p) for p in pts]
+        value = min(levels)
+        minimal = [p for p, level in zip(pts, levels) if level == value]
+        if not spans_by_zeros(normal, minimal):
+            continue
+        if all(normal):
+            compact.append(Face2D(normal, value, _hull_in_plane(minimal, normal), True))
+        else:
+            noncompact.append(Face2D(normal, value, (), False))
+    edges = {}
+    for face in compact:
+        verts = face.vertices
+        for i, p in enumerate(verts):
+            q = verts[(i + 1) % len(verts)]
+            others = [
+                g for g in compact + noncompact if g is not face and dot(g.normal, p) == g.value == dot(g.normal, q)
+            ]
+            if len(others) != 1:
+                raise AssertionError(f"edge [{p}, {q}] should lie on exactly one other face, got {others}")
+            other = others[0].normal
+            key = (other, face.normal) if others[0].compact and other < face.normal else (face.normal, other)
+            t = content(vec_sub(q, p))
+            if edges.setdefault(key, (p, q, *key, t))[4] != t:
+                raise AssertionError(f"inconsistent adjacency length on {key}")
+    return NewtonPolyhedron(support, compact, noncompact, [edges[key] for key in sorted(edges)])
 
 
 def minimal_model_scan(g: PlumbingGraph) -> tuple:

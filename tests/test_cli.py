@@ -13,14 +13,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from newtonsing import cli, graph, invariants, kernels, newton
+from newtonsing import cli, graph, invariants, kernels
 from newtonsing.cli import main
 from newtonsing.invariants import SingularityModel
 from newtonsing.lattice import cross, vec_sub
 from newtonsing.newton import Support, make_convenient, newton_polyhedron
 from newtonsing.sequences import fill_cycle
 from newtonsing.series import counting_q, zeta_coefficient_convolution
-from tests.conftest import FRONT_PAGE, ZETA_HEAVY, corpus_supports
+from tests.conftest import FRONT_PAGE, ZETA_HEAVY, corpus_supports, curved_support, paraboloid_grid
 from tests.oracles import cycles, from_payload
 from tests.test_newton import random_supports
 
@@ -149,32 +149,47 @@ def test_one_face_poincare_counts_without_visiting_points(tmp_path, capsys, monk
     assert json.loads(out)["oracles"]["newton_filtration_agrees"]
 
 
-def curved_support(r):
-    """The points (i, j, 2r^2 - i - j + floor((i - j)^2 / 2r)) for 0 <= i, j <= r^2
-    whose last coordinate is nonnegative, and 4r^2 on each axis."""
-    side = range(r * r + 1)
-    pts = [(i, j, 2 * r * r - i - j + (i - j) ** 2 // (2 * r)) for i in side for j in side]
-    return [p for p in pts if p[2] >= 0] + [(4 * r * r, 0, 0), (0, 4 * r * r, 0), (0, 0, 4 * r * r)]
-
-
-def test_polyhedron_budget_fails_fast(tmp_path, capsys, monkeypatch):
-    # 81 kept points at r = 4 give 95,043 candidate planes; 430 at r = 7
-    # give 13,435,568, and none of them is built
-    code, out = run_cli(capsys, write_doc(tmp_path, curved_support(4)), "diagram")
-    assert code == 0 and len(json.loads(out)["result"]["faces"]) == 8
-
-    def no_candidates(pts):
-        raise RuntimeError("a candidate was built past the budget")
-
-    monkeypatch.setattr(newton, "_candidate_normals", no_candidates)
-    path = write_doc(tmp_path, curved_support(7))
+def test_curved_support_of_radius_8_answers(tmp_path, capsys):
+    # 4,228 monomials, on which the candidate-plane scan took 62.8 s
+    path = write_doc(tmp_path, curved_support(8))
     started = time.perf_counter()
     code, out = run_cli(capsys, path, "diagram")
     assert time.perf_counter() - started < 2.0
+    assert code == 0
+    assert sum(face["compact"] for face in json.loads(out)["result"]["faces"]) == 9
+
+
+def test_polyhedron_budget_fails_fast(tmp_path, capsys):
+    # the grid of side 45 has 2,116 compact faces, and its wrap would read
+    # about 9e6 support points
+    path = write_doc(tmp_path, paraboloid_grid(45))
+    started = time.perf_counter()
+    code, out = run_cli(capsys, path, "diagram")
+    assert time.perf_counter() - started < 5.0
     assert code == 1
     report = json.loads(out)
     assert report["error"] == "BudgetExceeded"
     assert "polyhedron budget" in report["message"]
+
+
+# x^2 + y^3 + z^(10^8) would have about 1.7e7 Oka vertices, and
+# x^(10^30) + y^2 + z^3 one chain of 1.7e29
+GIANT_GRAPHS = [[(2, 0, 0), (0, 3, 0), (0, 0, 10**8)], [(10**30, 0, 0), (0, 2, 0), (0, 0, 3)]]
+
+
+@pytest.mark.parametrize("points", GIANT_GRAPHS, ids=["chain-1.7e7", "chain-1.7e29"])
+def test_oka_graph_budget_fails_fast(tmp_path, capsys, points):
+    path = write_doc(tmp_path, points)
+    for command in ("graph", "pg"):
+        started = time.perf_counter()
+        code, out = run_cli(capsys, path, command)
+        assert time.perf_counter() - started < 1.0
+        assert code == 1
+        report = json.loads(out)
+        assert report["error"] == "BudgetExceeded"
+        assert "Oka graph budget" in report["message"]
+    code, out = run_cli(capsys, path, "diagram")
+    assert code == 0 and json.loads(out)["result"]["isolated"]
 
 
 @pytest.mark.parametrize("points", ZETA_HEAVY[:2])
@@ -251,21 +266,55 @@ def supports_up_to_nine(draw):
 def test_verify_and_pg_keep_the_report_contract(points):
     """One JSON report on stdout, exit 0 or 1, and no internal error; a
     report without an error exits 0 with every oracle in agreement."""
-    doc = json.dumps({"monomials": [list(p) for p in points]})
     for command in ("verify", "pg"):
-        out = io.StringIO()
-        with (
-            patch("sys.stdin", io.StringIO(doc)),
-            contextlib.redirect_stdout(out),
-            contextlib.redirect_stderr(io.StringIO()),
-        ):
-            code = main(["-", command])
-        assert out.getvalue().count("\n") == 1
-        report = json.loads(out.getvalue())
-        assert code in (0, 1) and report["command"] == command
-        assert report.get("error") != "InternalError", report
+        code, report = _contract_report(points, command)
         if "error" not in report:
             assert code == 0 and all(report["oracles"].values()), report
+
+
+def _contract_report(points, command):
+    """(exit code, report) of `command` on the support read from stdin,
+    checked to be one JSON report, exit 0 or 1, and no internal error."""
+    doc = json.dumps({"monomials": [list(p) for p in points]})
+    out = io.StringIO()
+    with (
+        patch("sys.stdin", io.StringIO(doc)),
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(io.StringIO()),
+    ):
+        code = main(["-", command])
+    assert out.getvalue().count("\n") == 1
+    report = json.loads(out.getvalue())
+    assert code in (0, 1) and report["command"] == command
+    assert report.get("error") != "InternalError", report
+    return code, report
+
+
+@st.composite
+def large_supports(draw):
+    """Up to 60 monomials with exponents at most 24; per axis an axis
+    point, a point at distance one from the axis, or neither."""
+    exponent = st.integers(0, 24)
+    size = draw(st.integers(0, 57))
+    points = draw(st.lists(st.tuples(exponent, exponent, exponent).filter(any), min_size=size, max_size=size))
+    for c in range(3):
+        kind = draw(st.integers(0, 5))
+        if kind:
+            p = [0, 0, 0]
+            p[c] = draw(st.integers(1, 24))
+            if kind == 1:
+                p[draw(st.sampled_from([k for k in range(3) if k != c]))] = 1
+            points.append(tuple(p))
+    return points or [(0, 0, 1)]
+
+
+@given(large_supports())
+@settings(max_examples=30)
+def test_large_supports_keep_the_report_contract(points):
+    """`diagram`, `graph` and `pg` on supports of up to 60 monomials, out of
+    reach of the candidate-plane scan's budget."""
+    for command in ("diagram", "graph", "pg"):
+        _contract_report(points, command)
 
 
 # Exponents stay at 24 or below, which keeps each draw cheap.  `pg`'s

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 
 from newtonsing import cli
 from newtonsing import graph as graph_module
-from newtonsing.errors import Disconnected, NotNegativeDefinite, NotTree
+from newtonsing.errors import BudgetExceeded, Disconnected, NotNegativeDefinite, NotTree
 from newtonsing.graph import (
     PlumbingGraph,
     check_canonical,
@@ -40,6 +40,17 @@ def front_og():
 def e8_graph():
     """Oka graph of x^2 + y^3 + z^5: star with legs of length 4, 2, 1, all -2."""
     return oka_graph(newton_polyhedron(brieskorn(2, 3, 5))).graph
+
+
+def test_oka_vertex_budget_admits_exactly_the_graph(front_og, monkeypatch):
+    """The budget admits a graph of exactly OKA_VERTICES vertices and
+    refuses one more, before the chain that would pass it is built."""
+    nv = front_og.graph.nv
+    monkeypatch.setattr(graph_module, "OKA_VERTICES", nv)
+    assert oka_graph(front_og.polyhedron).graph == front_og.graph
+    monkeypatch.setattr(graph_module, "OKA_VERTICES", nv - 1)
+    with pytest.raises(BudgetExceeded, match=f"more than {nv - 1} vertices"):
+        oka_graph(front_og.polyhedron)
 
 
 def test_front_page_graph(front_og):

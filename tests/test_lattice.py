@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from newtonsing.errors import EqualVectors, NonCoprime, NonPrimitiveInput
+from newtonsing.errors import BudgetExceeded, EqualVectors, NonCoprime, NonPrimitiveInput
 from newtonsing.lattice import (
     content,
     cross,
@@ -86,6 +86,13 @@ def test_negative_cf_examples():
     assert negative_cf(5, 2) == [3, 2]
     with pytest.raises(NonCoprime):
         negative_cf(6, 2)
+    # a limit admits exactly that many terms, and refuses before the next
+    assert negative_cf(4, 3, limit=3) == [2, 2, 2]
+    with pytest.raises(BudgetExceeded):
+        negative_cf(4, 3, limit=2)
+    with pytest.raises(BudgetExceeded):
+        pair_data((11, 5, 7), (6, 3, 4), unit_choice=1, limit=0)  # the string [1]
+    assert pair_data((11, 5, 7), (6, 3, 4), unit_choice=0, limit=0)[2] == []
 
 
 def test_canonical_sequence_examples():

@@ -27,14 +27,18 @@ from newtonsing.newton import (
     poincare_newton,
     saito_spectrum,
 )
-from tests.conftest import FRONT_PAGE, brieskorn, corpus_supports
+from tests.conftest import FRONT_PAGE, brieskorn, corpus_supports, curved_support, paraboloid_grid
 from tests.oracles import (
+    candidate_normals,
     coefficient,
     interior_points,
     min_histogram_walk,
+    minimal_points,
     poincare_pol_part,
     positive_diagram_points,
     puiseux,
+    reference_polyhedron,
+    spans_by_zeros,
     spans_face,
     substitute_inverse,
 )
@@ -176,16 +180,16 @@ def test_closed_counts_match_the_face_scans():
 
 
 def test_face_verdicts_match_the_rank_oracle():
-    """Every candidate normal's face verdict by zero pattern equals the
-    pairwise rank test, over the minimal points and over all points (the
-    oracle polyhedron's candidates)."""
+    """Every candidate normal's face verdict by zero pattern, in the
+    reference polyhedron's scan, equals the pairwise rank test, over the
+    minimal points and over all points (the oracle polyhedron's candidates)."""
     verdicts = Counter()
     for support in corpus_supports() + GENERATED:
-        for pts in (newton._minimal_points(support.points), list(support.points)):
-            for normal in newton._candidate_normals(pts):
+        for pts in (minimal_points(support.points), list(support.points)):
+            for normal in candidate_normals(pts):
                 levels = [sum(a * x for a, x in zip(normal, p)) for p in pts]
                 minimal = [p for p, level in zip(pts, levels) if level == min(levels)]
-                verdict = newton._spans_face(normal, minimal)
+                verdict = spans_by_zeros(normal, minimal)
                 assert verdict == spans_face(normal, minimal), (support, normal)
                 verdicts[verdict, normal.count(0)] += 1
     assert all(verdicts[v, zeros] for v in (True, False) for zeros in (0, 1)), verdicts
@@ -472,11 +476,8 @@ def _all_pairs_candidate_normals(pts):
 
 
 def _oracle_polyhedron(support):
-    """The polyhedron from all-pairs candidates over every support point."""
-    with patch.object(newton, "_minimal_points", list), patch.object(
-        newton, "_candidate_normals", _all_pairs_candidate_normals
-    ):
-        return newton_polyhedron(support)
+    """The reference polyhedron from all-pairs candidates over every support point."""
+    return reference_polyhedron(support, list, _all_pairs_candidate_normals)
 
 
 def _outcome(build, support):
@@ -513,6 +514,34 @@ def supports(draw):
 @settings(max_examples=100)
 def test_polyhedron_matches_all_pairs_oracle(support):
     assert_polyhedron_matches_oracle(support)
+    assert_polyhedron_matches_reference(support)
+
+
+def assert_polyhedron_matches_reference(support):
+    """The wrap and the candidate-plane scan give the same faces, values,
+    vertex cycles and edges, or the same exception and message."""
+    got = _outcome(newton_polyhedron, support)
+    assert got == _outcome(reference_polyhedron, support), support
+    return got
+
+
+def test_wrap_matches_the_reference_polyhedron():
+    """On the corpus, GENERATED, 4,000 more seeded supports, the curved
+    supports of radius 4 to 6 and the paraboloid grids of side 3, 5 and 7."""
+    seen = Counter()
+    for support in corpus_supports() + GENERATED + random_supports(39, 4000):
+        outcome = assert_polyhedron_matches_reference(support)
+        if isinstance(outcome[0], type):
+            seen[outcome[0].__name__] += 1
+        else:
+            seen["convenient" if is_convenient(support) else "non-convenient", bool(outcome[1])] += 1
+    assert seen["NotIsolated"] and all(seen[kind, True] for kind in ("convenient", "non-convenient")), seen
+    assert seen["non-convenient", False], seen
+    for r in (4, 5, 6):
+        assert assert_polyhedron_matches_reference(Support(curved_support(r)))[1]
+    for s in (3, 5, 7):
+        _, compact, _, _ = assert_polyhedron_matches_reference(Support(paraboloid_grid(s)))
+        assert len(compact) == (s + 1) ** 2
 
 
 def test_oracle_examples_cover_both_kinds():
@@ -572,15 +601,15 @@ def test_minimal_points_match_the_all_pairs_definition():
             continue
         points = Support(pts).points
         expected = [p for p in points if not any(q != p and all(a <= b for a, b in zip(q, p)) for q in points)]
-        assert newton._minimal_points(points) == expected
+        assert minimal_points(points) == expected
         dropped += len(points) - len(expected)
     assert dropped > 300
 
 
 def test_antichain_keeps_every_point():
     pts = Support(_antichain_40()).points
-    assert newton._minimal_points(pts) == list(pts)
-    assert len(newton._minimal_points(Support(RANDOM_40).points)) < 40
+    assert minimal_points(pts) == list(pts)
+    assert len(minimal_points(Support(RANDOM_40).points)) < 40
 
 
 @pytest.fixture()

@@ -194,3 +194,34 @@ def test_edge_incidence_has_one_producer():
                     reads.append(f"{path.name}:{node.lineno}")
     assert defined & {"_diagram_edges", "t_between", "all_faces"} == set()
     assert reads == []
+
+
+def test_readme_names_every_budget():
+    """Every module-level integer constant that a function raising
+    `BudgetExceeded` reads is a budget, and the README's budget paragraph
+    names it as `module.NAME`."""
+    readme = (Path(newtonsing.__file__).parents[2] / "README.md").read_text()
+    (paragraph,) = [block for block in readme.split("\n\n") if block.startswith("Budgets.")]
+    budgets = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        constants = {
+            target.id
+            for node in tree.body
+            if isinstance(node, ast.Assign) and isinstance(node.value, (ast.Constant, ast.BinOp))
+            for target in node.targets
+            if isinstance(target, ast.Name) and target.id.isupper() and not target.id.startswith("_")
+        }
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            raises = [
+                node
+                for node in ast.walk(function)
+                if isinstance(node, ast.Raise) and "BudgetExceeded" in {name for name, _ in _read_names(node)}
+            ]
+            if raises:
+                names = {name for name, _ in _read_names(function)}
+                budgets.update(f"{path.stem}.{name}" for name in constants & names)
+    assert len(budgets) >= 6, budgets
+    assert sorted(name for name in budgets if f"`{name}`" not in paragraph) == []
