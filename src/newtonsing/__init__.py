@@ -23,7 +23,6 @@ from .graph import (
     merle_teissier_ZK,
     minimal_model,
     oka_graph,
-    wt_cycle,
 )
 from .invariants import PgResult, SingularityModel, SwResult
 from .lattice import (

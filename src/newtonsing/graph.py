@@ -7,8 +7,11 @@ fill-in, on any other graph by a dense fraction-free (Bareiss) elimination.
 The intersection data, |det| and on a tree the dual cycles, is cached on
 the graph when first read, each row of a tree when that row is read, as a
 product of the same subtree determinants; the dense pass keeps |det| only.
-Z_K is read off the Newton diagram (`merle_teissier_ZK`) and certified by
-the adjunction equalities (`check_canonical`), never solved for.
+Oka's graph is a function of the Newton polyhedron alone: wt(f) is read at
+each vertex off the diagram edge it is built from, so no support point is
+read after the polyhedron.  Z_K is read off the Newton diagram
+(`merle_teissier_ZK`) and certified by the adjunction equalities
+(`check_canonical`), never solved for.
 """
 
 import heapq
@@ -18,7 +21,7 @@ from functools import cached_property
 
 from .errors import BudgetExceeded, Disconnected, NoCompactFace, NotNegativeDefinite, NotRationalHomologySphere, NotTree
 from .lattice import dot, pair_data
-from .newton import NewtonPolyhedron, Support, face_interior_points
+from .newton import NewtonPolyhedron, face_interior_points
 
 ONES = (1, 1, 1)
 
@@ -324,59 +327,64 @@ def check_canonical(g: PlumbingGraph, z) -> tuple:
 
 @dataclass
 class OkaGraph:
-    """Oka's graph with its functionals.  Its chains are `graph.arms`: read
-    from a node n, an arm's (alphas[0], alphas[1]) is `pair_data`'s
-    (alpha, beta) of l_n and the far functional (l_far, or the star normal
-    of a leg)."""
+    """Oka's graph with its functionals and wt(f).  Its chains are
+    `graph.arms`: read from a node n, an arm's (alphas[0], alphas[1]) is
+    `pair_data`'s (alpha, beta) of l_n and the far functional (l_far, or the
+    star normal of a leg)."""
 
     graph: PlumbingGraph
     polyhedron: NewtonPolyhedron
-    support: Support
     ell: tuple  # vertex id -> primitive functional
+    wtf: tuple  # vertex id -> wt(f), the least value of its functional on the diagram
     node_ids: dict  # compact face normal -> vertex id
     star_attach: dict  # vertex id -> star normal it abuts
-
-    @cached_property
-    def wtf(self) -> tuple:
-        """wt(f): at each vertex the minimum of its functional over the support."""
-        return wt_cycle(self, self.support.points)
 
 
 def oka_graph(poly: NewtonPolyhedron) -> OkaGraph:
     """Resolution graph from the Newton diagram by Oka's algorithm.
 
-    The graph reads everything off `poly`, and its `.polyhedron` and
-    `.support` are `poly` and `poly.support`.  The caller owns the
+    The graph is a function of `poly` alone, which is its `.polyhedron`; no
+    support point is read after the polyhedron.  The caller owns the
     polyhedron: `SingularityModel` passes its own, and `make_convenient`
     each candidate's.  A graph of more than OKA_VERTICES vertices raises
     BudgetExceeded before the chain that would pass the budget is built.
+
+    wt(f) is read at each vertex as it is built.  A node takes its face's
+    value.  A chain vertex of the edge [p, q] between the faces of normals a
+    and b has a functional l = lambda a + mu b with lambda, mu >= 0 (the
+    chain subdivides the cone of a and b), and p lies on both faces, so
+    l.s >= lambda a.p + mu b.p = l.p for every s in the diagram: wt(f) at
+    the vertex is l.p.  `check_canonical` certifies Z_K = E + wt(f) -
+    wt(x1 x2 x3) at every vertex of a convenient graph, and the adjunction
+    equalities have one solution, so a wrong wt(f) fails there.
     """
-    support = poly.support
     if not poly.compact_faces:
-        raise NoCompactFace(f"{support} has no compact face")
+        raise NoCompactFace(f"{poly.support} has no compact face")
 
     compact = sorted(poly.compact_faces, key=lambda f: f.normal)
     node_ids = {f.normal: i for i, f in enumerate(compact)}
     ell = [f.normal for f in compact]
+    wtf = [f.value for f in compact]
     b_values = [None] * len(compact)
-    genus = [None] * len(compact)
+    genus = [face_interior_points(f) for f in compact]  # Pick's theorem
     edges = []
     star_attach = {}
 
-    def new_vertex(functional, selfint):
+    def new_vertex(functional, selfint, p):
         ell.append(tuple(functional))
+        wtf.append(dot(functional, p))
         b_values.append(int(selfint))
         genus.append(0)
         return len(ell) - 1
 
-    for _, _, a_vec, b_vec, t in poly.edges:
+    for p, _, a_vec, b_vec, t in poly.edges:
         b_compact = b_vec in node_ids
         try:  # the edge's t chains must fit in the budget's remainder
             string, seq = pair_data(a_vec, b_vec, 0 if b_compact else 1, (OKA_VERTICES - len(ell)) // t)[2:]
         except BudgetExceeded:
             raise BudgetExceeded(f"Oka graph budget exceeded: the graph has more than {OKA_VERTICES} vertices") from None
         for _ in range(t):
-            vids = tuple(new_vertex(vec, s) for vec, s in zip(seq, string))
+            vids = tuple(new_vertex(vec, s, p) for vec, s in zip(seq, string))
             chain = [node_ids[a_vec], *vids]
             if b_compact:
                 chain.append(node_ids[b_vec])
@@ -385,54 +393,35 @@ def oka_graph(poly: NewtonPolyhedron) -> OkaGraph:
             if not b_compact and vids:
                 star_attach[vids[-1]] = b_vec
 
-    # node selfintersections from the neighbour sum; node genera are the
-    # face's interior lattice points (Pick's theorem)
+    # node selfintersections from the neighbour sum, at the normal's largest
+    # coordinate; `_check_neighbor_sums` certifies them with every other vertex
     neighbor_lists = [[] for _ in range(len(ell))]
     for u, v in edges:
         neighbor_lists[u].append(v)
         neighbor_lists[v].append(u)
-    for face in compact:
-        nid = node_ids[face.normal]
-        sx = sy = sz = 0
-        for u in neighbor_lists[nid]:
-            x, y, z = ell[u]
-            sx, sy, sz = sx + x, sy + y, sz + z
-        total = (sx, sy, sz)
-        k = max(range(3), key=lambda i: face.normal[i])
-        if total[k] % face.normal[k]:
-            raise AssertionError(f"neighbour sum not a multiple of the normal at {face.normal}")
-        b_n = total[k] // face.normal[k]
-        if tuple(b_n * x for x in face.normal) != total:
-            raise AssertionError(f"neighbour sum mismatch at {face.normal}")
-        if b_n <= 0:
-            raise AssertionError(f"nonpositive selfintersection at node {face.normal}")
-        b_values[nid] = b_n
-        genus[nid] = face_interior_points(face)
+    for nid, normal in enumerate(ell[: len(compact)]):
+        k = max(range(3), key=normal.__getitem__)
+        b_values[nid] = sum(ell[u][k] for u in neighbor_lists[nid]) // normal[k]
+    _check_neighbor_sums(ell, b_values, neighbor_lists, star_attach)
 
     graph = PlumbingGraph(b_values, genus, edges)
-    og = OkaGraph(graph, poly, support, tuple(ell), node_ids, star_attach)
-    _check_neighbor_sums(og)
-    return og
+    return OkaGraph(graph, poly, tuple(ell), tuple(wtf), node_ids, star_attach)
 
 
-def _check_neighbor_sums(og: OkaGraph):
-    """-b_v l_v + sum of neighbour functionals = 0 at every vertex, exactly."""
-    g, ell = og.graph, og.ell
-    for v in range(g.nv):
-        (x, y, z), b = ell[v], g.b[v]
-        sx, sy, sz = og.star_attach.get(v, (0, 0, 0))
+def _check_neighbor_sums(ell, b_values, neighbor_lists, star_attach):
+    """-b_v l_v + sum of neighbour functionals (+ the star normal v abuts) = 0
+    at every vertex v, exactly.  At a node it also certifies b_n > 0: the
+    neighbour functionals are nonnegative and not all zero, and l_n is
+    positive."""
+    for v, (x, y, z) in enumerate(ell):
+        b = b_values[v]
+        sx, sy, sz = star_attach.get(v, (0, 0, 0))
         sx, sy, sz = sx - b * x, sy - b * y, sz - b * z
-        for u in g.neighbors[v]:
+        for u in neighbor_lists[v]:
             x, y, z = ell[u]
             sx, sy, sz = sx + x, sy + y, sz + z
         if sx or sy or sz:
             raise AssertionError(f"neighbour sum violated at vertex {v}: {(sx, sy, sz)}")
-
-
-def wt_cycle(og: OkaGraph, points) -> tuple:
-    """Coefficient at v is the minimum of l_v over the given exponents."""
-    pts = [tuple(p) for p in points]
-    return tuple(min(dot(f, p) for p in pts) for f in og.ell)
 
 
 def x1x2x3_cycle(og: OkaGraph) -> tuple:

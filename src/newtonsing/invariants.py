@@ -6,10 +6,12 @@ once and caches it: the polyhedron from the support, the Oka graph from the
 polyhedron, the convenient Oka graph (the same graph for a convenient
 support, else the one `make_convenient` accepted, which carries its own
 polyhedron and comes with its blow-down), then the minimal model (that
-blow-down, so a completion is blown down once) and the sequences.  Z_K is
-read once, off the convenient diagram as E + wt(f) - wt(x1 x2 x3), and
-restricted to the minimal model's vertices; on each graph the adjunction
-equalities certify it, so no graph is eliminated to find it.
+blow-down, so a completion is blown down once) and the sequences.  After
+the polyhedron and the convenience test no stage reads the support: the Oka
+graph reads wt(f) off the diagram's edges.  Z_K is read once, off the
+convenient diagram as E + wt(f) - wt(x1 x2 x3), and restricted to the
+minimal model's vertices; on each graph the adjunction equalities certify
+it, so no graph is eliminated to find it.
 """
 
 from collections import Counter

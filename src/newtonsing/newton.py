@@ -315,9 +315,9 @@ def make_convenient(poly: NewtonPolyhedron):
     unchanged, which is what "d large" buys in the equisingular completion.
     Each candidate's polyhedron is built once, and its Oka graph and that
     graph's blow-down only when the face test passes.  Returns the accepted
-    candidate's Oka graph, whose `.polyhedron` and `.support` are the
-    convenient ones, with the `(minimal, kept)` pair of `minimal_model` on
-    it, so that no caller blows it down again.
+    candidate's Oka graph, whose `.polyhedron` is the convenient one (its
+    `.support` the completed support), with the `(minimal, kept)` pair of
+    `minimal_model` on it, so that no caller blows it down again.
     """
     from .graph import minimal_model, oka_graph, tree_code
 

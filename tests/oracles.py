@@ -29,7 +29,9 @@ over exponent assignments (`zeta_search`) the reference for
 target in some coordinate (`coordinate_bounds`), and the point sets P_i
 and the lattice count of Z_K - E from every row of the Oka graph
 (`enumerate_P_full_rows`, `lattice_count_all_rows`) are the references for
-the package's comparisons at the nodes only.  Every dual cycle at once,
+the package's comparisons at the nodes only.  The minimum of each Oka
+functional over every support point (`wt_cycle`) is the reference for the
+wt(f) that the Oka graph reads off its edges.  Every dual cycle at once,
 from one fraction-free Gauss-Jordan pass on the form beside the identity
 (`scaled_duals`), is the reference for the rows that `IntersectionData.row`
 builds one by one.  Lescop's Casson-Walker formula (`casson_walker`), read
@@ -753,6 +755,13 @@ def coordinate_bounds(duals, lp):
     if not witnesses:
         return None
     return [max(row[w] * (lp[wp] - 1) // row[wp] for wp in witnesses) for w, row in enumerate(duals)]
+
+
+def wt_cycle(og, points) -> tuple:
+    """Coefficient at v is the minimum of l_v over the given exponents: the
+    reference for the wt(f) that `oka_graph` reads off the diagram's edges."""
+    pts = [tuple(p) for p in points]
+    return tuple(min(dot(f, p) for p in pts) for f in og.ell)
 
 
 def lattice_count_all_rows(model) -> int:

@@ -12,7 +12,6 @@ from newtonsing.graph import (
     merle_teissier_ZK,
     minimal_model,
     oka_graph,
-    wt_cycle,
 )
 from newtonsing.lattice import pair_data
 from newtonsing.newton import Support, newton_polyhedron
@@ -26,6 +25,7 @@ from tests.oracles import (
     dilated_content,
     edge_support_function,
     steps,
+    wt_cycle,
     z_legs_cycle,
 )
 from tests.test_graph import leg_toward
@@ -155,7 +155,7 @@ def test_criterion_7_laufer_operator_laws():
         zk = m.zk_oka
         zero = (0,) * g.nv
         assert laufer_x(g, zero) == zero
-        wtf = wt_cycle(og, og.support.points)
+        wtf = wt_cycle(og, og.polyhedron.support.points)
         assert laufer_x(g, wtf) == wtf
         zk_e = tuple(x - 1 for x in zk)
         assert laufer_x(g, zk_e) == tuple(

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -615,19 +616,34 @@ def test_verify_series_runs_one_counting_walk_and_one_product(tmp_path, capsys, 
     assert zeta_calls == [[(0,) * len(zk), zk, tuple(x + 1 for x in zk)]]
 
 
-def test_verify_builds_each_context_and_wt_f_once(tmp_path, capsys, monkeypatch):
-    # both tie-breaks of `pg` share the model's kind I and III contexts, and
-    # Z_K and kinds II and III read the Oka graph's one wt(f)
+class _Unreadable:
+    """Stands in for a support's points once the polyhedron is built."""
+
+    def __iter__(self):
+        raise AssertionError("a stage after the polyhedron read the monomials")
+
+
+def test_verify_builds_each_context_once_and_reads_no_monomial_after_the_polyhedron(tmp_path, capsys, monkeypatch):
+    # both tie-breaks of `pg` share the model's kind I and III contexts
     calls = Counter()
     for name in ("kind1_context", "kind2_context", "kind3_context"):
         real = getattr(invariants, name)
         monkeypatch.setattr(invariants, name, lambda *args, real=real, name=name: calls.update([name]) or real(*args))
-    real_wt = graph.wt_cycle
-    monkeypatch.setattr(graph, "wt_cycle", lambda *args: calls.update(["wt_cycle"]) or real_wt(*args))
     path = write_doc(tmp_path, FRONT_PAGE)
     code, out = run_cli(capsys, path, "verify")
     assert code == 0 and json.loads(out)["result"]["passed"]
-    assert calls == {"kind1_context": 1, "kind2_context": 1, "kind3_context": 1, "wt_cycle": 1}
+    assert calls == {"kind1_context": 1, "kind2_context": 1, "kind3_context": 1}
+    # the Oka graph, Z_K and every sequence are functions of the polyhedron:
+    # once it (and the convenience test) has read the support, nothing does
+    m = SingularityModel(Support(FRONT_PAGE))
+    m.polyhedron, m.oka
+    m.support.points = _Unreadable()
+    m.pg(), m.sw(), m.spectrum(), m.saito_spectrum(), m.pg_lattice_count()
+    m.poincare_via_sequence(3), m.poincare_newton(3)
+    checks = {}
+    for verify in (cli._verify_points, cli._verify_sequences, cli._verify_series):
+        verify(m, checks)
+    assert checks and all(checks.values())
 
 
 def test_graph_minimal_blows_a_completion_down_once(tmp_path, capsys, monkeypatch):
@@ -663,6 +679,41 @@ def test_production_path_never_runs_the_laufer_walk(tmp_path, capsys, monkeypatc
         for command in ("pg", "spectrum", "poincare", "sw", "verify"):
             code, out = run_cli(capsys, path, command)
             assert code == 0, (support.points, command, out)
+
+
+def dominated(points, count, spread, seed):
+    """`points` and `count` more, each s + (1, 1, 1) + r for a support point
+    s and 0 <= r < spread: strictly inside every face's halfspace."""
+    rng = random.Random(seed)
+    out = set(points)
+    while len(out) < len(points) + count:
+        out.add(tuple(x + 1 + rng.randrange(spread) for x in rng.choice(points)))
+    return sorted(out)
+
+
+def test_dominated_monomials_change_no_report(tmp_path, capsys):
+    """Metamorphic: monomials strictly above the diagram leave every report
+    of a convenient support unchanged (the exit code, the result and the
+    oracles; only the input echo differs).  Past the polyhedron no stage
+    reads the support, which 20,000 of them above (2,3,1001) exercise."""
+
+    def reports(points, commands):
+        path = write_doc(tmp_path, points)
+        out = []
+        for command in commands:
+            code, text = run_cli(capsys, path, *command.split())
+            report = json.loads(text)
+            out.append((code, report.get("result"), report.get("oracles")))
+        return out
+
+    every = ("diagram", "graph", "graph --minimal", "pg", "sw", "spectrum", "poincare", "verify")
+    for n, support in enumerate(corpus_supports()):
+        expected = reports(support.points, every)
+        assert all(code == 0 for code, _, _ in expected), support
+        assert reports(dominated(support.points, 30, 4, n), every) == expected, support
+    base = [(2, 0, 0), (0, 3, 0), (0, 0, 1001)]
+    large = reports(dominated(base, 20000, 40, 1001), ("pg", "sw", "verify"))
+    assert large == reports(base, ("pg", "sw", "verify"))
 
 
 def test_permuting_coordinates_keeps_every_report(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import contextlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,7 +8,15 @@ from hypothesis import assume, given, settings
 
 from newtonsing import cli
 from newtonsing import graph as graph_module
-from newtonsing.errors import BudgetExceeded, Disconnected, NotNegativeDefinite, NotTree
+from newtonsing.errors import (
+    BudgetExceeded,
+    Disconnected,
+    NoCompactFace,
+    NotIsolated,
+    NotNegativeDefinite,
+    NotRationalHomologySphere,
+    NotTree,
+)
 from newtonsing.graph import (
     PlumbingGraph,
     check_canonical,
@@ -14,12 +24,11 @@ from newtonsing.graph import (
     merle_teissier_ZK,
     minimal_model,
     oka_graph,
-    wt_cycle,
     x1x2x3_cycle,
 )
 from newtonsing.invariants import SingularityModel
 from newtonsing.lattice import pair_data
-from newtonsing.newton import Support, make_convenient, newton_polyhedron
+from newtonsing.newton import Support, is_convenient, make_convenient, newton_polyhedron
 from tests.conftest import (
     FRONT_PAGE,
     adjunction_solve,
@@ -28,8 +37,8 @@ from tests.conftest import (
     fraction_gauss_jordan,
     tree_code,
 )
-from tests.oracles import from_payload, interior_points, minimal_cycle, minimal_model_scan, scaled_duals
-from tests.test_newton import GENERATED, _isolated_polyhedra, convenient_supports
+from tests.oracles import from_payload, interior_points, minimal_cycle, minimal_model_scan, scaled_duals, wt_cycle
+from tests.test_newton import GENERATED, _isolated_polyhedra, convenient_supports, random_supports, supports
 
 
 @pytest.fixture(scope="module")
@@ -435,12 +444,43 @@ def test_check_canonical_rejects_zk_moved_at_any_vertex(front_page_model):
 
 
 def test_wt_cycle_examples(front_og):
-    w = wt_cycle(front_og, front_og.support.points)
+    w = wt_cycle(front_og, front_og.polyhedron.support.points)
     assert w[front_og.node_ids[(11, 5, 7)]] == 43
     xyz = x1x2x3_cycle(front_og)
     assert xyz[front_og.node_ids[(11, 5, 7)]] == 23
     single = wt_cycle(front_og, [(2, 0, 3)])
     assert single[front_og.node_ids[(11, 5, 7)]] == 2 * 11 + 3 * 7
+
+
+def wtf_matches_the_scan(support):
+    """Whether `support` is not convenient, after asserting that the wt(f)
+    `oka_graph` reads off the diagram's edges is the minimum of each
+    functional over every support point, on the support's Oka graph and on
+    its `make_convenient` completion's (when the blow-downs that test a
+    completion find no loop).  None without an Oka graph."""
+    try:
+        poly = newton_polyhedron(support)
+        graphs = [oka_graph(poly)]
+    except (NotIsolated, NoCompactFace):
+        return None
+    convenient = is_convenient(support)
+    if not convenient:
+        with contextlib.suppress(NotRationalHomologySphere):
+            graphs.append(make_convenient(poly)[0])
+    for og in graphs:
+        assert og.wtf == wt_cycle(og, og.polyhedron.support.points), support
+    return not convenient
+
+
+def test_wtf_off_the_edges_matches_the_scan():
+    outcomes = Counter(wtf_matches_the_scan(s) for s in corpus_supports() + GENERATED + random_supports(41, 4000))
+    assert outcomes[True] > 1000 and outcomes[False] > 1000, outcomes
+
+
+@given(supports())
+@settings(max_examples=200)
+def test_wtf_off_the_edges_matches_the_scan_on_drawn_supports(support):
+    wtf_matches_the_scan(support)
 
 
 def test_minimal_model_fixpoint(front_og):
@@ -532,7 +572,7 @@ def test_convenient_padding_blows_down_to_same_model():
     for abc in [(2, 3, 5), (2, 3, 7), (3, 4, 5), (2, 5, 7)]:
         s = brieskorn(*abc)
         g1 = minimal_model(oka_graph(newton_polyhedron(s)).graph)[0]
-        padded = make_convenient(newton_polyhedron(s))[0].support
+        padded = make_convenient(newton_polyhedron(s))[0].polyhedron.support
         g2 = minimal_model(oka_graph(newton_polyhedron(padded)).graph)[0]
         assert tree_code(g1) == tree_code(g2)
 

@@ -106,7 +106,7 @@ def test_make_convenient():
     # isolated non-convenient support
     s = Support([(2, 1, 0), (0, 3, 0), (0, 0, 2)])
     assert is_isolated(s) and not is_convenient(s)
-    out = make_convenient(newton_polyhedron(s))[0].support
+    out = make_convenient(newton_polyhedron(s))[0].polyhedron.support
     assert is_convenient(out)
     assert any(p[1] == p[2] == 0 for p in out.points)  # axis point added on x1
     old = {(f.normal, f.value) for f in newton_polyhedron(s).compact_faces}
@@ -114,7 +114,7 @@ def test_make_convenient():
     assert old <= new
     # already-convenient input: faces unchanged entirely
     fp = Support(FRONT_PAGE)
-    enlarged = make_convenient(newton_polyhedron(fp))[0].support
+    enlarged = make_convenient(newton_polyhedron(fp))[0].polyhedron.support
     assert {(f.normal, f.value) for f in newton_polyhedron(fp).compact_faces} == {
         (f.normal, f.value) for f in newton_polyhedron(enlarged).compact_faces
     }
@@ -654,7 +654,7 @@ def test_make_convenient_reuses_the_polyhedron(polyhedron_calls):
     support = Support([(2, 1, 0), (0, 3, 0), (0, 0, 2)])
     model = SingularityModel(support)
     model.oka_raw, model.oka, model.oka.polyhedron
-    assert model.oka.support != support
+    assert model.oka.polyhedron.support != support
     assert polyhedron_calls.count(support) == 1
 
 
@@ -662,7 +662,7 @@ def test_every_polyhedron_once_per_nonconvenient_model(polyhedron_calls):
     support = Support([(2, 1, 0), (0, 3, 0), (0, 0, 2)])
     model = SingularityModel(support)
     _answer_every_command(model)
-    assert model.oka.support != support
+    assert model.oka.polyhedron.support != support
     assert len(polyhedron_calls) == len(set(polyhedron_calls))
 
 

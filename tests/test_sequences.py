@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from newtonsing.errors import BudgetExceeded, NewtonsingError
 from newtonsing import invariants, sequences
-from newtonsing.graph import wt_cycle, x1x2x3_cycle
+from newtonsing.graph import x1x2x3_cycle
 from newtonsing.invariants import SingularityModel
 from newtonsing.newton import Support
 from newtonsing.sequences import (
@@ -22,7 +22,7 @@ from newtonsing.sequences import (
     run_sequence,
 )
 from tests.conftest import FRONT_PAGE, adjunction_solve, brieskorn, model_for
-from tests.oracles import Step, chi, cycles, leg_vertices, puiseux, steps, z_legs_cycle
+from tests.oracles import Step, chi, cycles, leg_vertices, puiseux, steps, wt_cycle, z_legs_cycle
 from tests.test_newton import convenient_supports
 
 
@@ -32,7 +32,7 @@ def test_x_fixed_points_on_corpus(corpus):
         g = og.graph
         zero = (0,) * g.nv
         assert laufer_x(g, zero) == zero
-        wtf = wt_cycle(og, og.support.points)
+        wtf = wt_cycle(og, og.polyhedron.support.points)
         assert laufer_x(g, wtf) == wtf  # convenient diagram
         zk_e = tuple(x - 1 for x in m.zk_oka)
         expected = tuple(a + b for a, b in zip(zk_e, z_legs_cycle(g)))
@@ -446,7 +446,7 @@ def test_fill_cycle_is_the_laufer_completion(corpus):
 
 
 def assert_kind3_target_is_the_laufer_walk(og):
-    zk_e = tuple(a - b for a, b in zip(wt_cycle(og, og.support.points), x1x2x3_cycle(og)))
+    zk_e = tuple(a - b for a, b in zip(wt_cycle(og, og.polyhedron.support.points), x1x2x3_cycle(og)))
     assert kind3_context(og).target == laufer_x(og.graph, zk_e)
 
 

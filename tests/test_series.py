@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 
 from newtonsing import series
 from newtonsing.errors import BudgetExceeded, KindMismatch, NotNegativeDefinite, NotTree
-from newtonsing.graph import PlumbingGraph, wt_cycle
+from newtonsing.graph import PlumbingGraph
 from newtonsing.invariants import SingularityModel
 from newtonsing.newton import Support
 from newtonsing.errors import NewtonsingError
@@ -19,7 +19,7 @@ from newtonsing.newton import is_convenient
 from newtonsing.sequences import fill_cycle, kind1_context, run_sequence
 from newtonsing.series import _vertex_factor, counting_q, enumerate_P, zeta_coefficient, zeta_coefficient_convolution
 from tests.conftest import FRONT_PAGE, ZETA_HEAVY, brieskorn, model_for
-from tests.oracles import ReducedCount, coordinate_bounds, enumerate_P_full_rows, scaled_duals, steps, zeta_search
+from tests.oracles import ReducedCount, coordinate_bounds, enumerate_P_full_rows, scaled_duals, steps, wt_cycle, zeta_search
 from tests.test_newton import convenient_supports, random_supports
 
 # node-free graphs: chains by their b values, single vertices among them
@@ -150,7 +150,7 @@ def test_enumerate_P_kind2_prefix(corpus):
         union = set().union(*rep.point_sets) if rep.point_sets else set()
         assert union == rep.outside_points
         # the prefix partitions the complement of the wt(f) polyhedron
-        wtf = wt_cycle(og, og.support.points)
+        wtf = wt_cycle(og, og.polyhedron.support.points)
         assert seq.reached == wtf
 
 
