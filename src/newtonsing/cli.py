@@ -6,10 +6,11 @@ report on stdout.  Reports are byte-identical across runs: keys are sorted,
 rationals render as "p/q", and timing goes to stderr.
 
 Exit codes: 0 success, 1 domain or internal error, 2 usage or input error.
-Any other exception of a subcommand (a broken invariant check, exhausted
-recursion) is reported as an InternalError, never as a traceback.  When the
-reader of stdout has gone (`newtonsing ... | head`), the run exits 1
-quietly.
+A usage error prints argparse's usage and message on stderr and an
+InputError report with that message on stdout.  Any other exception of a
+subcommand (a broken invariant check, exhausted recursion) is reported as
+an InternalError, never as a traceback.  When the reader of stdout has gone
+(`newtonsing ... | head`), the run exits 1 quietly.
 """
 
 import argparse
@@ -26,6 +27,9 @@ from .invariants import SingularityModel
 from .newton import Support, classify_diagram, is_convenient
 from .sequences import kind1_context, run_sequence
 from .series import counting_q, enumerate_P, zeta_coefficient, zeta_coefficient_convolution
+
+# the bytes of json.dumps(obj, sort_keys=True), without a new encoder per call
+_encode = json.JSONEncoder(sort_keys=True).encode
 
 
 def _rat(x) -> str:
@@ -240,9 +244,21 @@ def _positive_fraction(text):
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors also print one InputError
+    report on stdout; the subcommands' parsers are of this class too."""
+
+    def error(self, message):
+        print(_encode({"error": "InputError", "message": message}))
+        super().error(message)
+
+
 @functools.cache
 def build_parser():
-    parser = argparse.ArgumentParser(
+    """The parser, with `commands` (subcommand -> its parser) and, on each
+    subcommand's parser, `plain`: its defaults and its store and store_true
+    actions by long option, which `_read_plain` reads."""
+    parser = _Parser(
         prog="newtonsing",
         description="Invariants of Newton nondegenerate surface singularities",
     )
@@ -264,7 +280,50 @@ def build_parser():
     sub.add_parser("sw", help="normalized Seiberg-Witten invariant")
     v = sub.add_parser("verify", help="run the oracle cross-checks on this input")
     v.add_argument("--suite", choices=("all", "points", "sequences", "series"), default="all")
+    parser.commands = sub.choices
+    for command in sub.choices.values():
+        # argparse has no public view of a parser's options; the tests hold
+        # `_read_plain` to `parse_args` on every plain shape
+        actions = [
+            a for a in command._actions if isinstance(a, (argparse._StoreAction, argparse._StoreTrueAction))
+        ]
+        command.plain = (
+            {a.dest: a.default for a in actions},
+            {s: a for a in actions for s in a.option_strings if s.startswith("--")},
+        )
     return parser
+
+
+def _read_plain(parser, argv):
+    """The Namespace `parser.parse_args(argv)` returns, read without argparse
+    when argv has a plain shape: an input that is `-` or does not start with
+    `-`, a subcommand, then that subcommand's long options by their exact
+    names, each value its own token.  None for any other argv, which
+    argparse reads, so that help, usage and error text stay its own."""
+    if len(argv) < 2 or (argv[0] != "-" and argv[0].startswith("-")) or argv[1] not in parser.commands:
+        return None
+    defaults, options = parser.commands[argv[1]].plain
+    values = dict(defaults)
+    tokens = iter(argv[2:])
+    for token in tokens:
+        action = options.get(token)
+        if action is None:
+            return None
+        if action.nargs == 0:
+            values[action.dest] = action.const
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    return argparse.Namespace(input=argv[0], command=argv[1], **values)
 
 
 _HANDLERS = {
@@ -292,15 +351,19 @@ def main(argv=None) -> int:
 
 def _run(argv) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code else 0
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_plain(parser, argv)
+    if args is None:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return 2 if exc.code else 0
     started = time.perf_counter()
     try:
         support, name = read_document(args.input)
     except InputError as exc:
-        print(json.dumps({"error": "InputError", "message": str(exc)}, sort_keys=True))
+        print(_encode({"error": "InputError", "message": str(exc)}))
         return 2
     model = SingularityModel(support)
     report = {
@@ -314,14 +377,14 @@ def _run(argv) -> int:
             exc = InternalError(f"{type(exc).__name__}: {exc}")
         report["error"] = type(exc).__name__
         report["message"] = str(exc)
-        print(json.dumps(report, sort_keys=True))
+        print(_encode(report))
         print(f"elapsed_seconds={time.perf_counter() - started:.3f}", file=sys.stderr)
         return 1
     result, oracles = out[0], out[1]
     report["result"] = result
     if oracles:
         report["oracles"] = oracles
-    print(json.dumps(report, sort_keys=True))
+    print(_encode(report))
     if len(out) > 2:
         print(out[2])
     print(f"elapsed_seconds={time.perf_counter() - started:.3f}", file=sys.stderr)

@@ -56,10 +56,10 @@ class Support:
         pts = set()
         for p in points:
             try:
-                p = tuple(operator.index(x) for x in p)
+                p = tuple(map(operator.index, p))
             except TypeError:
                 raise TypeError(f"support point {p!r} is not a 3-vector of integers") from None
-            if len(p) != 3 or any(x < 0 for x in p):
+            if len(p) != 3 or min(p) < 0:
                 raise ValueError(f"support point {p} is not a nonnegative 3-vector")
             if p == (0, 0, 0):
                 raise ValueError("constant term (0,0,0) does not define a singularity")

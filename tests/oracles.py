@@ -36,7 +36,9 @@ from one fraction-free Gauss-Jordan pass on the form beside the identity
 (`scaled_duals`), is the reference for the rows that `IntersectionData.row`
 builds one by one.  Lescop's Casson-Walker formula (`casson_walker`), read
 off the plumbing graph alone, is the reference for the SW invariant of an
-integral homology sphere link.
+integral homology sphere link.  Kouchnirenko's Newton number
+(`newton_number`), from volumes under the diagram, is the reference for
+Laufer's formula mu = 12 p_g + Z_K^2 + |V| on the resolution graph.
 """
 
 from collections import Counter, namedtuple
@@ -426,6 +428,31 @@ def casson_walker(g: PlumbingGraph) -> Fraction:
         if delta != 2:
             total -= Fraction((2 - delta) * data.row(v)[v], data.group_order)
     return total / 24
+
+
+def newton_number(poly: NewtonPolyhedron) -> int:
+    """Kouchnirenko's Newton number 6 V_3 - 2 V_2 + V_1 - 1 of a convenient
+    diagram, the Milnor number of a nondegenerate f.  V_3 is the volume
+    under the diagram: 6 V_3 sums |det(v_0, v_i, v_(i+1))| over a fan of
+    each compact face.  V_2 sums the areas under it in the coordinate
+    planes: 2 V_2 sums the same 2 x 2 determinants over the edges that lie
+    in a coordinate plane.  V_1 is the sum of the least axis exponents."""
+    six_v3 = sum(
+        abs(dot(f.vertices[0], cross(a, b)))
+        for f in poly.compact_faces
+        for a, b in zip(f.vertices[1:], f.vertices[2:])
+    )
+    two_v2 = 0
+    for p, q, *_ in poly.edges:
+        for k in range(3):
+            if p[k] == q[k] == 0:
+                i, j = (c for c in range(3) if c != k)
+                two_v2 += abs(p[i] * q[j] - p[j] * q[i])
+    v1 = sum(
+        min(p[c] for p in poly.support.points if p[c] == sum(p))
+        for c in range(3)
+    )
+    return six_v3 - two_v2 + v1 - 1
 
 
 def minimal_cycle(g: PlumbingGraph) -> tuple:

@@ -488,6 +488,122 @@ def test_usage_errors(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["in.json", "pg", "--help"]])
+def test_help_prints_argparse_help(capsys, argv):
+    parser = cli.build_parser()
+    expected = (parser if len(argv) == 1 else parser.commands[argv[1]]).format_help()
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 0 and captured.out == expected and captured.err == ""
+
+
+@pytest.mark.parametrize(
+    "argv, command, message",
+    [
+        (["-", "bogus"], None, "argument command: invalid choice: 'bogus'"),
+        (["-", "graph", "--format", "png"], "graph", "argument --format: invalid choice: 'png'"),
+        (["-", "poincare", "--max-exponent", "0"], "poincare", "exponent bound must be positive"),
+        (["-"], None, "the following arguments are required: command"),
+        (["-", "pg", "extra"], None, "unrecognized arguments: extra"),
+    ],
+)
+def test_usage_errors_get_one_input_error_report(capsys, argv, command, message):
+    """Exit 2 with one InputError report on stdout that carries argparse's
+    message, and argparse's usage and error lines on stderr."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out.count("\n") == 1
+    report = json.loads(captured.out)
+    assert report == {"error": "InputError", "message": report["message"]}
+    assert message in report["message"]
+    parser = cli.build_parser()
+    parser = parser if command is None else parser.commands[command]
+    assert captured.err == f"{parser.format_usage()}{parser.prog}: error: {report['message']}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, plain",
+    [
+        (["graph", "--min"], ["graph", "--minimal"]),
+        (["poincare", "--max", "5/2"], ["poincare", "--max-exponent", "5/2"]),
+        (["poincare", "--max-exponent=5/2"], ["poincare", "--max-exponent", "5/2"]),
+        (["graph", "--format=dot"], ["graph", "--format", "dot"]),
+    ],
+)
+def test_abbreviations_and_joined_values_still_parse(tmp_path, capsys, argv, plain):
+    """argparse reads these, and they answer as their plain forms do."""
+    path = write_doc(tmp_path, [(2, 0, 0), (0, 3, 0), (0, 0, 7)])
+    assert cli._read_plain(cli.build_parser(), [path] + argv) is None
+    assert run_cli(capsys, path, *argv) == run_cli(capsys, path, *plain)
+    assert run_cli(capsys, path, *argv)[0] == 0
+
+
+def test_handlers_and_parser_name_the_same_commands():
+    assert set(cli._HANDLERS) == set(cli.build_parser().commands)
+
+
+def _plain_shapes():
+    yield from ([command] for command in cli._HANDLERS)
+    for fmt in ("json", "text", "dot"):
+        yield ["graph", "--format", fmt]
+        yield ["graph", "--minimal", "--format", fmt]
+        yield ["graph", "--format", fmt, "--minimal"]
+    yield ["graph", "--minimal"]
+    yield from (["verify", "--suite", suite] for suite in ("all", "points", "sequences", "series"))
+    yield from (["poincare", "--max-exponent", bound] for bound in ("1", "8", "5/2", "0.5", "1e3"))
+
+
+@pytest.mark.parametrize("source", ["-", "input.json"])
+def test_plain_shapes_read_as_argparse_reads_them(source):
+    parser = cli.build_parser()
+    for shape in _plain_shapes():
+        argv = [source] + shape
+        args = cli._read_plain(parser, argv)
+        assert args is not None and vars(args) == vars(parser.parse_args(argv)), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["--help"],
+        ["-h"],
+        ["in.json", "pg", "--help"],
+        ["in.json", "graph", "-h"],
+        ["-in.json", "pg"],
+        ["--", "pg"],
+        ["in.json", "bogus"],
+        ["in.json", "pg", "extra"],
+        ["in.json", "graph", "--format"],
+        ["in.json", "graph", "--format", "png"],
+        ["in.json", "graph", "--format", "--minimal"],
+        ["in.json", "poincare", "--max-exponent", "0"],
+        ["in.json", "poincare", "--max-exponent", "-1"],
+        ["in.json", "poincare", "--max-exponent", "x"],
+        ["in.json", "verify", "--minimal"],
+    ],
+)
+def test_other_argument_lists_go_to_argparse(argv):
+    assert cli._read_plain(cli.build_parser(), argv) is None
+
+
+_TOKENS = (
+    ["-", "in.json", "", "pg", "graph", "poincare", "verify", "bogus"]
+    + ["--minimal", "--min", "--format", "--format=dot", "dot", "png"]
+    + ["--max-exponent", "5/2", "0", "-1", "--suite", "series", "-h", "--help"]
+)
+
+
+@given(st.lists(st.sampled_from(_TOKENS), max_size=6))
+@settings(max_examples=300)
+def test_the_direct_reader_never_departs_from_argparse(argv):
+    """Wherever the direct reader answers, argparse reads the same Namespace."""
+    parser = cli.build_parser()
+    args = cli._read_plain(parser, argv)
+    if args is not None:
+        assert vars(args) == vars(parser.parse_args(argv))
+
+
 @pytest.mark.parametrize("exponent", ["1e400", "2.7", '"2"', "true"])
 def test_non_integer_exponent_is_input_error(tmp_path, capsys, exponent):
     path = tmp_path / "input.json"

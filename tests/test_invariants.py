@@ -6,9 +6,9 @@ import pytest
 from newtonsing import kernels
 from newtonsing.errors import NewtonsingError, NoCompactFace, NotIsolated, NotRationalHomologySphere
 from newtonsing.invariants import SingularityModel
-from newtonsing.newton import Support
+from newtonsing.newton import Support, is_convenient
 from tests.conftest import brieskorn
-from tests.oracles import casson_walker, coefficient, lattice_count_all_rows
+from tests.oracles import casson_walker, coefficient, lattice_count_all_rows, newton_number
 from tests.test_newton import random_supports
 
 
@@ -109,6 +109,29 @@ def test_sw_equals_casson_walker_on_integral_homology_spheres(corpus):
     assert len(triples) == 237 and spheres and len(generated) >= 300
     for m in spheres + generated:
         assert casson_walker(m.minimal) == m.sw().sw_canonical, m.support
+
+
+def test_newton_number_is_laufers_milnor_number(corpus):
+    """Laufer's formula mu = 12 p_g + Z_K^2 + |V| on the resolution graph
+    gives Kouchnirenko's Newton number of the diagram, on the convenient
+    RHS supports of the corpus, of the Brieskorn triples a <= b <= c with
+    a <= 7, b <= 8 and c <= 9, and of generated supports.  On x^a + y^b + z^c
+    the Newton number is (a - 1)(b - 1)(c - 1)."""
+    triples = [(a, b, c) for a in range(2, 8) for b in range(a, 9) for c in range(b, 10)]
+    for a, b, c in triples:
+        assert newton_number(SingularityModel(brieskorn(a, b, c)).polyhedron) == (a - 1) * (b - 1) * (c - 1)
+    supports = [brieskorn(*abc) for abc in triples] + random_supports(5, 4000)
+    models = [m for m in corpus if is_convenient(m.support)]
+    models += [SingularityModel(s) for s in supports if is_convenient(s)]
+    checked = 0
+    for m in models:
+        try:
+            res = m.sw()
+        except NewtonsingError:
+            continue
+        assert newton_number(m.polyhedron) == 12 * res.value + res.zk_sq + res.vertex_count, m.support
+        checked += 1
+    assert checked >= 1500
 
 
 def test_poincare_constant_coefficient(corpus):
