@@ -5,12 +5,17 @@ a file or standard input, dispatches one subcommand and prints a JSON
 report on stdout.  Reports are byte-identical across runs: keys are sorted,
 rationals render as "p/q", and timing goes to stderr.
 
+argparse reads every argument list, and the parser keeps its Namespace per
+distinct list, so a repeated request is parsed once.
+
 Exit codes: 0 success, 1 domain or internal error, 2 usage or input error.
 A usage error prints argparse's usage and message on stderr and an
 InputError report with that message on stdout.  Any other exception of a
 subcommand (a broken invariant check, exhausted recursion) is reported as
-an InternalError, never as a traceback.  When the reader of stdout has gone
-(`newtonsing ... | head`), the run exits 1 quietly.
+an InternalError, never as a traceback, and so is a report too large to
+encode: a subcommand's report is encoded before it is printed, once.  When
+the reader of stdout has gone (`newtonsing ... | head`), the run exits 1
+quietly.
 """
 
 import argparse
@@ -235,7 +240,12 @@ def _cmd_verify(model, args):
 
 
 def _positive_fraction(text):
+    # Fraction computes 10**exponent for "1e<exponent>": bound the exponent
+    # as int() bounds the digits of a number
+    _, e, exponent = text.upper().partition("E")
     try:
+        if e and 0 < sys.get_int_max_str_digits() < abs(int(exponent)):
+            raise argparse.ArgumentTypeError(f"decimal exponent out of range: {text!r}")
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
@@ -255,9 +265,11 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser():
-    """The parser, with `commands` (subcommand -> its parser) and, on each
-    subcommand's parser, `plain`: its defaults and its store and store_true
-    actions by long option, which `_read_plain` reads."""
+    """The parser, with `commands` (subcommand -> its parser) and `parse`:
+    `parse_args` kept per argv tuple, so argparse reads each distinct
+    argument list once, and every run of a list shares its Namespace, which
+    the handlers only read.  A list that fails to parse raises SystemExit
+    and is not kept, so its usage error is printed on every run."""
     parser = _Parser(
         prog="newtonsing",
         description="Invariants of Newton nondegenerate surface singularities",
@@ -281,49 +293,8 @@ def build_parser():
     v = sub.add_parser("verify", help="run the oracle cross-checks on this input")
     v.add_argument("--suite", choices=("all", "points", "sequences", "series"), default="all")
     parser.commands = sub.choices
-    for command in sub.choices.values():
-        # argparse has no public view of a parser's options; the tests hold
-        # `_read_plain` to `parse_args` on every plain shape
-        actions = [
-            a for a in command._actions if isinstance(a, (argparse._StoreAction, argparse._StoreTrueAction))
-        ]
-        command.plain = (
-            {a.dest: a.default for a in actions},
-            {s: a for a in actions for s in a.option_strings if s.startswith("--")},
-        )
+    parser.parse = functools.lru_cache(parser.parse_args)
     return parser
-
-
-def _read_plain(parser, argv):
-    """The Namespace `parser.parse_args(argv)` returns, read without argparse
-    when argv has a plain shape: an input that is `-` or does not start with
-    `-`, a subcommand, then that subcommand's long options by their exact
-    names, each value its own token.  None for any other argv, which
-    argparse reads, so that help, usage and error text stay its own."""
-    if len(argv) < 2 or (argv[0] != "-" and argv[0].startswith("-")) or argv[1] not in parser.commands:
-        return None
-    defaults, options = parser.commands[argv[1]].plain
-    values = dict(defaults)
-    tokens = iter(argv[2:])
-    for token in tokens:
-        action = options.get(token)
-        if action is None:
-            return None
-        if action.nargs == 0:
-            values[action.dest] = action.const
-            continue
-        value = next(tokens, None)
-        if value is None or value.startswith("-"):
-            return None
-        if action.type is not None:
-            try:
-                value = action.type(value)
-            except (argparse.ArgumentTypeError, TypeError, ValueError):
-                return None
-        if action.choices is not None and value not in action.choices:
-            return None
-        values[action.dest] = value
-    return argparse.Namespace(input=argv[0], command=argv[1], **values)
 
 
 _HANDLERS = {
@@ -351,46 +322,37 @@ def main(argv=None) -> int:
 
 def _run(argv) -> int:
     parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    args = _read_plain(parser, argv)
-    if args is None:
-        try:
-            args = parser.parse_args(argv)
-        except SystemExit as exc:
-            return 2 if exc.code else 0
+    try:
+        args = parser.parse(tuple(sys.argv[1:] if argv is None else argv))
+    except SystemExit as exc:
+        return 2 if exc.code else 0
     started = time.perf_counter()
     try:
         support, name = read_document(args.input)
     except InputError as exc:
         print(_encode({"error": "InputError", "message": str(exc)}))
         return 2
-    model = SingularityModel(support)
     report = {
         "command": args.command,
         "input": {"monomials": [list(p) for p in support.points], "name": name},
     }
     try:
-        out = _HANDLERS[args.command](model, args)
+        # the report is encoded in here, so one that cannot be (an int past
+        # sys.get_int_max_str_digits()) is an InternalError too
+        result, oracles, *text = _HANDLERS[args.command](SingularityModel(support), args)
+        done = dict(report, result=result)
+        if oracles:
+            done["oracles"] = oracles
+        lines = [_encode(done), *text]
+        code = 1 if args.command == "verify" and not result["passed"] else 0
     except Exception as exc:
         if not isinstance(exc, NewtonsingError):
             exc = InternalError(f"{type(exc).__name__}: {exc}")
-        report["error"] = type(exc).__name__
-        report["message"] = str(exc)
-        print(_encode(report))
-        print(f"elapsed_seconds={time.perf_counter() - started:.3f}", file=sys.stderr)
-        return 1
-    result, oracles = out[0], out[1]
-    report["result"] = result
-    if oracles:
-        report["oracles"] = oracles
-    print(_encode(report))
-    if len(out) > 2:
-        print(out[2])
+        lines = [_encode(dict(report, error=type(exc).__name__, message=str(exc)))]
+        code = 1
+    print(*lines, sep="\n")
     print(f"elapsed_seconds={time.perf_counter() - started:.3f}", file=sys.stderr)
-    if args.command == "verify" and not result["passed"]:
-        return 1
-    return 0
+    return code
 
 
 if __name__ == "__main__":

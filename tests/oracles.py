@@ -38,7 +38,10 @@ builds one by one.  Lescop's Casson-Walker formula (`casson_walker`), read
 off the plumbing graph alone, is the reference for the SW invariant of an
 integral homology sphere link.  Kouchnirenko's Newton number
 (`newton_number`), from volumes under the diagram, is the reference for
-Laufer's formula mu = 12 p_g + Z_K^2 + |V| on the resolution graph.
+Laufer's formula mu = 12 p_g + Z_K^2 + |V| on the resolution graph, and
+Varchenko's monodromy zeta function (`monodromy_zeta`), from the same
+volumes, the reference for the rational homology sphere test and for
+|H_1| of the link, |det| of both resolution graphs.
 """
 
 from collections import Counter, namedtuple
@@ -430,29 +433,40 @@ def casson_walker(g: PlumbingGraph) -> Fraction:
     return total / 24
 
 
-def newton_number(poly: NewtonPolyhedron) -> int:
-    """Kouchnirenko's Newton number 6 V_3 - 2 V_2 + V_1 - 1 of a convenient
-    diagram, the Milnor number of a nondegenerate f.  V_3 is the volume
-    under the diagram: 6 V_3 sums |det(v_0, v_i, v_(i+1))| over a fan of
-    each compact face.  V_2 sums the areas under it in the coordinate
-    planes: 2 V_2 sums the same 2 x 2 determinants over the edges that lie
-    in a coordinate plane.  V_1 is the sum of the least axis exponents."""
-    six_v3 = sum(
-        abs(dot(f.vertices[0], cross(a, b)))
-        for f in poly.compact_faces
-        for a, b in zip(f.vertices[1:], f.vertices[2:])
-    )
-    two_v2 = 0
-    for p, q, *_ in poly.edges:
+def monodromy_zeta(poly: NewtonPolyhedron) -> Counter:
+    """Varchenko's monodromy zeta function of a convenient nondegenerate f,
+    the product of (1 - t^m)^(e_m), as the Counter m -> e_m.  Each least
+    axis exponent a gives (1 - t^a).  Each edge [p, q] of the diagram in a
+    coordinate plane, of lattice length t, gives (1 - t^m)^(-t) with
+    m = |det(p, q)| / t its lattice distance from 0.  Each compact face of
+    value m gives (1 - t^m)^(6V / m), with 6V the sum of
+    |det(v_0, v_i, v_(i+1))| over a fan of the face: six times the volume
+    of the cone over it.  The zeta function is (1 - t) Delta(t), with Delta
+    the characteristic polynomial of the monodromy on H_2 of the Milnor
+    fibre (A. N. Varchenko, Invent. Math. 37, 1976)."""
+    zeta = Counter()
+    for c in range(3):
+        zeta[min(p[c] for p in poly.support.points if p[c] == sum(p))] += 1
+    for p, q, _, _, t in poly.edges:
         for k in range(3):
             if p[k] == q[k] == 0:
                 i, j = (c for c in range(3) if c != k)
-                two_v2 += abs(p[i] * q[j] - p[j] * q[i])
-    v1 = sum(
-        min(p[c] for p in poly.support.points if p[c] == sum(p))
-        for c in range(3)
-    )
-    return six_v3 - two_v2 + v1 - 1
+                zeta[abs(p[i] * q[j] - p[j] * q[i]) // t] -= t
+    for f in poly.compact_faces:
+        six_v = sum(abs(dot(f.vertices[0], cross(a, b))) for a, b in zip(f.vertices[1:], f.vertices[2:]))
+        zeta[f.value] += six_v // f.value
+    return zeta
+
+
+def newton_number(poly: NewtonPolyhedron) -> int:
+    """Kouchnirenko's Newton number 6 V_3 - 2 V_2 + V_1 - 1 of a convenient
+    diagram, the Milnor number of a nondegenerate f: the degree of Delta,
+    one less than that of the monodromy zeta function.  V_3 is the volume
+    under the diagram, V_2 the areas under it in the coordinate planes and
+    V_1 the sum of the least axis exponents: the factors of the zeta
+    function, of degree m e_m each, add up to 6 V_3 over the faces,
+    -2 V_2 over the edges and V_1 over the axes."""
+    return sum(m * e for m, e in monodromy_zeta(poly).items()) - 1
 
 
 def minimal_cycle(g: PlumbingGraph) -> tuple:

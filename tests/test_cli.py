@@ -505,12 +505,17 @@ def test_help_prints_argparse_help(capsys, argv):
         (["-", "poincare", "--max-exponent", "0"], "poincare", "exponent bound must be positive"),
         (["-"], None, "the following arguments are required: command"),
         (["-", "pg", "extra"], None, "unrecognized arguments: extra"),
+        # Fraction would compute 10**(10**7) before the budget saw the bound
+        (["-", "poincare", "--max-exponent", "1e10000000"], "poincare", "decimal exponent out of range"),
     ],
 )
 def test_usage_errors_get_one_input_error_report(capsys, argv, command, message):
-    """Exit 2 with one InputError report on stdout that carries argparse's
-    message, and argparse's usage and error lines on stderr."""
+    """Exit 2 within a second with one InputError report on stdout that
+    carries argparse's message, and argparse's usage and error lines on
+    stderr."""
+    started = time.perf_counter()
     code = main(argv)
+    assert time.perf_counter() - started < 1.0
     captured = capsys.readouterr()
     assert code == 2 and captured.out.count("\n") == 1
     report = json.loads(captured.out)
@@ -533,7 +538,6 @@ def test_usage_errors_get_one_input_error_report(capsys, argv, command, message)
 def test_abbreviations_and_joined_values_still_parse(tmp_path, capsys, argv, plain):
     """argparse reads these, and they answer as their plain forms do."""
     path = write_doc(tmp_path, [(2, 0, 0), (0, 3, 0), (0, 0, 7)])
-    assert cli._read_plain(cli.build_parser(), [path] + argv) is None
     code, out = run_cli(capsys, path, *argv)
     assert code == 0 and (code, out) == run_cli(capsys, path, *plain)
 
@@ -543,6 +547,8 @@ def test_handlers_and_parser_name_the_same_commands():
 
 
 def _plain_shapes():
+    """Each subcommand with its long options by their exact names, each value
+    its own token, as the README's usage lines write them."""
     yield from ([command] for command in cli._HANDLERS)
     for fmt in ("json", "text", "dot"):
         yield ["graph", "--format", fmt]
@@ -555,11 +561,13 @@ def _plain_shapes():
 
 @pytest.mark.parametrize("source", ["-", "input.json"])
 def test_plain_shapes_read_as_argparse_reads_them(source):
+    """The parser keeps, per argument list, the Namespace a fresh
+    `parse_args` builds, and hands the same one back on a repeat."""
     parser = cli.build_parser()
     for shape in _plain_shapes():
-        argv = [source] + shape
-        args = cli._read_plain(parser, argv)
-        assert args is not None and vars(args) == vars(parser.parse_args(argv)), argv
+        argv = (source, *shape)
+        args = parser.parse(argv)
+        assert parser.parse(argv) is args and vars(args) == vars(parser.parse_args(list(argv))), argv
 
 
 @pytest.mark.parametrize(
@@ -581,27 +589,56 @@ def test_plain_shapes_read_as_argparse_reads_them(source):
         ["in.json", "poincare", "--max-exponent", "-1"],
         ["in.json", "poincare", "--max-exponent", "x"],
         ["in.json", "verify", "--minimal"],
+        ["in.json", "pg"],
+        ["in.json", "graph", "--min", "--format=dot"],
+        ["in.json", "poincare", "--max", "5/2"],
+        ["in.json", "verify", "--suite", "series"],
     ],
 )
-def test_other_argument_lists_go_to_argparse(argv):
-    assert cli._read_plain(cli.build_parser(), argv) is None
-
-
-_TOKENS = (
-    ["-", "in.json", "", "pg", "graph", "poincare", "verify", "bogus"]
-    + ["--minimal", "--min", "--format", "--format=dot", "dot", "png"]
-    + ["--max-exponent", "5/2", "0", "-1", "--suite", "series", "-h", "--help"]
-)
-
-
-@given(st.lists(st.sampled_from(_TOKENS), max_size=6))
-@settings(max_examples=300)
-def test_the_direct_reader_never_departs_from_argparse(argv):
-    """Wherever the direct reader answers, argparse reads the same Namespace."""
+def test_other_argument_lists_go_to_argparse(capsys, monkeypatch, argv):
+    """Help, usage errors, abbreviations and joined values go to argparse as
+    the plain shapes do.  Two runs of one list print the same bytes and exit
+    alike.  argparse reads a list that parses on the first run only, and one
+    that does not on both, each of which prints its usage error or help;
+    the lists that parse name a missing input, whose InputError report
+    prints no timing line."""
     parser = cli.build_parser()
-    args = cli._read_plain(parser, argv)
-    if args is not None:
-        assert vars(args) == vars(parser.parse_args(argv))
+    try:
+        parser.parse_args(argv)
+        parses = True
+    except SystemExit:
+        parses = False
+    capsys.readouterr()
+    parser.parse.cache_clear()
+    # each parse_args call reads its list through one parse_known_args call
+    calls = []
+    real = parser.parse_known_args
+    monkeypatch.setattr(parser, "parse_known_args", lambda *args: calls.append(args) or real(*args))
+    runs = []
+    for _ in range(2):
+        code = main(argv)
+        captured = capsys.readouterr()
+        runs.append((code, captured.out, captured.err))
+    assert runs[0] == runs[1] and runs[0][0] in (0, 2)
+    assert len(calls) == (1 if parses else 2)
+
+
+def test_a_report_too_large_to_encode_is_one_internal_error(capsys, monkeypatch):
+    """x^a + y^b + z^c with a, b and c near 10^1500 reads fine, but its face
+    value abc has about 4,500 digits, more than `int` turns into text
+    (`sys.get_int_max_str_digits()`): the report that cannot be encoded
+    leaves as one InternalError report, with no traceback."""
+    n = 10**1500
+    doc = json.dumps({"monomials": [[n + 1, 0, 0], [0, n + 3, 0], [0, 0, n + 7]]})
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    code = main(["-", "diagram"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out.count("\n") == 1
+    report = json.loads(captured.out)
+    assert report["error"] == "InternalError" and report["command"] == "diagram"
+    assert report["message"].startswith("ValueError: Exceeds the limit")
+    assert "result" not in report and report["input"]["monomials"] == [[0, 0, n + 7], [0, n + 3, 0], [n + 1, 0, 0]]
+    assert captured.err.startswith("elapsed_seconds=") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("exponent", ["1e400", "2.7", '"2"', "true"])

@@ -1,14 +1,14 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
 from newtonsing import kernels
 from newtonsing.errors import NewtonsingError, NoCompactFace, NotIsolated, NotRationalHomologySphere
 from newtonsing.invariants import SingularityModel
-from newtonsing.newton import Support, is_convenient
+from newtonsing.newton import Support, is_convenient, is_rhs_link, newton_polyhedron
 from tests.conftest import brieskorn
-from tests.oracles import casson_walker, coefficient, lattice_count_all_rows, newton_number
+from tests.oracles import casson_walker, coefficient, lattice_count_all_rows, monodromy_zeta, newton_number
 from tests.test_newton import random_supports
 
 
@@ -108,30 +108,92 @@ def test_sw_equals_casson_walker_on_integral_homology_spheres(corpus):
     generated = [m for m in generated if m.minimal.data.group_order == 1]
     assert len(triples) == 237 and spheres and len(generated) >= 300
     for m in spheres + generated:
-        assert casson_walker(m.minimal) == m.sw().sw_canonical, m.support
+        res = m.sw()
+        assert casson_walker(m.minimal) == res.sw_canonical == -_durfee_signature(m, res) / 8, m.support
 
 
-def test_newton_number_is_laufers_milnor_number(corpus):
+def _durfee_signature(m, res):
+    """Durfee's signature of the Milnor fibre, -8 p_g - Z_K^2 - |V|; on an
+    integral homology sphere link the Casson invariant conjecture
+    (Neumann-Wahl) makes the Casson invariant sigma / 8, which is -1 times
+    the Casson-Walker invariant in the normalization of `casson_walker`."""
+    return Fraction(-8 * m.pg().value - res.zk_sq - res.vertex_count)
+
+
+# the Brieskorn triples a <= b <= c with a <= 7, b <= 8 and c <= 9
+BRIESKORN_RANGE = [(a, b, c) for a in range(2, 8) for b in range(a, 9) for c in range(b, 10)]
+
+
+@pytest.fixture(scope="module")
+def generated_models():
+    """Models of the Brieskorn triples in range and of `random_supports(5,
+    4000)`, convenient or not, shared by the diagram-volume tests."""
+    supports = [brieskorn(*abc) for abc in BRIESKORN_RANGE] + random_supports(5, 4000)
+    return [SingularityModel(s) for s in supports]
+
+
+def test_newton_number_is_laufers_milnor_number(corpus, generated_models):
     """Laufer's formula mu = 12 p_g + Z_K^2 + |V| on the resolution graph
-    gives Kouchnirenko's Newton number of the diagram, on the convenient
-    RHS supports of the corpus, of the Brieskorn triples a <= b <= c with
-    a <= 7, b <= 8 and c <= 9, and of generated supports.  On x^a + y^b + z^c
-    the Newton number is (a - 1)(b - 1)(c - 1)."""
-    triples = [(a, b, c) for a in range(2, 8) for b in range(a, 9) for c in range(b, 10)]
-    for a, b, c in triples:
+    gives Kouchnirenko's Newton number of the convenient diagram, on the RHS
+    supports of the corpus, of the Brieskorn triples in range and of
+    generated supports; on a non-convenient support, of the completion that
+    `make_convenient` accepts, whose Newton number does not change when its
+    added axis exponents are raised by 60.  On x^a + y^b + z^c the Newton
+    number is (a - 1)(b - 1)(c - 1).  Every link among them with |H| = 1
+    also meets Durfee's signature and the Casson invariant conjecture."""
+    for a, b, c in BRIESKORN_RANGE:
         assert newton_number(SingularityModel(brieskorn(a, b, c)).polyhedron) == (a - 1) * (b - 1) * (c - 1)
-    supports = [brieskorn(*abc) for abc in triples] + random_supports(5, 4000)
-    models = [m for m in corpus if is_convenient(m.support)]
-    models += [SingularityModel(s) for s in supports if is_convenient(s)]
-    checked = 0
-    for m in models:
+    checked = completed = spheres = 0
+    for m in corpus + generated_models:
         try:
             res = m.sw()
         except NewtonsingError:
             continue
-        assert newton_number(m.polyhedron) == 12 * res.value + res.zk_sq + res.vertex_count, m.support
-        checked += 1
-    assert checked >= 1500
+        poly = m.oka.polyhedron
+        assert newton_number(poly) == 12 * res.value + res.zk_sq + res.vertex_count, m.support
+        if m.minimal.data.group_order == 1:
+            assert casson_walker(m.minimal) == -_durfee_signature(m, res) / 8, m.support
+            spheres += 1
+        if is_convenient(m.support):
+            checked += 1
+            continue
+        # the completion adds d e_c on each axis; on an axis the support
+        # meets, d is no less than its exponent, so d + 60 adds nothing there
+        d = max(min(p[c] for p in poly.support.points if p[c] == sum(p)) for c in range(3))
+        raised = list(m.support.points) + [tuple((d + 60) * (k == c) for k in range(3)) for c in range(3)]
+        assert newton_number(newton_polyhedron(Support(raised))) == newton_number(poly), m.support
+        completed += 1
+    assert checked >= 1500 and completed >= 1000 and spheres >= 1000
+
+
+def test_monodromy_zeta_reads_the_links_homology(corpus, generated_models):
+    """Varchenko's zeta function, the product of (1 - t^m)^(e_m), is
+    (1 - t) Delta(t), and H_1 of the link is the cokernel of h_* - 1
+    (Milnor), so the link is a rational homology sphere exactly when
+    Delta(1) != 0, that is when the e_m sum to 1, and then |H| = |Delta(1)|
+    is the product of the m^(e_m).  So the diagram's volumes alone give
+    `is_rhs_link` and |det| of Oka's graph and of its minimal model: on the
+    convenient supports of the corpus, of the Brieskorn triples in range and
+    of generated supports, and on the completions of the non-convenient
+    ones."""
+    convenient = rhs = completed = 0
+    for m in corpus + generated_models:
+        if is_convenient(m.support):
+            zeta = monodromy_zeta(m.polyhedron)
+            assert (sum(zeta.values()) == 1) == is_rhs_link(m.polyhedron), m.support
+            convenient += 1
+        try:
+            m.require_rhs()
+            orders = {m.oka.graph.data.group_order, m.minimal.data.group_order}
+        except NewtonsingError:
+            continue
+        zeta = monodromy_zeta(m.oka.polyhedron)
+        assert sum(zeta.values()) == 1 and {prod(Fraction(k) ** e for k, e in zeta.items())} == orders, m.support
+        if m.oka.polyhedron is m.polyhedron:
+            rhs += 1
+        else:
+            completed += 1
+    assert convenient >= 1500 and rhs >= 1500 and completed >= 1000
 
 
 def test_poincare_constant_coefficient(corpus):

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import sys
 from dataclasses import fields
@@ -194,6 +195,23 @@ def test_edge_incidence_has_one_producer():
                     reads.append(f"{path.name}:{node.lineno}")
     assert defined & {"_diagram_edges", "t_between", "all_faces"} == set()
     assert reads == []
+
+
+def test_argparse_is_read_through_its_public_interface():
+    """argparse is the one argument parser, and no module reads past its
+    public interface: no underscore-prefixed attribute of the `argparse`
+    module (such as `argparse._StoreAction`) or of a parser (such as
+    `_actions`) is named, so no second reader of the grammar can grow."""
+    names = dir(argparse) + dir(argparse.ArgumentParser())
+    private = {name for name in names if name.startswith("_") and not name.endswith("__")}
+    assert {"_StoreAction", "_actions"} <= private
+    found = [
+        f"{path.name}:{node.lineno} {node.attr}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in private
+    ]
+    assert found == []
 
 
 def test_readme_names_every_budget():
