@@ -240,17 +240,20 @@ def _cmd_verify(model, args):
 
 
 def _positive_fraction(text):
-    # Fraction computes 10**exponent for "1e<exponent>": bound the exponent
-    # as int() bounds the digits of a number
+    # Fraction computes 10**exponent for "1e<exponent>", and the report echoes
+    # p/q: bound the exponent, p and q as int() bounds the digits of a number
+    limit = sys.get_int_max_str_digits()
     _, e, exponent = text.upper().partition("E")
     try:
-        if e and 0 < sys.get_int_max_str_digits() < abs(int(exponent)):
+        if e and 0 < limit < abs(int(exponent)):
             raise argparse.ArgumentTypeError(f"decimal exponent out of range: {text!r}")
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
     if value <= 0:
         raise argparse.ArgumentTypeError("exponent bound must be positive")
+    if limit and max(value.numerator, value.denominator) >= 10**limit:
+        raise argparse.ArgumentTypeError(f"numerator or denominator past {limit} digits: {text!r}")
     return value
 
 

@@ -1,9 +1,10 @@
 """Plumbing graphs: Oka's algorithm, exact intersection data and cycles.
 
-Cycles are plain tuples indexed by vertex id.  Negative definiteness is
-certified (never assumed) when a graph is built: on a tree by leaf-first
-elimination, whose subtree determinants are integers and which makes no
-fill-in, on any other graph by a dense fraction-free (Bareiss) elimination.
+Cycles are plain tuples indexed by vertex id.  A graph is certified when it
+is built, never assumed: connected by one breadth-first pass from vertex 0,
+before any determinant, then negative definite, on a tree by leaf-first
+elimination in that order (integer subtree determinants, no fill-in), on
+any other graph by a dense fraction-free (Bareiss) elimination.
 The intersection data, |det| and on a tree the dual cycles, is cached on
 the graph when first read, each row of a tree when that row is read, as a
 product of the same subtree determinants; the dense pass keeps |det| only.
@@ -58,7 +59,7 @@ class PlumbingGraph:
         for u, v in self.edges:
             nbr[u].append(v)
             nbr[v].append(u)
-        self.neighbors = tuple(tuple(sorted(n)) for n in nbr)
+        self.neighbors = tuple(map(tuple, nbr))  # sorted: each (w, x), w < x, precedes each (x, v)
         self.degree = tuple(len(n) for n in self.neighbors)
         self.nodes = tuple(v for v in range(self.nv) if self.degree[v] >= 3)
         if check:
@@ -71,10 +72,13 @@ class PlumbingGraph:
 
     @cached_property
     def _leaf_first(self) -> tuple:
-        """(order, dets) of a tree: `_bfs_order` from vertex 0 and its
-        `_subtree_dets`, once, for every certificate and `intersection_data`."""
-        order = _bfs_order(self.neighbors, 0)
-        return order, _subtree_dets(self, order)
+        """(order, dets): `_bfs_order` from vertex 0 and on a tree its
+        `_subtree_dets` (else None), once per graph.  Disconnected comes first,
+        so a graph of nv - 1 edges that passes it is a tree."""
+        order = _bfs_order(self.neighbors, 0) if self.nv else []
+        if len(order) != self.nv:
+            raise Disconnected(f"graph has {self.nv - len(order)} unreachable vertices")
+        return order, _subtree_dets(self, order) if self.is_tree() else None
 
     @cached_property
     def arms(self) -> dict:
@@ -121,22 +125,8 @@ class PlumbingGraph:
 
     def _check(self):
         """Raise unless the graph is connected and negative definite."""
-        self._check_connected()
-        if not self.is_tree() or self._leaf_first[1] is None:
+        if self._leaf_first[1] is None:
             self.data  # the dense elimination raises NotNegativeDefinite
-
-    def _check_connected(self):
-        if self.nv == 0:
-            return
-        seen = {0}
-        stack = [0]
-        while stack:
-            for u in self.neighbors[stack.pop()]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        if len(seen) != self.nv:
-            raise Disconnected(f"graph has {self.nv - len(seen)} unreachable vertices")
 
     def intersection_matrix(self):
         m = [[0] * self.nv for _ in range(self.nv)]
@@ -225,11 +215,17 @@ class IntersectionData:
 
 
 def _bfs_order(neighbors, root) -> list:
-    """(vertex, parent) pairs of a tree, given by its neighbour lists, in
-    breadth-first order from root, whose parent is -1."""
+    """(vertex, parent) pairs of root's component, each vertex once, in
+    breadth-first order over the neighbour lists from root, whose parent is
+    -1.  Seen vertices are marked, so cycles and repeated edges end it too."""
+    seen = [False] * len(neighbors)
+    seen[root] = True
     order = [(root, -1)]
-    for v, parent in order:
-        order.extend((u, v) for u in neighbors[v] if u != parent)
+    for v, _ in order:
+        for u in neighbors[v]:
+            if not seen[u]:
+                seen[u] = True
+                order.append((u, v))
     return order
 
 
@@ -361,7 +357,7 @@ def oka_graph(poly: NewtonPolyhedron) -> OkaGraph:
     if not poly.compact_faces:
         raise NoCompactFace(f"{poly.support} has no compact face")
 
-    compact = sorted(poly.compact_faces, key=lambda f: f.normal)
+    compact = poly.compact_faces
     node_ids = {f.normal: i for i, f in enumerate(compact)}
     ell = [f.normal for f in compact]
     wtf = [f.value for f in compact]
@@ -369,14 +365,6 @@ def oka_graph(poly: NewtonPolyhedron) -> OkaGraph:
     genus = [face_interior_points(f) for f in compact]  # Pick's theorem
     edges = []
     star_attach = {}
-
-    def new_vertex(functional, selfint, p):
-        ell.append(tuple(functional))
-        wtf.append(dot(functional, p))
-        b_values.append(int(selfint))
-        genus.append(0)
-        return len(ell) - 1
-
     for p, _, a_vec, b_vec, t in poly.edges:
         b_compact = b_vec in node_ids
         try:  # the edge's t chains must fit in the budget's remainder
@@ -384,14 +372,18 @@ def oka_graph(poly: NewtonPolyhedron) -> OkaGraph:
         except BudgetExceeded:
             raise BudgetExceeded(f"Oka graph budget exceeded: the graph has more than {OKA_VERTICES} vertices") from None
         for _ in range(t):
-            vids = tuple(new_vertex(vec, s, p) for vec, s in zip(seq, string))
-            chain = [node_ids[a_vec], *vids]
+            u = node_ids[a_vec]
+            for vec, s in zip(seq, string):
+                edges.append((u, len(ell)))
+                u = len(ell)
+                ell.append(vec)
+                wtf.append(dot(vec, p))
+                b_values.append(s)
+                genus.append(0)
             if b_compact:
-                chain.append(node_ids[b_vec])
-            for u, v in zip(chain, chain[1:]):
-                edges.append((u, v))
-            if not b_compact and vids:
-                star_attach[vids[-1]] = b_vec
+                edges.append((u, node_ids[b_vec]))
+            elif seq:
+                star_attach[u] = b_vec
 
     # node selfintersections from the neighbour sum, at the normal's largest
     # coordinate; `_check_neighbor_sums` certifies them with every other vertex
@@ -443,9 +435,9 @@ def minimal_model(g: PlumbingGraph) -> tuple:
     goes first, from a min-heap over neighbour lists: O((V + E) log V).
 
     When nothing blows down, g itself is returned, with every vertex kept,
-    after the checks its constructor runs (g may have been built with
-    check=False): connected, and negative definite by the leaf-first
-    certificate on a tree, by the dense elimination otherwise.
+    after the checks its constructor runs (cached lookups, unless g was
+    built with check=False): connected, and negative definite by the
+    leaf-first certificate on a tree, by the dense elimination otherwise.
     """
     b = list(g.b)
     genus = g.genus

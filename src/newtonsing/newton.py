@@ -96,7 +96,7 @@ class Face2D:
 @dataclass
 class NewtonPolyhedron:
     support: Support
-    compact_faces: list
+    compact_faces: list  # sorted by normal: `oka_graph` numbers its nodes in this order
     noncompact_faces: list
     # each edge of a compact face once, as (p, q, normal, other, t): the
     # compact normal first, of two the smaller, with p, q in its face's

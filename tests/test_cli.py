@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -71,6 +72,27 @@ def test_graph_minimal_and_dot(tmp_path, capsys):
     assert 'v0 [label="v0 [b=2, g=0]"]' in dot
 
 
+@pytest.mark.parametrize("minimal", [[], ["--minimal"]], ids=["raw", "minimal"])
+@pytest.mark.parametrize("monomials", [FRONT_PAGE, [(2, 0, 0), (0, 3, 0), (0, 0, 5)]], ids=["front-page", "235"])
+def test_graph_text_lists_the_payload(tmp_path, capsys, monomials, minimal):
+    """`--format text` prints the JSON report, then the vertex count, one
+    line per vertex in id order with its functional on the raw graph only,
+    and the edge list, each read back against the report's payload."""
+    path = write_doc(tmp_path, monomials)
+    code, out = run_cli(capsys, path, "graph", *minimal, "--format", "text")
+    report, *lines = out.rstrip("\n").split("\n")
+    assert code == 0 and (0, report + "\n") == run_cli(capsys, path, "graph", *minimal)
+    payload = json.loads(report)["result"]
+    vertices = payload["vertices"]
+    assert lines[0] == f"vertices: {len(vertices)}" and len(lines) == len(vertices) + 2
+    for rec, line in zip(vertices, lines[1:-1]):
+        m = re.fullmatch(r"  v(\d+): b=(\d+) g=(\d+)(?: l=\((\d+), (\d+), (\d+)\))?", line)
+        assert m and [int(x) for x in m.groups()[:3]] == [rec["id"], rec["b"], rec["genus"]], line
+        functional = [int(x) for x in m.groups()[3:]] if m.group(4) else None
+        assert functional == rec.get("functional") and (functional is None) == bool(minimal), line
+    assert lines[-1] == "edges: " + " ".join(f"({u},{v})" for u, v in payload["edges"])
+
+
 def test_sw_brieskorn_235(tmp_path, capsys):
     path = write_doc(tmp_path, [(2, 0, 0), (0, 3, 0), (0, 0, 5)])
     code, out = run_cli(capsys, path, "sw")
@@ -125,6 +147,15 @@ def test_huge_poincare_bound_fails_fast(tmp_path, capsys, monkeypatch, bound):
     report = json.loads(out)
     assert report["error"] == "BudgetExceeded"
     assert "weight box budget" in report["message"]
+
+
+def test_a_bound_of_the_most_digits_echoes(tmp_path, capsys):
+    """1e-4299 has a denominator of 4,300 digits, the most that str() prints
+    at the default limit: it answers, and the report echoes it."""
+    path = write_doc(tmp_path, [(2, 0, 0), (0, 3, 0), (0, 0, 5)])
+    code, out = run_cli(capsys, path, "poincare", "--max-exponent", "1e-4299")
+    report = json.loads(out)
+    assert code == 0 and report["result"] == {"max_exponent": "1/1" + "0" * 4299, "terms": [["0/1", 1]]}
 
 
 def test_poincare_bound_within_the_budget(tmp_path, capsys):
@@ -507,6 +538,10 @@ def test_help_prints_argparse_help(capsys, argv):
         (["-", "pg", "extra"], None, "unrecognized arguments: extra"),
         # Fraction would compute 10**(10**7) before the budget saw the bound
         (["-", "poincare", "--max-exponent", "1e10000000"], "poincare", "decimal exponent out of range"),
+        # the report would echo a denominator of 4,301 and 4,304 digits, past
+        # what str() prints at the default sys.get_int_max_str_digits()
+        (["-", "poincare", "--max-exponent", "1e-4300"], "poincare", "numerator or denominator past"),
+        (["-", "poincare", "--max-exponent", "0.0001e-4299"], "poincare", "numerator or denominator past"),
     ],
 )
 def test_usage_errors_get_one_input_error_report(capsys, argv, command, message):

@@ -511,6 +511,65 @@ def test_minimal_model_returns_its_input_when_nothing_blows_down(front_og):
         minimal_model(PlumbingGraph([2, 2], [0, 0], [(0, 1), (0, 1)], check=False))
 
 
+@pytest.mark.parametrize(
+    "nv, edges",
+    [(4, [(0, 1), (1, 2), (2, 0)]), (3, [(0, 1), (0, 1)])],
+    ids=["triangle-and-a-vertex", "repeated-edge"],
+)
+def test_disconnected_graphs_fail_before_any_determinant(monkeypatch, nv, edges):
+    """A graph of nv - 1 edges need not be a tree: a cycle beside a lone
+    vertex, or a repeated edge, leaves a vertex out.  The breadth-first pass
+    certifies connectivity before any determinant is formed, on the
+    constructor's check and on `minimal_model`'s check of a graph that
+    nothing blows down."""
+
+    def no_work(*args):
+        raise RuntimeError("a determinant was formed before connectivity was certified")
+
+    monkeypatch.setattr(graph_module, "_subtree_dets", no_work)
+    monkeypatch.setattr(graph_module, "_bareiss", no_work)
+    for build in (PlumbingGraph, lambda *g: minimal_model(PlumbingGraph(*g, check=False))):
+        with pytest.raises(Disconnected, match=r"^graph has 1 unreachable vertices$"):
+            build([3] * nv, [0] * nv, edges)
+
+
+def _levels(g, root):
+    """vertex -> distance from root, for the vertices a set-based search reaches."""
+    distance, level, d = {}, {root}, 0
+    while level:
+        distance.update(dict.fromkeys(level, d))
+        level = {u for v in level for u in g.neighbors[v]} - distance.keys()
+        d += 1
+    return distance
+
+
+def test_bfs_order_lists_the_roots_component_once():
+    """On random multigraphs, with cycles, repeated edges and isolated
+    vertices, `_bfs_order` lists each vertex that a set-based search reaches
+    from the root once, level by level, each after a neighbour one level
+    nearer as its parent; `_leaf_first` fails exactly when vertex 0 does not
+    reach every vertex."""
+    rng = random.Random(12)
+    connected = []
+    for _ in range(500):
+        nv = rng.randint(1, 10)
+        edges = [rng.sample(range(nv), 2) for _ in range(rng.randint(0, 2 * nv))] if nv > 1 else []
+        g = PlumbingGraph([2] * nv, [0] * nv, edges, check=False)
+        root = rng.randrange(nv)
+        distance = _levels(g, root)
+        order = graph_module._bfs_order(g.neighbors, root)
+        assert order[0] == (root, -1) and sorted(v for v, _ in order) == sorted(distance)
+        assert [distance[v] for v, _ in order] == sorted(distance.values())
+        assert all(p in g.neighbors[v] and distance[p] == distance[v] - 1 for v, p in order[1:])
+        connected.append(len(_levels(g, 0)) == nv)
+        try:
+            certified = len(g._leaf_first[0]) == nv
+        except Disconnected:
+            certified = False
+        assert certified == connected[-1]
+    assert 100 < sum(connected) < 400
+
+
 def _outcome(run, *args):
     try:
         return run(*args)

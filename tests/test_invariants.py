@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from math import gcd, prod
 
@@ -194,6 +195,32 @@ def test_monodromy_zeta_reads_the_links_homology(corpus, generated_models):
         else:
             completed += 1
     assert convenient >= 1500 and rhs >= 1500 and completed >= 1000
+
+
+def test_monodromy_eigenvalues_are_the_brieskorn_spectrum_mod_1():
+    """1 - t^m is, up to sign, the product of the cyclotomic Phi_d over
+    d | m, so Delta(t) = zeta(t) / (1 - t) has Phi_d to the power
+    n_d = sum of e_m over the m that d divides, less one for d = 1, and h_*
+    has phi(d) n_d eigenvalues of order d.  On x^a + y^b + z^c they are the
+    exp(2 pi i s) over the spectrum s = i/a + j/b + k/c - 1, 0 < i < a,
+    0 < j < b, 0 < k < c (Brieskorn): so every n_d >= 0, and phi(d) n_d
+    counts the s whose class mod 1 has denominator d, on each of the 154
+    triples a <= b <= c with a <= 8, b <= 9 and c <= 10."""
+    triples = [(a, b, c) for a in range(2, 9) for b in range(a, 10) for c in range(b, 11)]
+    assert len(triples) == 154
+    for a, b, c in triples:
+        zeta = monodromy_zeta(newton_polyhedron(brieskorn(a, b, c)))
+        orders = {d for m in zeta for d in range(1, m + 1) if m % d == 0}
+        n = {d: sum(e for m, e in zeta.items() if m % d == 0) - (d == 1) for d in orders}
+        spectrum = Counter(
+            (Fraction(i, a) + Fraction(j, b) + Fraction(k, c)).denominator
+            for i in range(1, a)
+            for j in range(1, b)
+            for k in range(1, c)
+        )
+        assert min(n.values()) >= 0, (a, b, c)
+        phi = {d: sum(gcd(k, d) == 1 for k in range(1, d + 1)) for d in orders}
+        assert {d: phi[d] * n[d] for d in orders if n[d]} == spectrum, (a, b, c)
 
 
 def test_poincare_constant_coefficient(corpus):

@@ -197,6 +197,24 @@ def test_edge_incidence_has_one_producer():
     assert reads == []
 
 
+def test_plumbing_graphs_have_one_traversal_and_one_pass():
+    """One breadth-first order certifies a graph connected, so `graph.py`
+    defines no second search `_check_connected`; `oka_graph` wires each
+    chain as it builds it, with no nested function or lambda (it takes the
+    polyhedron's faces in their order, sorted by normal)."""
+    tree = ast.parse((Path(newtonsing.__file__).parent / "graph.py").read_text())
+    functions = [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    assert "_bfs_order" in {f.name for f in functions}
+    assert "_check_connected" not in {f.name for f in functions}
+    (oka,) = [f for f in functions if f.name == "oka_graph"]
+    nested = [
+        node
+        for node in ast.walk(oka)
+        if node is not oka and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+    ]
+    assert nested == []
+
+
 def test_argparse_is_read_through_its_public_interface():
     """argparse is the one argument parser, and no module reads past its
     public interface: no underscore-prefixed attribute of the `argparse`
